@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import e2pi, frac_mul_int_vec, fsum_complex
 from .errors import EmptySet, HypothesisViolated, ParameterOutOfRange
-from .expsum import IntPolynomial
+from .expsum import IntPolynomial, grid_sup_gaps
 from .sieve import PrimeTable, ThinPrimeSet
 
 KERNEL_VARIANTS = ("Kh", "K1", "K2")
@@ -310,21 +309,16 @@ def weighted_maximal_compare(S, w1, w2, f: SparseSignal, Omega: IntPolynomial,
 
 def kernel_gap_norm(tps: ThinPrimeSet, pt: PrimeTable, W: IntPolynomial,
                     N: int, xi_grid: int) -> float:
-    """sup over the xi grid of |K1^(xi) - K2^(xi)| (Fourier transforms).
+    """sup over xi = j/xi_grid of |K1^(xi) - K2^(xi)| (Fourier transforms).
 
-    Equals gap(N)/N of the decay profile by construction: the transforms
-    are the weighted prime sums divided by N.
+    The transforms are the weighted prime sums divided by N, so this is
+    grid_sup_gaps at the single cutoff N, divided by N: gap(N)/N of the
+    decay profile by construction.
     """
-    k1 = build_kernel("K1", tps, pt, W, N)
-    k2 = build_kernel("K2", tps, pt, W, N)
-    pos1 = np.array(sorted(k1.atoms), dtype=np.int64)
-    wt1 = np.array([k1.atoms[int(p)] for p in pos1])
-    pos2 = np.array(sorted(k2.atoms), dtype=np.int64)
-    wt2 = np.array([k2.atoms[int(p)] for p in pos2])
-    best = 0.0
-    for j in range(xi_grid):
-        xi = j / xi_grid
-        a = fsum_complex(wt1 * e2pi(frac_mul_int_vec(xi, pos1)))
-        b = fsum_complex(wt2 * e2pi(frac_mul_int_vec(xi, pos2)))
-        best = max(best, abs(a - b))
-    return best
+    thin_p, thin_w = tps.prefix(N)
+    if len(thin_p) == 0:
+        raise EmptySet(f"no primes <= {N} for kernel K1")
+    full_p = pt.primes_in(1, N)
+    gap, = grid_sup_gaps(thin_p, thin_w, full_p,
+                         np.log(full_p.astype(np.float64)), W, xi_grid, [N])
+    return float(gap) / N

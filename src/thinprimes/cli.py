@@ -30,7 +30,6 @@ from .expsum import (
     PhaseSpec,
     bilinear_sum_bound,
     formlem_decay,
-    lambda_exp_sum,
     vaughan_split,
     vdc_bound_check,
     default_v,
@@ -330,11 +329,10 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         pt = build_prime_table(P1, threads=threads)
         v = cfg.get_float("v") if cfg.values.get("v") else default_v(P1, W.degree)
         res = vaughan_split(pt, spec, v)
-        direct = lambda_exp_sum(pt, spec)
         row = (P, P1, v, spec.xi, spec.m,
                res.S1.real, res.S1.imag, res.S21.real, res.S21.imag,
                res.S22.real, res.S22.imag, res.S3.real, res.S3.imag,
-               res.residual, res.residual / (1.0 + abs(direct)))
+               res.residual, res.residual / (1.0 + abs(res.direct)))
         return ["P", "P1", "v", "xi", "m", "S1_re", "S1_im", "S21_re",
                 "S21_im", "S22_re", "S22_im", "S3_re", "S3_im", "residual",
                 "residual_rel"], [row], None
@@ -343,8 +341,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         W = cfg.polynomial()
         n = cfg.get_int("N")
         pt = build_prime_table(n, threads=threads)
-        prof = formlem_decay(tf, pt, W, cfg.get_int("xi-grid"), n,
-                             threads=threads)
+        prof = formlem_decay(tf, pt, W, cfg.get_int("xi-grid"), n)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer

@@ -5,13 +5,13 @@ polynomial W.  The xi*W(k) part is reduced mod 1 exactly (integer W(k),
 binary-rational xi); the m*phi(k) part goes through a two-product and is
 escalated to mpmath once |m*phi(k)| crosses 2^40.  Sums are accumulated
 with math.fsum so that split/recombine residuals measure the identity, not
-the accumulator.
+the accumulator.  Sweeps over the grid xi = j/G take one exact DFT per
+cutoff (grid_sup_gaps).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -74,6 +74,14 @@ class IntPolynomial:
                 acc = acc * k + c
             return acc
         return [self(int(v)) for v in k]
+
+    def mod_vec(self, k: np.ndarray, G: int) -> np.ndarray:
+        """Exact W(k) mod G as int64: Horner on k mod G, exact for G <= 2^31."""
+        k = np.asarray(k, dtype=np.int64) % G
+        acc = np.zeros_like(k)
+        for c in reversed(self.coeffs):
+            acc = (acc * k + c % G) % G
+        return acc
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
@@ -182,6 +190,7 @@ class VaughanSplit(NamedTuple):
     S22: complex
     S3: complex
     residual: float
+    direct: complex
 
 
 def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> VaughanSplit:
@@ -189,9 +198,9 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
 
     The identity behind the split holds pointwise for n > v (verified by
     brute force; the source statement's "v > n" is a typo), so the range
-    (P, P1] is valid whenever P >= v; we require P > v.  residual is
-    |direct - (S1 - S21 - S22 + S3)| and must sit at accumulation noise,
-    <= 1e-8 * (1 + |direct|).
+    (P, P1] is valid whenever P >= v; we require P > v.  direct is
+    lambda_exp_sum(pt, spec); residual is |direct - (S1 - S21 - S22 + S3)|
+    and must sit at accumulation noise, <= 1e-8 * (1 + |direct|).
     """
     P, P1 = spec.P, spec.P1
     if P1 > pt.limit:
@@ -263,7 +272,7 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
     S1, S21, S22, S3 = (total(p) for p in (s1_parts, s21_parts, s22_parts, s3_parts))
     direct = lambda_exp_sum(pt, spec)
     residual = abs(direct - (S1 - S21 - S22 + S3))
-    return VaughanSplit(S1, S21, S22, S3, residual)
+    return VaughanSplit(S1, S21, S22, S3, residual, direct)
 
 
 def vaughan_moment_check(pt: PrimeTable, v: float, L: int) -> tuple[float, float]:
@@ -439,26 +448,47 @@ class DecayProfile:
             yield n, gap, norm
 
 
-def xi_grid(size: int) -> np.ndarray:
-    """Equispaced grid in [0, 1): includes 0, excludes 1."""
-    return np.arange(size, dtype=np.float64) / size
-
-
 DYADIC_START = 16
+MAX_XI_GRID = 2 ** 31      # W(p) mod G by int64 Horner is exact up to here
+
+
+def grid_sup_gaps(thin_p: np.ndarray, thin_w: np.ndarray, full_p: np.ndarray,
+                  full_w: np.ndarray, W: IntPolynomial, G: int,
+                  cutoffs) -> np.ndarray:
+    """sup over xi = j/G of |thin sum - full sum| at each ascending cutoff N.
+
+    Each sum is sum w(p) e(xi W(p)) over ascending p <= N.  At xi = j/G the
+    phase depends only on r = W(p) mod G, reduced exactly, so the difference
+    is the DFT of the weights bucketed by r, thin minus full; one running
+    bucket vector takes each cutoff's new primes.  The buckets are real, so
+    the rfft half of the spectrum holds every magnitude.
+    """
+    if not 1 <= G <= MAX_XI_GRID:
+        raise ParameterOutOfRange(f"xi grid size must lie in [1, 2^31], got {G}")
+    r_thin, r_full = W.mod_vec(thin_p, G), W.mod_vec(full_p, G)
+    ends_thin = np.searchsorted(thin_p, cutoffs, side="right")
+    ends_full = np.searchsorted(full_p, cutoffs, side="right")
+    d = np.zeros(G)
+    gaps = np.empty(len(ends_thin))
+    a = b = 0
+    for i, (a1, b1) in enumerate(zip(ends_thin, ends_full)):
+        d += np.bincount(r_thin[a:a1], thin_w[a:a1], minlength=G)
+        d -= np.bincount(r_full[b:b1], full_w[b:b1], minlength=G)
+        gaps[i] = np.abs(np.fft.rfft(d)).max()
+        a, b = a1, b1
+    return gaps
 
 
 def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
-                  xi_grid_size: int, N_max: int, threads: int = 1,
+                  xi_grid_size: int, N_max: int,
                   tps: ThinPrimeSet | None = None) -> DecayProfile:
-    """gap(N) = sup over the xi grid of |G_tilde - F_tilde|, N dyadic.
+    """gap(N) = sup over xi = j/G of |G_tilde - F_tilde|, N dyadic.
 
-    Dyadic N runs from 16 to N_max.  Per xi the cumulative term sums are
-    evaluated once over all primes <= N_max and read off at the dyadic
-    cutoffs; the xi loop is parallelized and reduced by pointwise max,
-    which is order independent, so results do not depend on thread count.
+    Dyadic N runs from 16 to N_max and G = xi_grid_size.  xi is the exact
+    rational j/G and each gap is one DFT (grid_sup_gaps).
     """
-    if xi_grid_size < 64:
-        raise ParameterOutOfRange("xi grid must have at least 64 points")
+    if not 64 <= xi_grid_size <= MAX_XI_GRID:
+        raise ParameterOutOfRange("xi grid must have between 64 and 2^31 points")
     if N_max > pt.limit:
         raise RangeBeyondTable(f"N_max={N_max} beyond table limit {pt.limit}")
     if N_max < DYADIC_START or N_max & (N_max - 1):
@@ -471,33 +501,10 @@ def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
     while n <= N_max:
         dyadic.append(n)
         n *= 2
-    thin_p, thin_w = tps.primes, tps.weights
     full_p = pt.primes_in(1, N_max)
-    full_w = np.log(full_p.astype(np.float64))
-    cut_thin = np.searchsorted(thin_p, dyadic, side="right")
-    cut_full = np.searchsorted(full_p, dyadic, side="right")
-    Wthin = W.eval_vec(thin_p)
-    Wfull = W.eval_vec(full_p)
-
-    def gaps_for(xi: float) -> np.ndarray:
-        cum_thin = np.cumsum(thin_w * e2pi(frac_mul_int_vec(xi, Wthin)))
-        cum_full = np.cumsum(full_w * e2pi(frac_mul_int_vec(xi, Wfull)))
-        g = np.empty(len(dyadic))
-        for j in range(len(dyadic)):
-            a = cum_thin[cut_thin[j] - 1] if cut_thin[j] > 0 else 0j
-            b = cum_full[cut_full[j] - 1] if cut_full[j] > 0 else 0j
-            g[j] = abs(a - b)
-        return g
-
-    grid = xi_grid(xi_grid_size)
-    sup = np.zeros(len(dyadic))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for g in pool.map(gaps_for, grid):
-                sup = np.maximum(sup, g)
-    else:
-        for x in grid:
-            sup = np.maximum(sup, gaps_for(float(x)))
+    sup = grid_sup_gaps(tps.primes, tps.weights, full_p,
+                        np.log(full_p.astype(np.float64)), W, xi_grid_size,
+                        dyadic)
     entries = [(n, float(g), float(g) / n) for n, g in zip(dyadic, sup)]
     pos = [(n, g) for n, g, _ in entries if g > 0.0]
     fitted = None

@@ -61,7 +61,7 @@ def test_01_vaughan_exactness(pt20):
 
 def test_02_weighted_sum_gap_decay(pt20, tf99, tps99):
     t0 = time.perf_counter()
-    prof = formlem_decay(tf99, pt20, W_LIN, 256, 1 << 20, threads=4, tps=tps99)
+    prof = formlem_decay(tf99, pt20, W_LIN, 256, 1 << 20, tps=tps99)
     assert prof.fitted_exponent is not None
     assert prof.fitted_exponent < 1.0
     tail = [norm for _, _, norm in prof.entries[-4:]]

@@ -1,0 +1,43 @@
+"""The benchmark's output oracles, run on tiny command-line reports.
+
+perfbench/checks.py never imports thinprimes: it recounts each report from
+its own sieve and exact integer phases.  Running those oracles here keeps
+a report that the benchmark would reject from passing the unit tests.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from thinprimes.cli import main
+
+_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+XI = 370_001 / 2 ** 20      # on the 2^-20 grid the vaughan oracle requires
+
+CASES = {
+    "decay": (["formlem-decay", "--gamma", "0.99", "--N", "4096", "--xi-grid", "64"],
+              lambda t: checks.check_decay_gaps(t, 0.99, 64, 4096), "gap"),
+    "identity": (["formlem-decay", "--gamma", "1", "--N", "4096", "--xi-grid", "64"],
+                 checks.check_exact_zero, "gap"),
+    "vaughan": (["vaughan", "--gamma", "0.95", "--P", "2000", "--xi", repr(XI),
+                 "--mfreq", "1"],
+                lambda t: checks.check_vaughan(t, 2000, XI, 1, [0, 1], 0.95), "S1_re"),
+    "goldbach": (["goldbach", "--gammas", "1,0.99,0.95", "--N", "1001",
+                  "--N-end", "1011"],
+                 lambda t: checks.check_goldbach(t, (1.0, 0.99, 0.95), 1001, 1011, 1005),
+                 "R"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bench_oracle_accepts_report_and_flags_corruption(name, capsys):
+    argv, check, column = CASES[name]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert check(text) is None
+    assert check(checks.corrupt(text, column, "nudge")) is not None

@@ -350,12 +350,6 @@ def test_decay_grid_refinement_monotone(pt20, tf99, tps99):
         assert g2 >= g1 * 0.99    # nested grids: sup can only grow
 
 
-def test_decay_threads_bitstable(pt20, tf99, tps99):
-    a = formlem_decay(tf99, pt20, W_LIN, 64, 2 ** 14, threads=1, tps=tps99)
-    b = formlem_decay(tf99, pt20, W_LIN, 64, 2 ** 14, threads=4, tps=tps99)
-    assert a.entries == b.entries
-
-
 def test_decay_validation(pt20, tf99, tps99):
     with pytest.raises(ParameterOutOfRange):
         formlem_decay(tf99, pt20, W_LIN, 32, 2 ** 14, tps=tps99)
@@ -363,6 +357,49 @@ def test_decay_validation(pt20, tf99, tps99):
         formlem_decay(tf99, pt20, W_LIN, 64, 1000, tps=tps99)
     with pytest.raises(RangeBeyondTable):
         formlem_decay(tf99, pt20, W_LIN, 64, 2 ** 21, tps=tps99)
+    with pytest.raises(ParameterOutOfRange):
+        formlem_decay(tf99, pt20, W_LIN, 2 ** 31 + 1, 2 ** 14, tps=tps99)
+
+
+def _decay_gaps_by_xi_loop(tps, pt, W, G, N_max):
+    """Reference sweep: one fsum per xi = j/G and dyadic N, exact phases.
+
+    The phase of p at xi = j/G is ((j * (W(p) mod G)) mod G) / G, with W(p)
+    evaluated in Python integers.
+    """
+    thin_p, thin_w = tps.prefix(N_max)
+    full_p = pt.primes_in(1, N_max)
+    ps = np.concatenate([thin_p, full_p])
+    ws = np.concatenate([thin_w, -np.log(full_p.astype(np.float64))])
+    rs = np.array([W(int(p)) % G for p in ps], dtype=np.int64)
+    gaps = []
+    n = 16
+    while n <= N_max:
+        inside = ps <= n
+        c, r = ws[inside], rs[inside]
+        best = 0.0
+        for j in range(G):
+            t = 2.0 * np.pi * ((j * r) % G) / G
+            best = max(best, abs(complex(math.fsum(c * np.cos(t)),
+                                         math.fsum(c * np.sin(t)))))
+        gaps.append(best)
+        n *= 2
+    return gaps
+
+
+@pytest.mark.parametrize("coeffs,G", [
+    ([0, 1], 100),                          # G not a power of two
+    ([5, -3, 0, 2, 0, 0, 1, 1], 64),        # degree 7: W(p) beyond int64
+    ([3, -2, 5], 128),
+])
+def test_decay_gaps_match_xi_loop(pt20, tf99, tps99, coeffs, G):
+    W = IntPolynomial(coeffs)
+    N_max = 2 ** 12
+    prof = formlem_decay(tf99, pt20, W, G, N_max, tps=tps99)
+    want = _decay_gaps_by_xi_loop(tps99, pt20, W, G, N_max)
+    assert [n for n, _, _ in prof.entries] == [16 * 2 ** i for i in range(len(want))]
+    for (_, gap, _), ref in zip(prof.entries, want):
+        assert abs(gap - ref) <= 1e-12 * ref
 
 
 def test_phi_error_sum_identity_zero(pt20, tf_identity):
