@@ -301,7 +301,7 @@ def weighted_maximal_compare(S, w1, w2, f: SparseSignal, Omega: IntPolynomial,
         return 0.0, c_sup
     ratio_max = float(np.max(best2[mask] / best1[mask]))
     if hypothesis == "ii" and ratio_max > 1.0 + 2.0 * c_sup + 1e-9:
-        raise ArithmeticError(
+        raise HypothesisViolated(
             f"domination failed: ratio_max={ratio_max:.12g} exceeds "
             f"1+2*C_sup={1 + 2 * c_sup:.12g}")
     return ratio_max, c_sup

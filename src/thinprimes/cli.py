@@ -106,6 +106,7 @@ class RunConfig:
         self.subcommand = subcommand
         self.values = values
         self.extras = {}   # resolved defaults worth echoing (e.g. auto x0)
+        self._tf = None
 
     def get(self, key: str, default=None):
         return self.values.get(key, DEFAULTS.get(key, default))
@@ -153,6 +154,9 @@ class RunConfig:
             raise ValidationError(f"key {key!r}: {raw!r} is not a float list") from exc
 
     def thin_function(self):
+        """The configured ThinFunction, built once per configuration."""
+        if self._tf is not None:
+            return self._tf
         kwargs = {}
         for key, conv in (("gamma", float), ("c", float), ("A", float),
                           ("B", float), ("C", float), ("m", int),
@@ -168,6 +172,7 @@ class RunConfig:
             raise ValidationError(str(exc)) from exc
         if "x0" not in self.values:
             self.extras["x0-resolved"] = repr(tf.x0)   # auto-selected, echoed
+        self._tf = tf
         return tf
 
     def polynomial(self) -> IntPolynomial:
@@ -341,7 +346,8 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         W = cfg.polynomial()
         n = cfg.get_int("N")
         pt = build_prime_table(n, threads=threads)
-        prof = formlem_decay(tf, pt, W, cfg.get_int("xi-grid"), n)
+        tps = enumerate_thin_primes(tf, pt, n, threads=threads)
+        prof = formlem_decay(tf, pt, W, cfg.get_int("xi-grid"), n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer

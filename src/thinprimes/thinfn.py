@@ -11,10 +11,13 @@ Six families are supported:
     h4    : h(x) = Ch * x * exp(C * log(x)^B)
     h5    : h(x) = Ch * x * l_m(x),  l_1 = log, l_{m+1} = log o l_m
 
-Derivatives up to order 4 are pre-differentiated symbolically per family at
-construction time and compiled to vectorized numpy callables plus an
-mpmath twin for the extended-precision floor decisions.  The inverse phi is
-closed-form for the power family and a bracketed Newton elsewhere.
+Each family is written once, as Ch * x^c * L(log x) over truncated Taylor
+jets, and gives h and its derivatives up to order 4 at a point.  The jet
+coefficients are float64 arrays for the bulk route and mpmath numbers at
+MP_DPS digits for the extended-precision floor decisions, so both routes
+evaluate the same function, with the binary64 parameters entering as their
+exact values.  The inverse phi is closed-form for the power family and a
+bracketed Newton elsewhere.
 
 The degenerate member power(gamma=1) is the identity h(x) = x.  It is kept
 as exact ground truth: every derived quantity short-circuits to its exact
@@ -30,7 +33,6 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
-import sympy as sp
 
 from .errors import (
     DomainError,
@@ -48,52 +50,50 @@ NEAR_INT_GUARD = 1e-9
 MP_GUARD = 1e-25
 MP_DPS = 40
 
-_X = sp.symbols("x", positive=True)
+# Largest number of Newton steps phi_mp takes before it gives up.
+MP_NEWTON_STEPS = 60
 
 
-def _family_expr(family: str, c: float, A, B, Cc, m, Ch) -> sp.Expr:
-    L = sp.log(_X)
-    if family == "power":
-        return Ch * _X ** c
-    if family == "h1":
-        return Ch * _X ** c * L ** A
-    if family == "h2":
-        return Ch * _X ** c * sp.exp(A * L ** B)
-    if family == "h3":
-        return Ch * _X * L ** Cc
-    if family == "h4":
-        return Ch * _X * sp.exp(Cc * L ** B)
-    if family == "h5":
-        lm = L
-        for _ in range(m - 1):
-            lm = sp.log(lm)
-        return Ch * _X * lm
-    raise ParameterOutOfRange(f"unknown family {family!r}")
+class _Ops(NamedTuple):
+    """Coefficient type of a jet: exact conversion of a binary64 parameter,
+    log and exp.  Powers use the ** operator for both types."""
+    num: Callable
+    log: Callable
+    exp: Callable
 
 
-def _vartheta_func(family: str, c: float, A, B, Cc, m) -> Callable:
-    """Closed-form vartheta(x) = x*h'(x)/h(x) - c, per family."""
-    if family == "power":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-    if family == "h1":
-        return lambda x: A / np.log(x)
-    if family == "h2":
-        return lambda x: A * B * np.log(x) ** (B - 1.0)
-    if family == "h3":
-        return lambda x: Cc / np.log(x)
-    if family == "h4":
-        return lambda x: Cc * B * np.log(x) ** (B - 1.0)
-    if family == "h5":
-        def vt(x):
-            x = np.asarray(x, dtype=float)
-            prod = np.log(x)
-            cur = prod
-            for _ in range(m - 1):
-                cur = np.log(cur)
-                prod = prod * cur
-            return 1.0 / prod
-        return vt
-    raise ParameterOutOfRange(f"unknown family {family!r}")
+_NP = _Ops(float, np.log, np.exp)      # float64 scalars and arrays
+_MP = _Ops(mp.mpf, mp.log, mp.exp)     # mpf at the working precision
+
+
+# Truncated Taylor jets [f, f', f''/2!, ...] at one point, as lists of
+# coefficients of either type.  The recurrences come from comparing
+# coefficients in u*(u^a)' = a*u'*u^a, (exp u)' = u'*exp(u), u*(log u)' = u'.
+
+def _jet_mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _jet_pow(u, a):
+    p = [u[0] ** a]
+    for k in range(1, len(u)):
+        p.append(sum((a * j - (k - j)) * u[j] * p[k - j]
+                     for j in range(1, k + 1)) / (k * u[0]))
+    return p
+
+
+def _jet_exp(ops: _Ops, u):
+    e = [ops.exp(u[0])]
+    for k in range(1, len(u)):
+        e.append(sum(j * u[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
+def _jet_log(ops: _Ops, u):
+    g = [ops.log(u[0])]
+    for k in range(1, len(u)):
+        g.append((u[k] - sum(j * g[j] * u[k - j] for j in range(1, k)) / k) / u[0])
+    return g
 
 
 def _domain_floor(family: str, m) -> float:
@@ -129,14 +129,8 @@ class ThinFunction:
         self.m = None if m is None else int(m)
         self.Ch = float(Ch)
         self.is_identity = family == "power" and self.gamma == 1.0 and self.Ch == 1.0
-
-        expr = _family_expr(family, self.c, self.A, self.B, self.Cc, self.m, self.Ch)
-        derivs = [expr]
-        for _ in range(4):
-            derivs.append(sp.diff(derivs[-1], _X))
-        self._h_np = [sp.lambdify(_X, d, modules="numpy") for d in derivs]
-        self._h_mp = [sp.lambdify(_X, d, modules="mpmath") for d in derivs]
-        self._vartheta = _vartheta_func(family, self.c, self.A, self.B, self.Cc, self.m)
+        if family not in FAMILIES:
+            raise ParameterOutOfRange(f"unknown family {family!r}")
 
         if x0 is None:
             x0 = self._select_x0()
@@ -144,17 +138,47 @@ class ThinFunction:
             x0 = float(x0)
             self._verify_x0(x0)
         self.x0 = x0
-        self.h_x0 = float(self._h_np[0](x0)) if not self.is_identity else x0
+        self.h_x0 = float(self._derivs(x0)[0]) if not self.is_identity else x0
         self._phi_cache: dict = {}
+
+    # -- the family, once for both coefficient types ----------------------
+
+    def _slowly_varying(self, ops: _Ops, t):
+        """Jet of L(log x) from the jet t of log x (not for the power family)."""
+        if self.family in ("h1", "h3"):
+            return _jet_pow(t, ops.num(self.A if self.family == "h1" else self.Cc))
+        if self.family in ("h2", "h4"):
+            k = ops.num(self.A if self.family == "h2" else self.Cc)
+            return _jet_exp(ops, [k * v for v in _jet_pow(t, ops.num(self.B))])
+        for _ in range(self.m - 1):     # h5: iterated log
+            t = _jet_log(ops, t)
+        return t
+
+    def _derivs(self, x, order: int = 0, ops: _Ops = _NP) -> list:
+        """[h(x), h'(x), ..., h^(order)(x)] for h = Ch * x^c * L(log x).
+
+        The parameters enter as their exact binary64 values, and h itself is
+        the product Ch * x**c * L, never exp of a sum of logs.
+        """
+        X = [x, 1, 0, 0, 0][:order + 1]
+        d = [ops.num(self.Ch) * v for v in _jet_pow(X, ops.num(self.c))]
+        if self.family != "power":
+            d = _jet_mul(d, self._slowly_varying(ops, _jet_log(ops, X)))
+        return [v if k < 2 else math.factorial(k) * v for k, v in enumerate(d)]
+
+    def _vartheta(self, x):
+        """x*h'(x)/h(x) - c = d/dt log L(t) at t = log x."""
+        if self.family == "power":
+            return np.zeros_like(np.asarray(x, dtype=float))
+        L = self._slowly_varying(_NP, [np.log(x), 1.0])
+        return L[1] / L[0]
 
     # -- construction helpers -------------------------------------------
 
     def _grid_ok(self, grid: np.ndarray) -> np.ndarray:
         """Per-point check of h>0, h'>0, h''>0 (and vartheta behavior at c=1)."""
         with np.errstate(all="ignore"):
-            h0 = np.asarray(self._h_np[0](grid), dtype=float)
-            h1 = np.asarray(self._h_np[1](grid), dtype=float)
-            h2 = np.asarray(self._h_np[2](grid), dtype=float)
+            h0, h1, h2 = self._derivs(grid, 2)
         ok = np.isfinite(h0) & np.isfinite(h1) & np.isfinite(h2)
         ok &= (h0 > 0) & (h1 > 0)
         if self.is_identity:
@@ -181,7 +205,7 @@ class ThinFunction:
         grid = self._scan_grid()
         ok = self._grid_ok(grid)
         with np.errstate(all="ignore"):
-            h0 = np.asarray(self._h_np[0](grid), dtype=float)
+            h0 = self._derivs(grid)[0]
         ok &= np.isfinite(h0) & (h0 >= 1.0)
         # first index from which every later grid point passes
         good_suffix = np.flip(np.cumprod(np.flip(ok.astype(bool))))
@@ -201,8 +225,9 @@ class ThinFunction:
         if not bool(self._grid_ok(grid).all()):
             raise MonotonicityUnattainable(
                 f"given x0={x0} violates the growth checks for {self.family}")
-        if float(self._h_np[0](x0)) < 1.0 - 1e-12:
-            raise ParameterOutOfRange(f"h(x0)={self._h_np[0](x0)} < 1")
+        h_x0 = float(self._derivs(x0)[0])
+        if h_x0 < 1.0 - 1e-12:
+            raise ParameterOutOfRange(f"h(x0)={h_x0} < 1")
 
     # -- forward side -----------------------------------------------------
 
@@ -211,13 +236,13 @@ class ThinFunction:
             raise DomainError(f"x={x} below x0={self.x0}")
         if self.is_identity:
             return float(x)
-        return float(self._h_np[0](x))
+        return float(self._derivs(x)[0])
 
     def h_vec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.is_identity:
             return x.copy()
-        return np.asarray(self._h_np[0](x), dtype=np.float64)
+        return self._derivs(x)[0]
 
     def h_deriv(self, x: float, n: int = 1) -> float:
         if not 0 <= n <= 4:
@@ -226,13 +251,13 @@ class ThinFunction:
             raise DomainError(f"x={x} below x0={self.x0}")
         if self.is_identity:
             return float(x) if n == 0 else (1.0 if n == 1 else 0.0)
-        return float(self._h_np[n](x))
+        return float(self._derivs(x, n)[n])
 
     def h1_vec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.is_identity:
             return np.ones_like(x)
-        return np.asarray(self._h_np[1](x), dtype=np.float64)
+        return self._derivs(x, 1)[1]
 
     def ell_h(self, x: float) -> float:
         if x < self.x0:
@@ -264,25 +289,25 @@ class ThinFunction:
         return y
 
     def _phi_scalar(self, x: float) -> float:
-        h0, h1 = self._h_np[0], self._h_np[1]
         lo = self.x0
         hi = max(2.0 * lo, (x / self.Ch) ** self.gamma * 2.0)
         grow = 0
-        while float(h0(hi)) < x:
+        while float(self._derivs(hi)[0]) < x:
             hi *= 2.0
             grow += 1
             if grow > 200:
                 raise NoConvergence(f"no bracket for phi({x})")
         y = min(max((x / self.Ch) ** self.gamma, lo), hi)
         for _ in range(200):
-            fy = float(h0(y)) - x
+            h0, h1 = self._derivs(y, 1)
+            fy = float(h0) - x
             if abs(fy) <= 1e-14 * x:
                 return y
             if fy > 0:
                 hi = y
             else:
                 lo = y
-            step = fy / float(h1(y))
+            step = fy / float(h1)
             ynew = y - step
             if not (lo < ynew < hi):
                 ynew = 0.5 * (lo + hi)
@@ -298,14 +323,14 @@ class ThinFunction:
         if self.family == "power":
             return (x / self.Ch) ** self.gamma
         y = np.maximum((x / self.Ch) ** self.gamma, self.x0)
-        h0, h1 = self._h_np[0], self._h_np[1]
         for _ in range(80):
             with np.errstate(all="ignore"):
-                res = np.asarray(h0(y), dtype=float) - x
-                y = np.maximum(y - res / np.asarray(h1(y), dtype=float), self.x0)
+                h0, h1 = self._derivs(y, 1)
+                res = h0 - x
+                y = np.maximum(y - res / h1, self.x0)
             if np.all(np.abs(res) <= 1e-13 * x):
                 break
-        res = np.abs(np.asarray(h0(y), dtype=float) - x)
+        res = np.abs(self._derivs(y)[0] - x)
         bad = np.flatnonzero(res > 1e-13 * x)
         for i in bad:
             y[i] = self._phi_scalar(float(x[i]))
@@ -317,13 +342,11 @@ class ThinFunction:
         y = self.phi(x)
         if self.is_identity:
             return 1.0 if n == 1 else 0.0
-        d1 = float(self._h_np[1](y))
+        d1, d2, d3 = (float(v) for v in self._derivs(y, 3)[1:])
         if n == 1:
             return 1.0 / d1
-        d2 = float(self._h_np[2](y))
         if n == 2:
             return -d2 / d1 ** 3
-        d3 = float(self._h_np[3](y))
         return (3.0 * d2 * d2 - d3 * d1) / d1 ** 5
 
     def weight_vec(self, p: np.ndarray) -> np.ndarray:
@@ -349,7 +372,7 @@ class ThinFunction:
 
     def h_mp(self, x) -> mp.mpf:
         with mp.workdps(MP_DPS):
-            return self._h_mp[0](mp.mpf(x))
+            return self._derivs(mp.mpf(x), 0, _MP)[0]
 
     def phi_mp(self, x) -> mp.mpf:
         with mp.workdps(MP_DPS):
@@ -359,13 +382,15 @@ class ThinFunction:
             if self.family == "power":
                 return (xm / self.Ch) ** mp.mpf(self.gamma)
             y = mp.mpf(self.phi(float(x)))
-            h0, h1 = self._h_mp[0], self._h_mp[1]
-            for _ in range(60):
-                res = h0(y) - xm
-                if abs(res) <= mp.mpf(10) ** (-(MP_DPS - 5)) * xm:
-                    break
-                y = y - res / h1(y)
-            return y
+            tol = mp.mpf(10) ** (-(MP_DPS - 5)) * xm
+            for _ in range(MP_NEWTON_STEPS):
+                h0, h1 = self._derivs(y, 1, _MP)
+                res = h0 - xm
+                if abs(res) <= tol:
+                    return y
+                y = y - res / h1
+            raise NoConvergence(
+                f"phi_mp({x}) not within {tol} after {MP_NEWTON_STEPS} Newton steps")
 
     def floor_h(self, n: int) -> int:
         """floor(h(n)) with the near-integer escalation path."""

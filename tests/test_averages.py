@@ -251,6 +251,19 @@ def test_weighted_compare_rejects_nonmonotone(tps_identity, pt20):
                                  f, W_LIN, [16, 64, 256])
 
 
+def test_weighted_compare_domination_failure_is_typed():
+    # the bound ratio_max <= 1 + 2 C_sup holds for every nonnegative f; a
+    # signed signal that passes the sign check breaks it, and the re-check
+    # must raise inside the ThinPrimesError hierarchy
+    class Unchecked(SparseSignal):
+        def is_nonnegative(self):
+            return True
+    with pytest.raises(HypothesisViolated, match="domination failed"):
+        weighted_maximal_compare([2, 3, 5, 7, 11, 13], lambda x: 1.0,
+                                 lambda x: float(x * x),
+                                 Unchecked({0: 1.0, 1: -0.99}), W_LIN, [16])
+
+
 def test_weighted_compare_rejects_signed_signal(tps_identity, pt20):
     with pytest.raises(ParameterOutOfRange):
         weighted_maximal_compare(tps_identity.primes, lambda x: 1.0,

@@ -6,6 +6,8 @@ import pytest
 
 from thinprimes.cli import main, parse_config, parse_config_text
 from thinprimes.errors import ParseError, ValidationError
+from thinprimes.sieve import enumerate_thin_primes
+from thinprimes.thinfn import make_thin_function
 
 
 def body_lines(path) -> list[str]:
@@ -243,6 +245,34 @@ def test_formlem_decay_threads_reproducible(tmp_path):
     assert main(base + ["--threads", "1", "--out", str(a)]) == 0
     assert main(base + ["--threads", "4", "--out", str(b)]) == 0
     assert body_lines(a) == body_lines(b)
+
+
+def test_formlem_decay_threads_reach_enumeration(tmp_path, monkeypatch):
+    import thinprimes.cli as cli
+    seen = []
+    def enumerate_spy(*args, threads=1):
+        seen.append(threads)
+        return enumerate_thin_primes(*args, threads=threads)
+    monkeypatch.setattr(cli, "enumerate_thin_primes", enumerate_spy)
+    assert main(["formlem-decay", "--gamma", "0.99", "--N", "4096",
+                 "--xi-grid", "64", "--threads", "2",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+    assert seen == [2]
+
+
+def test_thin_function_built_once_per_run(tmp_path, monkeypatch):
+    import thinprimes.cli as cli
+    calls = []
+    def make_spy(*args, **kwargs):
+        calls.append(args)
+        return make_thin_function(*args, **kwargs)
+    monkeypatch.setattr(cli, "make_thin_function", make_spy)
+    out = tmp_path / "d.csv"
+    assert main(["density", "--family", "h3", "--C", "1.0", "--N", "1000",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    header = out.read_text().splitlines()[1]
+    assert header.count("x0-resolved=") == 1
 
 
 def test_computational_error_exits_3(tmp_path, capsys):

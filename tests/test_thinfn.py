@@ -1,18 +1,26 @@
 """Function-family construction, inverses, diagnostics and exponent tables."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thinprimes
+from thinprimes import thinfn
 from thinprimes.errors import (
     DomainError,
     MonotonicityUnattainable,
+    NoConvergence,
     ParameterOutOfRange,
 )
+from thinprimes.sieve import thin_membership
 from thinprimes.thinfn import (
     admissible_params,
     derivative_ratio_report,
@@ -327,3 +335,72 @@ def test_phi_cache_consistency():
     a = tf.phi(12345.0)
     b = tf.phi(12345.0)
     assert a == b and 12345.0 in tf._phi_cache
+
+
+def _closed_form(tf):
+    """h as one mpmath expression of the exact binary64 parameters."""
+    f, num = tf.family, mp.mpf
+    def L(t):
+        if f == "power":
+            return 1
+        if f in ("h1", "h3"):
+            return t ** num(tf.A if f == "h1" else tf.Cc)
+        if f in ("h2", "h4"):
+            return mp.exp(num(tf.A if f == "h2" else tf.Cc) * t ** num(tf.B))
+        for _ in range(tf.m - 1):
+            t = mp.log(t)
+        return t
+    return lambda x: num(tf.Ch) * x ** num(tf.c) * L(mp.log(x))
+
+
+@pytest.mark.parametrize("family,params,h_ulps", [
+    ("power", dict(gamma=0.95), 2),
+    ("power", dict(gamma=0.99), 2),
+    ("h1", H1, 4),
+    ("h2", H2, 4),
+    ("h3", dict(Cc=1.0), 4),
+    ("h4", H4, 4),
+    ("h5", dict(m=2), 4),
+])
+def test_derivatives_match_50_digit_closed_form(family, params, h_ulps):
+    tf = make_thin_function(family, **params)
+    f = _closed_form(tf)
+    xs = np.geomspace(max(1.5 * tf.x0, 20.0), 2.0 ** 36, 40)
+    hv = tf.h_vec(xs)
+    for x, hx in zip(xs, hv):
+        with mp.workdps(50):
+            exact = list(mp.diffs(f, mp.mpf(float(x)), 4))
+            ulp = np.spacing(float(exact[0]))
+            for got in (hx, tf.h(float(x))):
+                assert abs(mp.mpf(float(got)) - exact[0]) <= h_ulps * ulp
+            for n in range(1, 5):
+                got = mp.mpf(tf.h_deriv(float(x), n))
+                assert abs(got / exact[n] - 1) <= 1e-13, (x, n)
+
+
+def test_power_095_keeps_52600393():
+    # h(21624175) = 52600393.99999922 at c = 1/0.95 in binary64; a 15-digit
+    # copy of c puts the binary64 value above 52600394
+    tf = make_thin_function("power", gamma=0.95)
+    assert tf.floor_h(21624175) == 52600393
+    assert thin_membership(tf, 52600393, "direct")
+    assert thin_membership(tf, 52600393, "floor_criterion")
+
+
+def test_phi_mp_raises_at_the_newton_cap(monkeypatch):
+    tf = make_thin_function("h3", Cc=1.0)
+    x = 1e6 + 0.5
+    with mp.workdps(thinfn.MP_DPS):
+        assert abs(tf.h_mp(tf.phi_mp(x)) - x) <= mp.mpf(10) ** -30 * x
+    monkeypatch.setattr(thinfn, "MP_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergence):
+        tf.phi_mp(x)
+
+
+def test_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(thinprimes.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c",
+                    "import thinprimes, sys; assert 'sympy' not in sys.modules"],
+                   env=env, check=True)
