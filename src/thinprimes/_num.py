@@ -80,10 +80,6 @@ def e2pi(t: np.ndarray) -> np.ndarray:
     return np.cos(arg) + 1j * np.sin(arg)
 
 
-def nearest_int_distance(x: float) -> float:
-    return abs(x - round(x))
-
-
 def next_pow2(n: int) -> int:
     m = 1
     while m < n:

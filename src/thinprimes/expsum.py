@@ -5,14 +5,17 @@ polynomial W.  The xi*W(k) part is reduced mod 1 exactly (integer W(k),
 binary-rational xi); the m*phi(k) part goes through a two-product and is
 escalated to mpmath once |m*phi(k)| crosses 2^40.  Sums are accumulated
 with math.fsum so that split/recombine residuals measure the identity, not
-the accumulator.  Sweeps over the grid xi = j/G take one exact DFT per
-cutoff (grid_sup_gaps).
+the accumulator.  A Vaughan split evaluates each phase once, in one table
+over (P, P1]; split and bilinear sums stream their (l, k) pairs through
+fsum in blocks of at most PAIR_BLOCK.  Sweeps over the grid xi = j/G take
+one exact DFT per cutoff (grid_sup_gaps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -174,14 +177,43 @@ def pi_v_array(pt: PrimeTable, v: float, upto: int) -> np.ndarray:
 
 
 def xi_v_array(pt: PrimeTable, v: float, upto: int) -> np.ndarray:
-    """Xi_v(l) = sum over d|l, d>v of mu(d), for l <= upto."""
+    """Xi_v(l) = sum over d|l, d>v of mu(d) = [l=1] - sum over d|l, d<=v of
+    mu(d) (Moebius inversion), for l <= upto."""
     out = np.zeros(upto + 1, dtype=np.float64)
-    mu = pt.mu_array(upto)
-    for d in range(int(v) + 1, upto + 1):
-        md = mu[d]
-        if md:
-            out[d::d] += md
+    out[1:2] = 1.0
+    mu = pt.mu_array(max(0, min(int(v), upto)))
+    for d in np.flatnonzero(mu):
+        out[d::d] -= mu[d]
     return out
+
+
+# Most (l, k) pairs in one block of a split or bilinear sum.
+PAIR_BLOCK = 2 ** 16
+
+
+def _pair_blocks(ls: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Pairs (l, k) with l = ls[i] and lo[i] < k <= hi[i], as two aligned
+    int64 arrays per block of at most PAIR_BLOCK pairs."""
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    for a in range(0, total, PAIR_BLOCK):
+        i = np.arange(a, min(a + PAIR_BLOCK, total), dtype=np.int64)
+        j = np.searchsorted(ends, i, side="right")
+        yield ls[j], hi[j] + 1 + i - ends[j]
+
+
+def _fsum_blocks(blocks) -> complex:
+    """Exactly rounded sum of a stream of complex arrays: fsum takes the real
+    parts as they arrive and only the imaginary parts are kept."""
+    imag = []
+
+    def reals():
+        for b in blocks:
+            imag.append(np.ascontiguousarray(b.imag))
+            yield from b.real.tolist()
+    re = math.fsum(reals())
+    return complex(re, math.fsum(chain.from_iterable(a.tolist() for a in imag)))
 
 
 class VaughanSplit(NamedTuple):
@@ -198,9 +230,14 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
 
     The identity behind the split holds pointwise for n > v (verified by
     brute force; the source statement's "v > n" is a typo), so the range
-    (P, P1] is valid whenever P >= v; we require P > v.  direct is
-    lambda_exp_sum(pt, spec); residual is |direct - (S1 - S21 - S22 + S3)|
-    and must sit at accumulation noise, <= 1e-8 * (1 + |direct|).
+    (P, P1] is valid whenever P >= v; we require P > v.  Each summand is
+    c(l, k) e(phase(kl)) with P < kl <= P1: S1 has c = mu(l) log k (l <= v),
+    S21 and S22 c = Pi_v(l) (l <= v, v < l <= v^2), S3 c = Xi_v(l) Lambda(k)
+    (l, k > v).  The phases are one table over (P, P1] that every summand
+    reads, and the pairs stream through fsum in blocks.  direct, the Lambda
+    sum read from the same table, equals lambda_exp_sum(pt, spec); residual
+    is |direct - (S1 - S21 - S22 + S3)| and must sit at accumulation noise,
+    <= 1e-8 * (1 + |direct|).
     """
     P, P1 = spec.P, spec.P1
     if P1 > pt.limit:
@@ -218,59 +255,26 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
     mu = pt.mu_array(vi)
     piv = pi_v_array(pt, v, min(vi * vi, P1))
     xiv = xi_v_array(pt, v, int(P1 / v))
+    base = phase_terms(spec, np.arange(P + 1, P1 + 1, dtype=np.int64))
 
-    def krange(l, lo=None):
-        a = int(P // l)
-        if lo is not None:
-            a = max(a, lo)
-        b = int(P1 // l)
-        return np.arange(a + 1, b + 1, dtype=np.int64)
+    def split_sum(per_l, l_lo, l_hi, coeff, k_lo=0):
+        """Sum of the nonzero coeff(l, k) e(phase(kl)) over l_lo < l <= l_hi
+        with per_l[l] != 0 and max(P//l, k_lo) < k <= P1//l."""
+        ls = np.flatnonzero(per_l[l_lo + 1:l_hi + 1]) + (l_lo + 1)
 
-    def terms_for(l, ks, coeffs):
-        return coeffs * e2pi(
-            phase_fracs(spec.xi, spec.W, spec.m, spec.tf, ks * l))
+        def terms(l, k):
+            c = coeff(l, k)
+            nz = c != 0
+            return c[nz] * base[(k * l)[nz] - (P + 1)]
+        return _fsum_blocks(terms(l, k) for l, k in
+                            _pair_blocks(ls, np.maximum(P // ls, k_lo), P1 // ls))
 
-    s1_parts, s21_parts, s22_parts, s3_parts = [], [], [], []
-    for l in range(1, vi + 1):
-        ml = int(mu[l])
-        pl = float(piv[l]) if l < piv.size else 0.0
-        if ml == 0 and pl == 0.0:
-            continue
-        ks = krange(l)
-        if ks.size == 0:
-            continue
-        base = e2pi(phase_fracs(spec.xi, spec.W, spec.m, spec.tf, ks * l))
-        if ml != 0:
-            s1_parts.append(ml * np.log(ks.astype(np.float64)) * base)
-        if pl != 0.0:
-            s21_parts.append(pl * base)
-    for l in range(vi + 1, min(vi * vi, P1) + 1):
-        pl = float(piv[l]) if l < piv.size else 0.0
-        if pl == 0.0:
-            continue
-        ks = krange(l)
-        if ks.size:
-            s22_parts.append(terms_for(l, ks, pl))
-    for l in range(vi + 1, int(P1 / v) + 1):
-        xl = float(xiv[l]) if l < xiv.size else 0.0
-        if xl == 0.0:
-            continue
-        ks = krange(l, lo=vi)
-        if ks.size == 0:
-            continue
-        coeffs = lam[ks]
-        nz = coeffs != 0.0
-        if not nz.any():
-            continue
-        s3_parts.append(terms_for(l, ks[nz], xl * coeffs[nz]))
-
-    def total(parts):
-        if not parts:
-            return 0j
-        return fsum_complex(np.concatenate(parts))
-
-    S1, S21, S22, S3 = (total(p) for p in (s1_parts, s21_parts, s22_parts, s3_parts))
-    direct = lambda_exp_sum(pt, spec)
+    S1 = split_sum(mu, 0, vi, lambda l, k: mu[l] * np.log(k.astype(np.float64)))
+    S21 = split_sum(piv, 0, vi, lambda l, k: piv[l])
+    S22 = split_sum(piv, vi, min(vi * vi, P1), lambda l, k: piv[l])
+    S3 = split_sum(xiv, vi, int(P1 / v), lambda l, k: xiv[l] * lam[k], k_lo=vi)
+    ks, lams = pt.prime_powers_in(P, P1)
+    direct = fsum_complex(lams * base[ks - (P + 1)]) if ks.size else 0j
     residual = abs(direct - (S1 - S21 - S22 + S3))
     return VaughanSplit(S1, S21, S22, S3, residual, direct)
 
@@ -334,7 +338,8 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
     delta1 lives on l = L+1..2L (so L = len(delta1)), delta2 on
     k = K+1..2K.  The two size hypotheses and the moment conditions of the
     bilinear estimate are checked numerically before summation and a
-    HypothesisViolated names the failing one with both sides.
+    HypothesisViolated names the failing one with both sides.  The pairs
+    stream through fsum in blocks, with one phase_fracs call per block.
     """
     delta1 = np.asarray(delta1, dtype=np.complex128)
     delta2 = np.asarray(delta2, dtype=np.complex128)
@@ -366,16 +371,11 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
         raise HypothesisViolated(f"sum|Delta2|^2={mom2:.6g} > 100 K log^3 K={cap2:.6g}")
 
     ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
-    ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
-    parts = []
-    for i, l in enumerate(ls):
-        prod = ks * int(l)
-        mask = (prod > spec.P) & (prod <= spec.P1)
-        if not mask.any():
-            continue
-        phases = e2pi(phase_fracs(spec.xi, spec.W, m, tf, prod[mask]))
-        parts.append(delta1[i] * delta2[mask] * phases)
-    value = fsum_complex(np.concatenate(parts)) if parts else 0j
+    value = _fsum_blocks(
+        delta1[l - L - 1] * delta2[k - K - 1]
+        * e2pi(phase_fracs(spec.xi, spec.W, m, tf, k * l))
+        for l, k in _pair_blocks(ls, np.maximum(K, spec.P // ls),
+                                 np.minimum(2 * K, spec.P1 // ls)))
     e3 = (2 ** (q + 1) - 2) / (2 ** q * (2 ** (q + 2) - 2))
     bound = (abs(m) ** (1.0 / (2 ** (q + 2) - 2)) * math.log(L) ** 2
              * math.log(K) ** 2 * sKL ** (-e3) * mn ** e3 * K * L)

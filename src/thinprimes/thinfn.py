@@ -53,6 +53,9 @@ MP_DPS = 40
 # Largest number of Newton steps phi_mp takes before it gives up.
 MP_NEWTON_STEPS = 60
 
+# Most scalar phi values a Newton-family instance memoizes (a full memo is emptied).
+PHI_CACHE_SIZE = 4096
+
 
 class _Ops(NamedTuple):
     """Coefficient type of a jet: exact conversion of a binary64 parameter,
@@ -114,8 +117,8 @@ class ThinFunction:
     Parameters are binary64; the object they define is h with exactly those
     float parameters, and all escalated-precision paths evaluate that same
     function.  Instances are immutable after construction and safe for
-    concurrent read access (the phi memo cache is a plain dict; concurrent
-    writes at worst recompute a value).
+    concurrent read access (the phi memo is a plain dict of at most
+    PHI_CACHE_SIZE entries; concurrent writes at worst recompute a value).
     """
 
     def __init__(self, family: str, c: float, gamma: float, A=None, B=None,
@@ -273,19 +276,18 @@ class ThinFunction:
     # -- inverse side ------------------------------------------------------
 
     def phi(self, x: float) -> float:
-        """Inverse of h, memoized per instance."""
+        """Inverse of h; Newton-family values are memoized per instance."""
         if x < self.h_x0 * (1 - 1e-12):
             raise DomainError(f"x={x} below h(x0)={self.h_x0}")
         if self.is_identity:
             return float(x)
-        cached = self._phi_cache.get(x)
-        if cached is not None:
-            return cached
         if self.family == "power":
-            y = (x / self.Ch) ** self.gamma
-        else:
-            y = self._phi_scalar(float(x))
-        self._phi_cache[x] = y
+            return (x / self.Ch) ** self.gamma
+        y = self._phi_cache.get(x)
+        if y is None:
+            if len(self._phi_cache) >= PHI_CACHE_SIZE:
+                self._phi_cache.clear()
+            y = self._phi_cache[x] = self._phi_scalar(float(x))
         return y
 
     def _phi_scalar(self, x: float) -> float:

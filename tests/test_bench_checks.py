@@ -27,6 +27,13 @@ CASES = {
     "vaughan": (["vaughan", "--gamma", "0.95", "--P", "2000", "--xi", repr(XI),
                  "--mfreq", "1"],
                 lambda t: checks.check_vaughan(t, 2000, XI, 1, [0, 1], 0.95), "S1_re"),
+    "vaughan-quadratic": (["vaughan", "--gamma", "0.99", "--P", "2000", "--xi", repr(XI),
+                           "--mfreq", "2", "--W", "0,1,1"],
+                          lambda t: checks.check_vaughan(t, 2000, XI, 2, [0, 1, 1], 0.99),
+                          "S1_re"),
+    "bilinear": (["bilinear", "--gamma", "0.95", "--K", "100", "--L", "100",
+                  "--delta", "random", "--xi", repr(XI), "--seed", "5"],
+                 lambda t: checks.check_bilinear(t, 100, 100, XI, 0.95, 5), "value_re"),
     "goldbach": (["goldbach", "--gammas", "1,0.99,0.95", "--N", "1001",
                   "--N-end", "1011"],
                  lambda t: checks.check_goldbach(t, (1.0, 0.99, 0.95), 1001, 1011, 1005),

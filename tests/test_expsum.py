@@ -1,6 +1,8 @@
 """Exponential sums: phase exactness, the four-way split, and the bounds."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinprimes._num import frac_mul_exact, frac_mul_int_vec
+from thinprimes import expsum
+from thinprimes._num import e2pi, frac_mul_exact, frac_mul_int_vec, fsum_complex
 from thinprimes.errors import (
     HypothesisViolated,
     ParameterOutOfRange,
@@ -19,10 +22,12 @@ from thinprimes.errors import (
 from thinprimes.expsum import (
     IntPolynomial,
     PhaseSpec,
+    VaughanSplit,
     bilinear_sum_bound,
     default_v,
     formlem_decay,
     lambda_exp_sum,
+    phase_fracs,
     phi_error_sum,
     pi_v_array,
     sawtooth,
@@ -167,6 +172,17 @@ def test_xi_v_pointwise_oracle(pt20):
         assert arr[l] == total
 
 
+@pytest.mark.parametrize("v,upto", [(25.1, 16000), (8.6, 23000), (0.5, 100), (3, 2), (2, 0)])
+def test_xi_v_matches_large_divisor_sieve(pt20, v, upto):
+    """The Moebius-inverted array equals the sieve over the divisors d > v."""
+    want = np.zeros(upto + 1)
+    mu = pt20.mu_array(upto)
+    for d in range(int(v) + 1, upto + 1):
+        if mu[d]:
+            want[d::d] += mu[d]
+    assert xi_v_array(pt20, v, upto).tobytes() == want.tobytes()
+
+
 def test_vaughan_split_examples(pt20, tf95):
     spec = PhaseSpec(0.17, W_LIN, 1, tf95, 1000, 2000)
     res = vaughan_split(pt20, spec, v=2000 ** 0.2)
@@ -194,6 +210,155 @@ def test_vaughan_split_random_configs(pt20):
         res = vaughan_split(pt20, spec)
         direct = lambda_exp_sum(pt20, spec)
         assert res.residual <= 1e-8 * (1 + abs(direct))
+
+
+def _split_per_l(pt, spec):
+    """The split with one phase_fracs call per l: a bit-for-bit oracle for
+    the one-table split."""
+    P, P1 = spec.P, spec.P1
+    v = default_v(P1, spec.W.degree)
+    vi = int(v)
+    lam = pt.lambda_array(P1)
+    mu = pt.mu_array(vi)
+    piv = pi_v_array(pt, v, min(vi * vi, P1))
+    xiv = xi_v_array(pt, v, int(P1 / v))
+
+    def krange(l, lo=None):
+        a = int(P // l)
+        if lo is not None:
+            a = max(a, lo)
+        return np.arange(a + 1, int(P1 // l) + 1, dtype=np.int64)
+
+    def terms_for(l, ks, coeffs):
+        return coeffs * e2pi(phase_fracs(spec.xi, spec.W, spec.m, spec.tf, ks * l))
+
+    s1, s21, s22, s3 = [], [], [], []
+    for l in range(1, vi + 1):
+        ml, pl = int(mu[l]), float(piv[l])
+        ks = krange(l)
+        if (ml == 0 and pl == 0.0) or ks.size == 0:
+            continue
+        base = e2pi(phase_fracs(spec.xi, spec.W, spec.m, spec.tf, ks * l))
+        if ml != 0:
+            s1.append(ml * np.log(ks.astype(np.float64)) * base)
+        if pl != 0.0:
+            s21.append(pl * base)
+    for l in range(vi + 1, min(vi * vi, P1) + 1):
+        pl = float(piv[l])
+        ks = krange(l)
+        if pl != 0.0 and ks.size:
+            s22.append(terms_for(l, ks, pl))
+    for l in range(vi + 1, int(P1 / v) + 1):
+        xl = float(xiv[l])
+        ks = krange(l, lo=vi)
+        if xl == 0.0 or ks.size == 0:
+            continue
+        coeffs = lam[ks]
+        nz = coeffs != 0.0
+        if nz.any():
+            s3.append(terms_for(l, ks[nz], xl * coeffs[nz]))
+    S1, S21, S22, S3 = (fsum_complex(np.concatenate(p)) if p else 0j
+                        for p in (s1, s21, s22, s3))
+    direct = lambda_exp_sum(pt, spec)
+    return VaughanSplit(S1, S21, S22, S3, abs(direct - (S1 - S21 - S22 + S3)), direct)
+
+
+def _bilinear_per_l(delta1, delta2, spec):
+    """The bilinear value with one phase_fracs call per l (oracle)."""
+    L, K = len(delta1), len(delta2)
+    ks = np.arange(K + 1, 2 * K + 1, dtype=np.int64)
+    parts = []
+    for i, l in enumerate(range(L + 1, 2 * L + 1)):
+        prod = ks * l
+        mask = (prod > spec.P) & (prod <= spec.P1)
+        if mask.any():
+            phases = e2pi(phase_fracs(spec.xi, spec.W, spec.m, spec.tf, prod[mask]))
+            parts.append(delta1[i] * delta2[mask] * phases)
+    return fsum_complex(np.concatenate(parts)) if parts else 0j
+
+
+_TFS = {"power-0.95": ("power", {"gamma": 0.95}), "power-1": ("power", {"gamma": 1.0}),
+        "h3": ("h3", {"Cc": 1.0})}
+_CONFIGS = list(itertools.product(sorted(_TFS), ([0, 1], [3, -2, 5]), (-2, 1)))
+
+
+_BILINEAR_CONFIGS = [c for c in _CONFIGS if c[0] != "power-1"]   # gamma=1 fails its hypotheses
+
+
+def _config_id(c):
+    return f"{c[0]}-W{','.join(map(str, c[1]))}-m{c[2]}"
+
+
+@pytest.mark.parametrize("block", [None, 777])
+@pytest.mark.parametrize("fam,W,m", _CONFIGS, ids=map(_config_id, _CONFIGS))
+def test_vaughan_split_matches_per_l_loop_bitwise(pt20, fam, W, m, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(expsum, "PAIR_BLOCK", block)
+    name, kw = _TFS[fam]
+    tf = make_thin_function(name, **kw)
+    i = _CONFIGS.index((fam, W, m))
+    P = 2000 + 250 * i
+    spec = PhaseSpec(0.1234567 + 0.05 * i, IntPolynomial(W), m, tf, P, 2 * P)
+    got, want = vaughan_split(pt20, spec), _split_per_l(pt20, spec)
+    for field in VaughanSplit._fields:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("block", [None, 777])
+@pytest.mark.parametrize("fam,W,m", _BILINEAR_CONFIGS, ids=map(_config_id, _BILINEAR_CONFIGS))
+def test_bilinear_matches_per_l_loop_bitwise(fam, W, m, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(expsum, "PAIR_BLOCK", block)
+    name, kw = _TFS[fam]
+    tf = make_thin_function(name, **kw)
+    K, L = 200, 150
+    rng = np.random.default_rng(len(fam) + m)
+    d1 = np.exp(2j * np.pi * rng.random(L))
+    d2 = np.exp(2j * np.pi * rng.random(K))
+    spec = PhaseSpec(0.3, IntPolynomial(W), m, tf, K * L, 2 * K * L)
+    assert bilinear_sum_bound(d1, d2, spec).value == _bilinear_per_l(d1, d2, spec)
+
+
+def _count_phase_calls(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[4]))
+        return phase_fracs(*args)
+    monkeypatch.setattr(expsum, "phase_fracs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("P", [2000, 10 ** 5, 2 * 10 ** 5])
+def test_vaughan_split_evaluates_the_phases_once(pt20, tf95, P, monkeypatch):
+    calls = _count_phase_calls(monkeypatch)
+    vaughan_split(pt20, PhaseSpec(0.17, W_LIN, 1, tf95, P, 2 * P))
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("block", [None, 5000])
+def test_bilinear_one_phase_call_per_block(tf95, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(expsum, "PAIR_BLOCK", block)
+    calls = _count_phase_calls(monkeypatch)
+    K, L = 700, 500
+    spec = PhaseSpec(0.3, W_LIN, 1, tf95, K * L, 2 * K * L)
+    bilinear_sum_bound(np.ones(L), np.ones(K), spec)
+    n = np.arange(L + 1, 2 * L + 1)[:, None] * np.arange(K + 1, 2 * K + 1)[None, :]
+    pairs = int(np.count_nonzero((n > spec.P) & (n <= spec.P1)))
+    assert sum(calls) == pairs
+    assert len(calls) <= -(-pairs // expsum.PAIR_BLOCK)
+
+
+def test_vaughan_split_peak_memory(pt20, tf95):
+    spec = PhaseSpec(0.17, W_LIN, 1, tf95, 2 * 10 ** 5, 4 * 10 ** 5)
+    tracemalloc.start()
+    try:
+        vaughan_split(pt20, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_default_v_formula():

@@ -397,6 +397,22 @@ def test_phi_mp_raises_at_the_newton_cap(monkeypatch):
         tf.phi_mp(x)
 
 
+def test_phi_memo_stays_bounded(monkeypatch):
+    """10^5 distinct scalar phi calls memoize nothing in the closed-form
+    families; a Newton family keeps at most PHI_CACHE_SIZE values."""
+    for tf in (make_thin_function("power", gamma=1.0),
+               make_thin_function("power", gamma=0.95)):
+        for i in range(10 ** 5):
+            tf.phi(1000.0 + 0.37 * i)
+        assert not tf._phi_cache
+    monkeypatch.setattr(thinfn, "PHI_CACHE_SIZE", 16)
+    tf = make_thin_function("h3", Cc=1.0)
+    xs = [1000.0 + 0.37 * i for i in range(100)]
+    ys = [tf.phi(x) for x in xs]
+    assert len(tf._phi_cache) <= 16
+    assert ys == [tf._phi_scalar(x) for x in xs] == [tf.phi(x) for x in xs]
+
+
 def test_import_does_not_load_sympy():
     src = os.path.dirname(os.path.dirname(thinprimes.__file__))
     env = dict(os.environ)
