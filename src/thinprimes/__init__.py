@@ -46,8 +46,10 @@ from .goldbach import (
     GoldbachReport,
     admissibility_check,
     goldbach_report,
+    goldbach_reports,
     parseval_check,
     rep_count,
+    rep_counts,
     singular_series,
 )
 from .sieve import (

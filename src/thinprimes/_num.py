@@ -55,17 +55,21 @@ def frac_mul_vec(xi: float, w: np.ndarray) -> np.ndarray:
 def frac_mul_int_vec(xi: float, wvals) -> np.ndarray:
     """Fractional parts of xi*W for integer phases W of any size.
 
-    Fast two-product path when all |W| < 2^52, exact big-integer path
-    otherwise.  Lists of Python ints (the overflow route of polynomial
-    evaluation) must never pass through np.asarray, which would silently
-    round them to float64.
+    The route is chosen per entry: the two-product where |W| < 2^52, the
+    exact big-integer path elsewhere, so each value is what that entry
+    alone would give, whatever else shares the call.  Lists of Python ints
+    (the overflow route of polynomial evaluation) are held as objects and
+    never pass through float64 on the big-integer side.
     """
-    if isinstance(wvals, np.ndarray) and np.issubdtype(wvals.dtype, np.integer):
-        amax = int(np.abs(wvals).max(initial=0))
-        if amax < _EXACT_INT_LIMIT:
-            return frac_mul_vec(xi, wvals.astype(np.float64))
-    return np.array([frac_mul_exact(xi, int(w)) for w in wvals],
-                    dtype=np.float64)
+    if not (isinstance(wvals, np.ndarray) and np.issubdtype(wvals.dtype, np.integer)):
+        wvals = np.array([int(w) for w in wvals], dtype=object)
+    small = (wvals > -_EXACT_INT_LIMIT) & (wvals < _EXACT_INT_LIMIT)
+    if small.all():
+        return frac_mul_vec(xi, wvals.astype(np.float64))
+    out = np.empty(len(wvals), dtype=np.float64)
+    out[small] = frac_mul_vec(xi, wvals[small].astype(np.float64))
+    out[~small] = [frac_mul_exact(xi, int(w)) for w in wvals[~small]]
+    return out
 
 
 def fsum_complex(terms: np.ndarray) -> complex:

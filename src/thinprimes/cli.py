@@ -34,12 +34,7 @@ from .expsum import (
     vdc_bound_check,
     default_v,
 )
-from .goldbach import (
-    GoldbachConfig,
-    admissibility_check,
-    goldbach_report,
-    parseval_check,
-)
+from .goldbach import admissibility_check, goldbach_reports, parseval_check
 from .sieve import build_prime_table, density_profile, enumerate_thin_primes
 from .thinfn import admissible_params, make_thin_function
 
@@ -432,13 +427,9 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 raise ValidationError(str(exc)) from exc
         pt = build_prime_table(max(n_end, 100), threads=threads)
         sets = [enumerate_thin_primes(t, pt, n_end, threads=threads) for t in tfs]
-        rows = []
-        for nn in range(n, n_end + 1, 2):
-            rep = goldbach_report(GoldbachConfig(*tfs, nn), *sets,
-                                  cutoff=cfg.get_int("cutoff"))
-            rows.append(rep.csv_row())
+        reports = goldbach_reports(tfs, sets, n, n_end, cfg.get_int("cutoff"), pt)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
-                "flags"], rows, None
+                "flags"], [r.csv_row() for r in reports], None
     if sub == "parseval":
         n = cfg.get_int("N")
         weighted = cfg.get_bool("weighted")

@@ -1,12 +1,20 @@
 """Ternary Goldbach representation counts in thin primes.
 
-R(N) counts ordered triples p1+p2+p3 = N with p_i in the i-th thin set.
-Two independent routes must agree exactly: a direct pair loop with a
-membership bitset, and a spectral route that convolves the three indicator
-vectors by FFT on a grid large enough (M >= 3N+1) that the quadrature is
-exact and the count is an integer read off by rounding.  A failed rounding
-check escalates to an exact big-integer convolution (Kronecker
-substitution) rather than trusting the float transform.
+R(n) counts ordered triples p1+p2+p3 = n with p_i in the i-th thin set.
+All odd targets n of a range [N, N_end] are counted in one pass by two
+independent routes, which must agree exactly at every target:
+
+- direct, in exact integers: R(n) = sum over p1 in S1 of C23(n - p1), with
+  the pair count C23(m) = #{p2 in S2 : m - p2 in S3} computed once per
+  point m that some target needs, so one pair-count table serves the range;
+- spectral: one float FFT per indicator vector on a grid of M >= 3*N_end+1
+  points, so the product of the three transforms has no wraparound and one
+  inverse transform holds every R(n) as an integer read off by rounding.
+  The rounding margin is checked at every target; a target whose margin is
+  too thin escalates on its own to an exact big-integer convolution
+  (Kronecker substitution) rather than trusting the float transform.
+
+A single target is a range of one over the same code.
 """
 
 from __future__ import annotations
@@ -19,12 +27,25 @@ import numpy as np
 from ._num import next_pow2
 from .errors import (
     CutoffTooSmall,
+    LimitMismatch,
     ParameterOutOfRange,
     QuadratureTooCoarse,
     SpectralMismatch,
 )
-from .sieve import PrimeTable, ThinPrimeSet
+from .sieve import PrimeTable, ThinPrimeSet, _base_primes, build_prime_table
 from .thinfn import ThinFunction
+
+
+def _grid_size(N: int, N_end: int, dft_size: int) -> int:
+    """Checked DFT size for the odd targets in [N, N_end]; 0 picks the default."""
+    if N < 7 or N % 2 == 0:
+        raise ParameterOutOfRange("N must be odd and >= 7")
+    if N_end < N:
+        raise ParameterOutOfRange(f"N_end={N_end} < N={N}")
+    m = dft_size or next_pow2(3 * N_end + 1)
+    if m < 3 * N_end + 1:
+        raise QuadratureTooCoarse(f"dft_size={m} < 3N+1={3 * N_end + 1}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -34,16 +55,11 @@ class GoldbachConfig:
     tf2: ThinFunction
     tf3: ThinFunction
     N: int
-    dft_size: int = 0    # 0: next power of two >= 4N
+    dft_size: int = 0    # 0: next power of two >= 3N+1
 
     def __post_init__(self):
-        if self.N < 7 or self.N % 2 == 0:
-            raise ParameterOutOfRange("N must be odd and >= 7")
-        m = self.dft_size or next_pow2(4 * self.N)
-        if m < 3 * self.N + 1:
-            raise QuadratureTooCoarse(
-                f"dft_size={m} < 3N+1={3 * self.N + 1}")
-        object.__setattr__(self, "dft_size", m)
+        object.__setattr__(self, "dft_size",
+                           _grid_size(self.N, self.N, self.dft_size))
 
 
 def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
@@ -65,39 +81,113 @@ def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
     return (prod >> (bits * n)) & ((1 << bits) - 1)
 
 
+def _direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
+                   targets: np.ndarray) -> np.ndarray:
+    """Exact R(n) per target from one table of pair counts C23(m).
+
+    C23(m) sums over p2 <= m - 2 only (so m - p2 >= 2 indexes i3 directly),
+    and is evaluated at the points m = n - p1 that some target needs.
+    """
+    k1 = np.searchsorted(p1s, targets, side="right")
+    need = np.zeros(len(i3), dtype=bool)
+    for n, k in zip(targets.tolist(), k1.tolist()):
+        need[n - p1s[:k]] = True
+    ms = np.flatnonzero(need)
+    k2 = np.searchsorted(p2s, ms - 2, side="right")
+    c23 = np.zeros(len(i3), dtype=np.int64)
+    for m, k in zip(ms.tolist(), k2.tolist()):
+        c23[m] = np.count_nonzero(i3[m - p2s[:k]])
+    return np.array([c23[n - p1s[:k]].sum()
+                     for n, k in zip(targets.tolist(), k1.tolist())],
+                    dtype=np.int64)
+
+
+def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
+               N: int, N_end: int, dft_size: int = 0
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(direct, spectral) ordered-triple counts for every odd n in [N, N_end].
+
+    One pair-count table gives every direct count and one inverse FFT of
+    size dft_size (default: the next power of two >= 3*N_end+1) every
+    spectral count.  A target whose float value sits 0.25 or more from an
+    integer is recounted by the exact big-integer convolution.  The two
+    counts must agree at every target; the first that does not raises
+    SpectralMismatch naming it.
+    """
+    M = _grid_size(N, N_end, dft_size)
+    sets = (tps1, tps2, tps3)
+    for t in sets:
+        if t.limit < N_end:
+            raise LimitMismatch(f"thin set enumerated to {t.limit} < N_end={N_end}")
+    targets = np.arange(N, N_end + 1, 2, dtype=np.int64)
+    ind = [t.indicator(N_end) for t in sets]
+    direct = _direct_counts(tps1.primes[: tps1.count(N_end)],
+                            tps2.primes[: tps2.count(N_end)], ind[2], targets)
+    spec = np.fft.rfft(ind[0], M) * np.fft.rfft(ind[1], M) * np.fft.rfft(ind[2], M)
+    vals = np.fft.irfft(spec, M)[targets]
+    spectral = np.rint(vals).astype(np.int64)
+    for j in np.flatnonzero(np.abs(vals - spectral) >= 0.25):
+        n = int(targets[j])
+        spectral[j] = _exact_triple_coeff(*(a[: n + 1] for a in ind), n)
+    bad = np.flatnonzero(direct != spectral)
+    if bad.size:
+        j = bad[0]
+        raise SpectralMismatch(
+            f"N={targets[j]}: direct={direct[j]} spectral={spectral[j]} "
+            f"(fft value {vals[j]})")
+    return direct, spectral
+
+
 def rep_count(cfg: GoldbachConfig, tps1: ThinPrimeSet, tps2: ThinPrimeSet,
               tps3: ThinPrimeSet) -> tuple[int, int]:
-    """(R_direct, R_spectral): ordered-triple counts by both routes.
+    """(R_direct, R_spectral) at cfg.N: rep_counts over a range of one.
 
-    The two counts must agree exactly; disagreement raises SpectralMismatch
-    (after the float FFT has already been replaced by the exact big-integer
-    convolution if its rounding margin was too thin).
+    One pair-count table and one transform of size cfg.dft_size, with the
+    same margin check, escalation and exact agreement as every range.
     """
-    N = cfg.N
-    ind = [t.indicator(N) for t in (tps1, tps2, tps3)]
-    p1s = tps1.primes[tps1.primes <= N]
-    p2s = tps2.primes[tps2.primes <= N]
-    direct = 0
-    i3 = ind[2]
-    for p1 in p1s:
-        rem = N - int(p1) - p2s
-        ok = rem >= 2
-        direct += int(np.count_nonzero(i3[rem[ok]]))
-    M = cfg.dft_size
-    vecs = []
-    for a in ind:
-        v = np.zeros(M, dtype=np.float64)
-        v[: len(a)] = a
-        vecs.append(v)
-    spec = np.fft.rfft(vecs[0]) * np.fft.rfft(vecs[1]) * np.fft.rfft(vecs[2])
-    val = float(np.fft.irfft(spec, M)[N])
-    spectral = round(val)
-    if abs(val - spectral) >= 0.25:
-        spectral = _exact_triple_coeff(ind[0], ind[1], ind[2], N)
-    if direct != spectral:
-        raise SpectralMismatch(
-            f"N={N}: direct={direct} spectral={spectral} (fft value {val})")
-    return direct, spectral
+    direct, spectral = rep_counts(tps1, tps2, tps3, cfg.N, cfg.N, cfg.dft_size)
+    return int(direct[0]), int(spectral[0])
+
+
+class SingularSeries:
+    """Both singular-series products at one cutoff, for any number of targets.
+
+    The primes up to the cutoff are sieved once.  Each target swaps in the
+    factors of its own prime divisors and multiplies left to right in
+    ascending prime order, so every value is the one a single loop over the
+    primes gives, bit for bit.
+    """
+
+    def __init__(self, cutoff: int):
+        if cutoff < 100:
+            raise CutoffTooSmall("cutoff must be >= 100")
+        self.cutoff = cutoff
+        primes = _base_primes(cutoff).tolist()
+        self._slot = {p: i for i, p in enumerate(primes)}
+        self._paper = math.prod([1.0 - 1.0 / (p - 1) ** 3 for p in primes])
+        self._classical = [1.0 + 1.0 / (p - 1) ** 3 for p in primes]
+        self.tail = 1.0 / (2.0 * cutoff * cutoff)
+
+    def __call__(self, divisors: list[int]) -> tuple[float, float, float]:
+        """(S_paper, S_classical, tail_bound) at an N with these prime divisors.
+
+        divisors are N's distinct primes in ascending order.  They go into a
+        set in that order, so every loop over them below runs in the order a
+        per-target trial division gave.
+        """
+        divisors = set(divisors)
+        factors = list(self._classical)
+        for p in divisors:
+            if p in self._slot:
+                factors[self._slot[p]] = 1.0 - 1.0 / (p - 1) ** 2
+        s_classical = math.prod(factors)
+        s_paper_all = self._paper
+        for p in divisors:
+            s_paper_all *= 1.0 - 1.0 / (p * p - 3 * p + 3)
+        for p in divisors:
+            if p > self.cutoff:
+                s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
+        return s_paper_all, s_classical, self.tail
 
 
 def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
@@ -108,42 +198,22 @@ def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
     printed form vanishes identically and is reported verbatim.
     S_classical is the Vinogradov form prod_{p|N} (1 - 1/(p-1)^2) *
     prod_{p not | N} (1 + 1/(p-1)^3).  tail_bound = 1/(2 cutoff^2).
+    One N is factored by trial division; a run over many targets builds one
+    SingularSeries and factors each target through its prime table.
     """
-    if cutoff < 100:
-        raise CutoffTooSmall("cutoff must be >= 100")
-    sieve = bytearray(b"\x01") * (cutoff + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(cutoff) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = b"\x00" * ((cutoff - i * i) // i + 1)
-    divisors = set()
+    series = SingularSeries(cutoff)
+    divisors = []
     n = N
     d = 2
     while d * d <= n:
         if n % d == 0:
-            divisors.add(d)
+            divisors.append(d)
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        divisors.add(n)
-    s_paper_all = 1.0
-    s_classical = 1.0
-    for p in range(2, cutoff + 1):
-        if not sieve[p]:
-            continue
-        s_paper_all *= 1.0 - 1.0 / (p - 1) ** 3
-        if p in divisors:
-            s_classical *= 1.0 - 1.0 / (p - 1) ** 2
-        else:
-            s_classical *= 1.0 + 1.0 / (p - 1) ** 3
-    for p in divisors:
-        s_paper_all *= 1.0 - 1.0 / (p * p - 3 * p + 3)
-    big_divisors = [p for p in divisors if p > cutoff]
-    for p in big_divisors:
-        s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
-    tail = 1.0 / (2.0 * cutoff * cutoff)
-    return s_paper_all, s_classical, tail
+        divisors.append(n)
+    return series(divisors)
 
 
 @dataclass
@@ -162,29 +232,50 @@ class GoldbachReport:
                 self.main_term, self.ratio, self.flags)
 
 
+def goldbach_reports(tfs, sets, N: int, N_end: int, cutoff: int = 10 ** 4,
+                     pt: PrimeTable | None = None, dft_size: int = 0
+                     ) -> list[GoldbachReport]:
+    """One report per odd target in [N, N_end], from one rep_counts pass.
+
+    tfs and sets are the three generating functions and their thin sets.
+    The singular series is sieved once; each target is factored through pt
+    (a table up to N_end is built when none is given).  See goldbach_report
+    for the columns.
+    """
+    series = SingularSeries(cutoff)
+    direct, _ = rep_counts(*sets, N, N_end, dft_size)
+    if pt is None:
+        pt = build_prime_table(N_end)
+    reports = []
+    for n, R in zip(range(N, N_end + 1, 2), direct.tolist()):
+        s_paper, s_classical, _ = series([p for p, _ in pt.factorize(n)])
+        flags = ""
+        s_used = s_paper
+        if s_paper == 0.0:
+            s_used = s_classical
+            flags = "paper-form degenerate; classical form used for main term"
+        phis = [t.phi(float(n)) for t in tfs]
+        main = s_used * phis[0] * phis[1] * phis[2] / (n * math.log(n) ** 3)
+        ratio = R / main if main > 0 else math.inf
+        vr = None
+        if all(t.is_identity for t in tfs):
+            vr = R * 2.0 * math.log(n) ** 3 / (s_classical * n * n)
+        reports.append(GoldbachReport(n, R, s_paper, s_classical, main, ratio,
+                                      flags, vr))
+    return reports
+
+
 def goldbach_report(cfg: GoldbachConfig, tps1: ThinPrimeSet, tps2: ThinPrimeSet,
                     tps3: ThinPrimeSet, cutoff: int = 10 ** 4) -> GoldbachReport:
     """Counts against the predicted main term S(N) phi1 phi2 phi3/(N log^3 N).
 
     The printed singular-series product degenerates to 0 (its p=2 factor);
     the classical Vinogradov form is used for the main term and the report
-    is flagged accordingly, with both values always present.
+    is flagged accordingly, with both values always present.  This is
+    goldbach_reports over a range of one.
     """
-    R, _ = rep_count(cfg, tps1, tps2, tps3)
-    s_paper, s_classical, _ = singular_series(cfg.N, cutoff)
-    flags = ""
-    s_used = s_paper
-    if s_paper == 0.0:
-        s_used = s_classical
-        flags = "paper-form degenerate; classical form used for main term"
-    N = cfg.N
-    phis = [t.phi(float(N)) for t in (cfg.tf1, cfg.tf2, cfg.tf3)]
-    main = s_used * phis[0] * phis[1] * phis[2] / (N * math.log(N) ** 3)
-    ratio = R / main if main > 0 else math.inf
-    vr = None
-    if all(t.is_identity for t in (cfg.tf1, cfg.tf2, cfg.tf3)):
-        vr = R * 2.0 * math.log(N) ** 3 / (s_classical * N * N)
-    return GoldbachReport(N, R, s_paper, s_classical, main, ratio, flags, vr)
+    return goldbach_reports((cfg.tf1, cfg.tf2, cfg.tf3), (tps1, tps2, tps3),
+                            cfg.N, cfg.N, cutoff, dft_size=cfg.dft_size)[0]
 
 
 def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:

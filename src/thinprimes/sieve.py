@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,6 @@ class ThinPrimeSet:
     primes: np.ndarray
     weights: np.ndarray
     witnesses: np.ndarray
-    _indicator_cache: dict = field(default_factory=dict, repr=False)
 
     def count(self, x: int | None = None) -> int:
         if x is None:
@@ -236,13 +235,9 @@ class ThinPrimeSet:
         return self.primes[:k], self.weights[:k]
 
     def indicator(self, upto: int) -> np.ndarray:
-        """Boolean membership array of length upto+1 (cached per size)."""
-        arr = self._indicator_cache.get(upto)
-        if arr is None:
-            arr = np.zeros(upto + 1, dtype=bool)
-            members = self.primes[self.primes <= upto]
-            arr[members] = True
-            self._indicator_cache[upto] = arr
+        """Boolean membership array of length upto+1."""
+        arr = np.zeros(upto + 1, dtype=bool)
+        arr[self.primes[: self.count(upto)]] = True
         return arr
 
     def to_csv_rows(self):

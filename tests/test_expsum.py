@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinprimes import expsum
-from thinprimes._num import e2pi, frac_mul_exact, frac_mul_int_vec, fsum_complex
+from thinprimes._num import (
+    e2pi,
+    frac_mul_exact,
+    frac_mul_int_vec,
+    frac_mul_vec,
+    fsum_complex,
+)
 from thinprimes.errors import (
     HypothesisViolated,
     ParameterOutOfRange,
@@ -74,6 +80,19 @@ def test_frac_mul_vec_matches_exact(xi, ws):
     fast = frac_mul_int_vec(xi, arr)
     slow = np.array([frac_mul_exact(xi, int(w)) for w in ws])
     assert np.allclose((fast - slow + 0.5) % 1.0 - 0.5, 0.0, atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0),
+       st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=1, max_size=20))
+def test_frac_mul_int_vec_routes_each_entry_alone(xi, ws):
+    """Entries straddling 2^52: each value is the one it gets on its own."""
+    ws = ws + [2 ** 52 - 1, 2 ** 52, -(2 ** 52)]
+    alone = [frac_mul_vec(xi, np.array([float(w)]))[0] if abs(w) < 2 ** 52
+             else frac_mul_exact(xi, w) for w in ws]
+    assert frac_mul_int_vec(xi, np.array(ws, dtype=np.int64)).tolist() == alone
+    big = ws + [2 ** 70 + 3]
+    assert frac_mul_int_vec(xi, big).tolist() == alone + [frac_mul_exact(xi, 2 ** 70 + 3)]
 
 
 def test_phase_spec_validation(tf95):
@@ -299,6 +318,14 @@ def test_vaughan_split_matches_per_l_loop_bitwise(pt20, fam, W, m, block, monkey
     i = _CONFIGS.index((fam, W, m))
     P = 2000 + 250 * i
     spec = PhaseSpec(0.1234567 + 0.05 * i, IntPolynomial(W), m, tf, P, 2 * P)
+    got, want = vaughan_split(pt20, spec), _split_per_l(pt20, spec)
+    for field in VaughanSplit._fields:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_vaughan_split_bitwise_where_w_crosses_2_52(pt20, tf95):
+    """W = k^3 crosses 2^52 inside (P, P1]: table and per-l calls agree."""
+    spec = PhaseSpec(0.123456789, IntPolynomial([0, 0, 0, 1]), 0, tf95, 82600, 165200)
     got, want = vaughan_split(pt20, spec), _split_per_l(pt20, spec)
     for field in VaughanSplit._fields:
         assert getattr(got, field) == getattr(want, field), field

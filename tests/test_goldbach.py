@@ -4,19 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from thinprimes import goldbach
+from thinprimes.cli import main
 from thinprimes.errors import (
     CutoffTooSmall,
+    LimitMismatch,
     ParameterOutOfRange,
     QuadratureTooCoarse,
+    SpectralMismatch,
 )
 from thinprimes.goldbach import (
     GoldbachConfig,
+    SingularSeries,
     _exact_triple_coeff,
     admissibility_check,
     goldbach_report,
     parseval_check,
     rep_count,
+    rep_counts,
     singular_series,
 )
 from thinprimes.sieve import enumerate_thin_primes
@@ -210,3 +218,179 @@ def test_parseval_random_configs(pt20, tps_identity, tps95, tps99):
         weighted = bool(rng.integers(2))
         lhs, rhs = parseval_check(src, n, weighted)
         assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+# -- one pass over a range of targets ---------------------------------------
+
+def per_target_rep_count(N, tps1, tps2, tps3):
+    """The per-target count rep_count made before ranges (oracle).
+
+    A pair loop over p1 and four FFTs of size next_pow2(4N) per target.
+    """
+    ind = [t.indicator(N) for t in (tps1, tps2, tps3)]
+    p1s = tps1.primes[tps1.primes <= N]
+    p2s = tps2.primes[tps2.primes <= N]
+    direct = 0
+    for p1 in p1s:
+        rem = N - int(p1) - p2s
+        ok = rem >= 2
+        direct += int(np.count_nonzero(ind[2][rem[ok]]))
+    M = 1
+    while M < 4 * N:
+        M <<= 1
+    vecs = []
+    for a in ind:
+        v = np.zeros(M, dtype=np.float64)
+        v[: len(a)] = a
+        vecs.append(v)
+    spec = np.fft.rfft(vecs[0]) * np.fft.rfft(vecs[1]) * np.fft.rfft(vecs[2])
+    val = float(np.fft.irfft(spec, M)[N])
+    spectral = round(val)
+    if abs(val - spectral) >= 0.25:
+        spectral = _exact_triple_coeff(ind[0], ind[1], ind[2], N)
+    return direct, spectral
+
+
+@pytest.fixture(scope="module")
+def sets_by_gamma(tps_identity, tps95, tps99):
+    return {1.0: tps_identity, 0.99: tps99, 0.95: tps95}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.sampled_from([1.0, 0.99, 0.95])] * 3),
+       st.integers(3, 1499), st.integers(0, 100))
+@example((1.0, 1.0, 1.0), 3, 0)
+@example((0.95, 0.99, 1.0), 1399, 100)
+def test_range_matches_per_target_loop(sets_by_gamma, gammas, half, width):
+    N = 2 * half + 1
+    N_end = min(N + 2 * width, 3000)
+    sets = [sets_by_gamma[g] for g in gammas]
+    direct, spectral = rep_counts(*sets, N, N_end)
+    want = [per_target_rep_count(n, *sets) for n in range(N, N_end + 1, 2)]
+    assert list(zip(direct.tolist(), spectral.tolist())) == want
+
+
+@pytest.mark.parametrize("K", [1, 7, 120])
+def test_range_takes_at_most_four_transforms(tps_identity, tps95, K,
+                                             monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def spy(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    N = 5001
+    direct, spectral = rep_counts(tps_identity, tps95, tps95, N, N + 2 * (K - 1))
+    assert len(direct) == len(spectral) == K
+    assert len(calls) <= 4
+
+
+def test_thin_margin_escalates_only_its_target(tps_identity, tps95,
+                                                monkeypatch):
+    N, N_end, bad = 2001, 2101, 2041
+    want = [per_target_rep_count(n, tps_identity, tps95, tps95)[0]
+            for n in range(N, N_end + 1, 2)]
+    real_irfft = np.fft.irfft
+
+    def nudged(*args, **kwargs):
+        vals = real_irfft(*args, **kwargs)
+        vals[bad] += 0.5
+        return vals
+    escalated = []
+
+    def spy(i1, i2, i3, n):
+        escalated.append(n)
+        return _exact_triple_coeff(i1, i2, i3, n)
+    monkeypatch.setattr(np.fft, "irfft", nudged)
+    monkeypatch.setattr(goldbach, "_exact_triple_coeff", spy)
+    direct, spectral = rep_counts(tps_identity, tps95, tps95, N, N_end)
+    assert escalated == [bad]
+    assert direct.tolist() == spectral.tolist() == want
+
+
+def test_mismatch_names_the_target(tps_identity, monkeypatch):
+    real_irfft = np.fft.irfft
+
+    def shifted(*args, **kwargs):
+        vals = real_irfft(*args, **kwargs)
+        vals[1005] += 1.0
+        return vals
+    monkeypatch.setattr(np.fft, "irfft", shifted)
+    with pytest.raises(SpectralMismatch, match="N=1005"):
+        rep_counts(tps_identity, tps_identity, tps_identity, 1001, 1011)
+
+
+def test_range_validation(tps_identity, pt20, tf_identity):
+    sets = (tps_identity,) * 3
+    with pytest.raises(ParameterOutOfRange):
+        rep_counts(*sets, 1001, 999)
+    with pytest.raises(ParameterOutOfRange):
+        rep_counts(*sets, 1000, 1001)
+    with pytest.raises(QuadratureTooCoarse):
+        rep_counts(*sets, 1001, 1101, dft_size=2048)
+    short = enumerate_thin_primes(tf_identity, pt20, 1000)
+    with pytest.raises(LimitMismatch):
+        rep_counts(short, tps_identity, tps_identity, 1001, 1001)
+
+
+def per_target_singular_series(N, cutoff):
+    """singular_series as it sieved and trial-divided per target (oracle)."""
+    sieve = bytearray(b"\x01") * (cutoff + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(cutoff) + 1):
+        if sieve[i]:
+            sieve[i * i:: i] = b"\x00" * ((cutoff - i * i) // i + 1)
+    divisors = set()
+    n = N
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            divisors.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        divisors.add(n)
+    s_paper_all = 1.0
+    s_classical = 1.0
+    for p in range(2, cutoff + 1):
+        if not sieve[p]:
+            continue
+        s_paper_all *= 1.0 - 1.0 / (p - 1) ** 3
+        if p in divisors:
+            s_classical *= 1.0 - 1.0 / (p - 1) ** 2
+        else:
+            s_classical *= 1.0 + 1.0 / (p - 1) ** 3
+    for p in divisors:
+        s_paper_all *= 1.0 - 1.0 / (p * p - 3 * p + 3)
+    for p in [p for p in divisors if p > cutoff]:
+        s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
+    return s_paper_all, s_classical, 1.0 / (2.0 * cutoff * cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [100, 1000, 10 ** 4])
+def test_singular_series_sieved_once_is_bitwise(pt20, cutoff):
+    series = SingularSeries(cutoff)
+    targets = list(range(3, 601, 2)) + [3 * 5 * 7 * 11 * 13, 101 * 103 * 97,
+                                         2 * 3 * 1009, 999983]
+    for n in targets:
+        divisors = [p for p, _ in pt20.factorize(n)]
+        assert series(divisors) == per_target_singular_series(n, cutoff)
+    assert singular_series(45045, cutoff) == per_target_singular_series(45045, cutoff)
+
+
+def _body(argv, tmp_path):
+    out = tmp_path / "g.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    return [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+
+
+def test_cli_range_body_is_the_single_bodies(tmp_path):
+    gammas = ["--gammas", "1,0.99,0.95"]
+    sweep = _body(["goldbach", *gammas, "--N", "3001", "--N-end", "3041"], tmp_path)
+    singles = [_body(["goldbach", *gammas, "--N", str(n)], tmp_path)
+               for n in range(3001, 3042, 2)]
+    assert sweep[0] == singles[0][0]
+    assert sweep[1:] == [row for body in singles for row in body[1:]]
