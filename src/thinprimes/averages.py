@@ -7,15 +7,16 @@ Kernels place nonnegative mass at polynomial images W(p) of (thin) primes:
     K2 : weight log(p)/N at W(p), all primes p <= N
 
 Maximal functions take the pointwise sup over dyadic N of |K_N * f|.
-Signals are finitely supported, so every convolution is computed exactly on
-the full window where it can be nonzero; the dyadic sup is exact, with no
-tail approximation.
+Signals and kernels are arrays over the hull of their support, so every
+convolution is one np.convolve over the full window where it can be
+nonzero; the dyadic sup is exact, with no tail approximation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,16 +27,31 @@ from .sieve import PrimeTable, ThinPrimeSet
 KERNEL_VARIANTS = ("Kh", "K1", "K2")
 
 
+def _nonzero_view(offset: int, values: np.ndarray) -> MappingProxyType:
+    """Read-only {offset + i: values[i]} over the nonzero entries, ascending."""
+    nz = np.flatnonzero(values)
+    return MappingProxyType(dict(zip((nz + offset).tolist(),
+                                     values[nz].tolist())))
+
+
 class SparseSignal:
     """Finitely supported complex function on the integers.
 
-    Stored values are nonzero (canonical form); zero entries are dropped on
-    construction.
+    Stored as values[i] = f(offset + i): a complex128 array over the support
+    hull, trimmed of zeros at both ends, so memory grows with the hull.
+    ``data`` is a read-only {n: f(n)} view in ascending n, built per access.
     """
 
     def __init__(self, data: dict | None = None):
-        self.data = {int(k): complex(v) for k, v in (data or {}).items()
-                     if v != 0}
+        data = {int(k): complex(v) for k, v in (data or {}).items() if v != 0}
+        self.offset = min(data, default=0)
+        self.values = np.zeros(max(data, default=-1) - self.offset + 1,
+                               dtype=np.complex128)
+        self.values[[k - self.offset for k in data]] = list(data.values())
+
+    @property
+    def data(self) -> MappingProxyType:
+        return _nonzero_view(self.offset, self.values)
 
     @classmethod
     def delta(cls, n: int, value=1.0) -> "SparseSignal":
@@ -43,46 +59,56 @@ class SparseSignal:
 
     @classmethod
     def from_dense(cls, arr: np.ndarray, offset: int = 0) -> "SparseSignal":
-        nz = np.flatnonzero(arr)
-        return cls({int(i) + offset: arr[i] for i in nz})
+        """f(offset + i) = arr[i]; a copy of arr with its end zeros trimmed."""
+        out, nz = cls(), np.flatnonzero(arr)
+        if nz.size:
+            out.offset = offset + int(nz[0])
+            out.values = np.array(arr[nz[0]:nz[-1] + 1], dtype=np.complex128)
+        return out
 
     def support(self) -> list[int]:
-        return sorted(self.data)
+        return (np.flatnonzero(self.values) + self.offset).tolist()
 
     def __len__(self):
-        return len(self.data)
+        return int(np.count_nonzero(self.values))
 
     def __getitem__(self, n: int) -> complex:
-        return self.data.get(int(n), 0j)
+        i = int(n) - self.offset
+        return complex(self.values[i]) if 0 <= i < self.values.size else 0j
 
     def __add__(self, other: "SparseSignal") -> "SparseSignal":
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, 0j) + v
-        return SparseSignal(out)
+        parts = [s for s in (self, other) if s.values.size]
+        lo = min((s.offset for s in parts), default=0)
+        hi = max((s.offset + s.values.size for s in parts), default=0)
+        out = np.zeros(hi - lo, dtype=np.complex128)
+        for s in parts:
+            out[s.offset - lo:s.offset - lo + s.values.size] += s.values
+        return SparseSignal.from_dense(out, lo)
 
     def scale(self, c) -> "SparseSignal":
-        return SparseSignal({k: c * v for k, v in self.data.items()})
+        # Python's complex product c * f(n): no fused multiply-add
+        c, v = complex(c), self.values
+        out = np.empty_like(v)
+        out.real = c.real * v.real - c.imag * v.imag
+        out.imag = c.real * v.imag + c.imag * v.real
+        return SparseSignal.from_dense(out, self.offset)
 
     def abs(self) -> "SparseSignal":
-        return SparseSignal({k: abs(v) for k, v in self.data.items()})
+        # libm hypot, as Python's abs(complex); np.abs may round differently
+        return SparseSignal.from_dense(np.hypot(self.values.real,
+                                              self.values.imag), self.offset)
 
     def is_nonnegative(self) -> bool:
-        return all(v.imag == 0 and v.real >= 0 for v in self.data.values())
+        return bool(np.all((self.values.imag == 0) & (self.values.real >= 0)))
 
     def dense(self) -> tuple[np.ndarray, int]:
         """(values, offset): values[i] = f(offset + i) over the support hull."""
-        if not self.data:
+        if not self.values.size:
             return np.zeros(1, dtype=np.complex128), 0
-        lo, hi = min(self.data), max(self.data)
-        arr = np.zeros(hi - lo + 1, dtype=np.complex128)
-        for k, v in self.data.items():
-            arr[k - lo] = v
-        return arr, lo
+        return self.values.copy(), self.offset
 
     def csv_rows(self):
-        for k in self.support():
-            v = self.data[k]
+        for k, v in self.data.items():
             yield k, v.real, v.imag
 
     @classmethod
@@ -92,18 +118,18 @@ class SparseSignal:
 
 @dataclass
 class Kernel:
-    """Finitely supported nonnegative averaging kernel."""
+    """Finitely supported nonnegative averaging kernel: weights[i] is the
+    mass at offset + i, over the hull of the positions W(p); ``atoms`` is
+    a read-only {W(p): weight} view, built per access."""
     variant: str
     N: int
-    atoms: dict            # W(p) -> accumulated weight
+    offset: int
+    weights: np.ndarray
     mass: float
 
-    def dense(self) -> tuple[np.ndarray, int]:
-        lo, hi = min(self.atoms), max(self.atoms)
-        arr = np.zeros(hi - lo + 1, dtype=np.float64)
-        for k, v in self.atoms.items():
-            arr[k - lo] += v
-        return arr, lo
+    @property
+    def atoms(self) -> MappingProxyType:
+        return _nonzero_view(self.offset, self.weights)
 
 
 def _variant_primes_weights(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
@@ -129,22 +155,19 @@ def build_kernel(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
         ws = ws / len(ps)
     else:
         ws = ws / N
-    atoms: dict = {}
-    positions = W.eval_vec(ps)
-    for pos, w in zip(positions, ws):
-        pos = int(pos)
-        atoms[pos] = atoms.get(pos, 0.0) + float(w)
-    return Kernel(variant, N, atoms, math.fsum(atoms.values()))
+    # bincount adds each position's weights in prime order, starting at 0.0
+    positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
+    lo = int(positions.min())
+    weights = np.bincount(positions - lo, weights=ws)
+    return Kernel(variant, N, lo, weights, math.fsum(weights))
 
 
 def convolve(kernel: Kernel, f: SparseSignal) -> SparseSignal:
-    """Exact sparse convolution (K*f)(x) = sum_a w_a f(x - a)."""
-    out: dict = {}
-    for a, wa in kernel.atoms.items():
-        for x, v in f.data.items():
-            key = x + a
-            out[key] = out.get(key, 0j) + wa * v
-    return SparseSignal(out)
+    """(K*f)(x) = sum_a w_a f(x - a), one np.convolve over both hulls."""
+    if not len(f):
+        return SparseSignal()
+    return SparseSignal.from_dense(np.convolve(kernel.weights, f.values),
+                                   kernel.offset + f.offset)
 
 
 def _dyadic_range(n_max: int) -> list[int]:
@@ -155,6 +178,28 @@ def _dyadic_range(n_max: int) -> list[int]:
         out.append(n)
         n *= 2
     return out
+
+
+def _running_sums(fdense, positions, keys, weights, cutoffs):
+    """Yield (N, k, accs) per cutoff N: k = #{keys <= N}, and accs[j](x) =
+    sum_{i < k} weights[j][i] * f(x - positions[i]) over the full hull.
+    The atoms new at a cutoff enter once, as one layer that np.bincount sums
+    in index order and np.convolve convolves with f."""
+    alo = int(positions.min())
+    size = len(fdense) + int(positions.max()) - alo
+    accs = [np.zeros(size, dtype=fdense.dtype) for _ in weights]
+    prev = 0
+    for N in cutoffs:
+        hi = int(np.searchsorted(keys, N, side="right"))
+        if hi > prev:
+            pos = positions[prev:hi]
+            llo = int(pos.min())
+            for acc, w in zip(accs, weights):
+                layer = np.bincount(pos - llo, weights=w[prev:hi])
+                conv = np.convolve(fdense, layer)
+                acc[llo - alo:llo - alo + len(conv)] += conv
+            prev = hi
+        yield N, prev, accs
 
 
 def maximal_function(f: SparseSignal, variant: str, tps: ThinPrimeSet,
@@ -168,42 +213,27 @@ def maximal_function(f: SparseSignal, variant: str, tps: ThinPrimeSet,
     ps, ws = _variant_primes_weights(variant, tps, pt, N_max)
     if len(ps) == 0:
         raise EmptySet(f"no primes <= {N_max} for kernel {variant}")
-    if not f.data:
+    if not len(f):
         return SparseSignal()
     fdense, flo = f.dense()
     positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
-    alo, ahi = int(positions.min()), int(positions.max())
-    acc = np.zeros(len(fdense) + (ahi - alo), dtype=np.complex128)
-    best = np.zeros(len(acc), dtype=np.float64)
-    prev = 0
-    counts_cum = 0
-    for N in _dyadic_range(N_max):
-        hi = int(np.searchsorted(ps, N, side="right"))
-        if hi > prev:
-            layer_pos = positions[prev:hi]
-            layer_w = ws[prev:hi]
-            llo, lhi = int(layer_pos.min()), int(layer_pos.max())
-            layer = np.zeros(lhi - llo + 1, dtype=np.float64)
-            np.add.at(layer, layer_pos - llo, layer_w)
-            conv = np.convolve(fdense, layer)
-            start = llo - alo
-            acc[start:start + len(conv)] += conv
-            counts_cum = hi
-            prev = hi
-        if counts_cum == 0:
-            continue
-        norm = float(counts_cum) if variant == "Kh" else float(N)
-        np.maximum(best, np.abs(acc) / norm, out=best)
-    return SparseSignal.from_dense(best, flo + alo)
+    best = 0.0
+    for N, k, (acc,) in _running_sums(fdense, positions, ps, [ws],
+                                      _dyadic_range(N_max)):
+        if k:
+            norm = float(k) if variant == "Kh" else float(N)
+            best = np.maximum(best, np.abs(acc) / norm)
+    return SparseSignal.from_dense(best, flo + int(positions.min()))
 
 
 def lr_norm(f: SparseSignal, r: float) -> float:
     """ell^r norm; r = math.inf gives the exact sup norm."""
     if r != math.inf and r < 1:
         raise ParameterOutOfRange("r must satisfy 1 <= r <= inf")
-    if not f.data:
+    # the nonzeros in ascending n: zero padding changes np.sum's pairing
+    mags = np.abs(f.values[f.values != 0])
+    if not mags.size:
         return 0.0
-    mags = np.abs(np.fromiter(f.data.values(), dtype=np.complex128))
     if r == math.inf:
         return float(mags.max())
     return float(np.sum(mags ** r) ** (1.0 / r))
@@ -267,35 +297,14 @@ def weighted_maximal_compare(S, w1, w2, f: SparseSignal, Omega: IntPolynomial,
     W2c = np.cumsum(w2v)
     c_sup = float(np.max(w2v * W1c / (w1v * W2c)))
 
-    fdense, flo = f.dense()
+    fdense, _ = f.dense()
     positions = np.asarray(Omega.eval_vec(S), dtype=np.int64)
-    alo, ahi = int(positions.min()), int(positions.max())
-    out_len = len(fdense) + (ahi - alo)
-    acc1 = np.zeros(out_len)
-    acc2 = np.zeros(out_len)
-    best1 = np.zeros(out_len)
-    best2 = np.zeros(out_len)
-    freal = fdense.real
-    prev = 0
-    for N in Z:
-        hi = int(np.searchsorted(S, N, side="right"))
-        if hi > prev:
-            pos = positions[prev:hi]
-            llo, lhi = int(pos.min()), int(pos.max())
-            lay1 = np.zeros(lhi - llo + 1)
-            lay2 = np.zeros(lhi - llo + 1)
-            np.add.at(lay1, pos - llo, w1v[prev:hi])
-            np.add.at(lay2, pos - llo, w2v[prev:hi])
-            c1 = np.convolve(freal, lay1)
-            c2 = np.convolve(freal, lay2)
-            start = llo - alo
-            acc1[start:start + len(c1)] += c1
-            acc2[start:start + len(c2)] += c2
-            prev = hi
-        if prev == 0:
-            continue
-        np.maximum(best1, acc1 / W1c[prev - 1], out=best1)
-        np.maximum(best2, acc2 / W2c[prev - 1], out=best2)
+    best1 = best2 = 0.0
+    for _, k, (acc1, acc2) in _running_sums(fdense.real, positions, S,
+                                            [w1v, w2v], Z):
+        if k:
+            best1 = np.maximum(best1, acc1 / W1c[k - 1])
+            best2 = np.maximum(best2, acc2 / W2c[k - 1])
     mask = best1 > 0
     if not mask.any():
         return 0.0, c_sup

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ from .thinfn import NEAR_INT_GUARD, ThinFunction
 SEGMENT = 1 << 20
 MAX_LIMIT = 1 << 34
 CACHE_MAGIC = b"TPLB1"
+# mpmath's precision is process-wide: one escalated floor decision at a time
+_MP_LOCK = threading.Lock()
 
 
 def _base_primes(n: int) -> np.ndarray:
@@ -45,19 +48,13 @@ def _base_primes(n: int) -> np.ndarray:
 class PrimeTable:
     """Smallest-prime-factor table for 2..limit with arithmetic queries."""
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, spf: np.ndarray, primes=None):
         self.limit = int(limit)
         self.spf = spf
-        self._primes: np.ndarray | None = None
-
-    @property
-    def primes(self) -> np.ndarray:
-        if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-            mask = self.spf == idx
-            mask[:2] = False
-            self._primes = np.flatnonzero(mask).astype(np.int64)
-        return self._primes
+        if primes is None:      # the n >= 2 with spf(n) == n
+            idx = np.arange(2, self.limit + 1, dtype=spf.dtype)
+            primes = np.flatnonzero(spf[2:] == idx) + 2
+        self.primes = primes.astype(np.int64, copy=False)
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
@@ -175,6 +172,14 @@ class PrimeTable:
         return cls(int(limit), spf)
 
 
+def _in_order(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on `threads` workers if there are several."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _fill_segment(spf, lo, hi, base):
     """Mark spf for indices [lo, hi); base primes ascending so first mark wins."""
     for p in base:
@@ -199,17 +204,11 @@ def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
     dtype = np.uint32 if N < (1 << 32) else np.int64
     spf = np.zeros(N + 1, dtype=dtype)
     base = _base_primes(math.isqrt(N))
-    bounds = [(lo, min(lo + SEGMENT, N + 1)) for lo in range(2, N + 1, SEGMENT)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: _fill_segment(spf, b[0], b[1], base), bounds))
-    else:
-        for lo, hi in bounds:
-            _fill_segment(spf, lo, hi, base)
-    idx = np.arange(N + 1, dtype=dtype)
-    unmarked = (spf == 0) & (idx >= 2)
-    spf[unmarked] = idx[unmarked]
-    return PrimeTable(N, spf)
+    _in_order(lambda lo: _fill_segment(spf, lo, min(lo + SEGMENT, N + 1), base),
+              range(2, N + 1, SEGMENT), threads)
+    primes = np.flatnonzero(spf[2:] == 0) + 2    # unmarked means prime
+    spf[primes] = primes
+    return PrimeTable(N, spf, primes)
 
 
 @dataclass
@@ -310,9 +309,21 @@ def _floor_h_bulk(tf: ThinFunction, ns: np.ndarray) -> np.ndarray:
     fl = np.floor(hv)
     suspicious = np.flatnonzero(np.minimum(hv - fl, fl + 1.0 - hv) < NEAR_INT_GUARD)
     out = fl.astype(np.int64)
-    for i in suspicious:
-        out[i] = tf.floor_h(int(ns[i]))
+    with _MP_LOCK:
+        for i in suspicious:
+            out[i] = tf.floor_h(int(ns[i]))
     return out
+
+
+def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
+    """(primes, witnesses) among floor(h(n)) for n in [lo, hi), in n order."""
+    ns = np.arange(lo, hi, dtype=np.int64)
+    ps = _floor_h_bulk(tf, ns)
+    keep = (ps >= 2) & (ps <= N)
+    ps, ns = ps[keep], ns[keep]
+    # spf lookup needs int indexing; ps fits the table by construction
+    prime_mask = pt.spf[ps] == ps.astype(pt.spf.dtype)
+    return ps[prime_mask], ns[prime_mask]
 
 
 def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
@@ -321,8 +332,9 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
 
     Iterates n from ceil(x0) to floor(phi(N+1)) + 1, deduplicates colliding
     floor values (h(n+1) - h(n) < 1 happens for c = 1 families at small n)
-    and keeps the smallest witness n per prime.  Deterministic regardless of
-    thread count: chunks are merged in index order.
+    and keeps the smallest witness n per prime.  n is taken in chunks of
+    SEGMENT values, mapped serially or over `threads` workers; the chunks
+    are merged in index order, so the set does not depend on thread count.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
@@ -335,22 +347,10 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
         # integer hits like h(1) = 1 away from the floor guard
         n_lo = max(n_lo, math.ceil(tf.phi(2.0) - 1e-9))
     n_hi = math.floor(tf.phi(float(N + 1))) + 1
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    if ns.size == 0:
-        return ThinPrimeSet(tf, N, np.empty(0, np.int64), np.empty(0),
-                            np.empty(0, np.int64))
-    if threads > 1 and ns.size > 4 * SEGMENT:
-        chunks = np.array_split(ns, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _floor_h_bulk(tf, c), chunks))
-        ps = np.concatenate(parts)
-    else:
-        ps = _floor_h_bulk(tf, ns)
-    keep = (ps >= 2) & (ps <= N)
-    ps, wit = ps[keep], ns[keep]
-    # spf lookup needs int indexing; ps fits the table by construction
-    prime_mask = pt.spf[ps] == ps.astype(pt.spf.dtype)
-    ps, wit = ps[prime_mask], wit[prime_mask]
+    parts = _in_order(
+        lambda lo: _thin_chunk(tf, pt, N, lo, min(lo + SEGMENT, n_hi + 1)),
+        range(n_lo, n_hi + 1, SEGMENT), threads)
+    ps, wit = (np.concatenate(col) for col in zip(*parts))
     uniq, first = np.unique(ps, return_index=True)
     wit = wit[first]
     weights = tf.weight_vec(uniq.astype(np.float64))

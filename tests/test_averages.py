@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from thinprimes.averages import (
     SparseSignal,
+    _running_sums,
     abel_summation,
     build_kernel,
     convolve,
@@ -293,3 +294,262 @@ def test_signal_csv_roundtrip():
     f = SparseSignal({3: 1 + 2j, -5: 0.25})
     back = SparseSignal.from_csv_rows(f.csv_rows())
     assert back.data == f.data
+
+
+# -- differential tests: the dense storage against the former dict code ----
+# The oracles below are the dict-based SparseSignal, the per-atom kernel
+# loop, the double-loop convolution, the layer loop of maximal_function
+# and weighted_maximal_compare (np.add.at) and the dict-based lr_norm that
+# the array storage replaced.
+
+class DictSignal:
+    def __init__(self, data=None):
+        self.data = {int(k): complex(v) for k, v in (data or {}).items()
+                     if v != 0}
+
+    @classmethod
+    def from_dense(cls, arr, offset=0):
+        return cls({int(i) + offset: arr[i] for i in np.flatnonzero(arr)})
+
+    def support(self):
+        return sorted(self.data)
+
+    def __add__(self, other):
+        out = dict(self.data)
+        for k, v in other.data.items():
+            out[k] = out.get(k, 0j) + v
+        return DictSignal(out)
+
+    def scale(self, c):
+        return DictSignal({k: c * v for k, v in self.data.items()})
+
+    def abs(self):
+        return DictSignal({k: abs(v) for k, v in self.data.items()})
+
+    def is_nonnegative(self):
+        return all(v.imag == 0 and v.real >= 0 for v in self.data.values())
+
+    def dense(self):
+        if not self.data:
+            return np.zeros(1, dtype=np.complex128), 0
+        lo, hi = min(self.data), max(self.data)
+        arr = np.zeros(hi - lo + 1, dtype=np.complex128)
+        for k, v in self.data.items():
+            arr[k - lo] = v
+        return arr, lo
+
+    def csv_rows(self):
+        for k in self.support():
+            v = self.data[k]
+            yield k, v.real, v.imag
+
+
+def dict_lr_norm(f, r):
+    if not f.data:
+        return 0.0
+    mags = np.abs(np.fromiter(f.data.values(), dtype=np.complex128))
+    if r == math.inf:
+        return float(mags.max())
+    return float(np.sum(mags ** r) ** (1.0 / r))
+
+
+def dict_kernel_atoms(ps, ws, W):
+    atoms = {}
+    for pos, w in zip(W.eval_vec(ps), ws):
+        atoms[int(pos)] = atoms.get(int(pos), 0.0) + float(w)
+    return atoms, math.fsum(atoms.values())
+
+
+def dict_convolve(atoms, f):
+    out = {}
+    for a, wa in atoms.items():
+        for x, v in f.data.items():
+            out[x + a] = out.get(x + a, 0j) + wa * v
+    return DictSignal(out)
+
+
+def add_at_running_sums(fdense, positions, keys, weights, cutoffs):
+    """The former layer loop: np.add.at into zeroed layers, per cutoff."""
+    alo = int(positions.min())
+    size = len(fdense) + int(positions.max()) - alo
+    accs = [np.zeros(size, dtype=fdense.dtype) for _ in weights]
+    bests, prev = [np.zeros(size) for _ in weights], 0
+    for N in cutoffs:
+        hi = int(np.searchsorted(keys, N, side="right"))
+        if hi > prev:
+            pos = positions[prev:hi]
+            llo, lhi = int(pos.min()), int(pos.max())
+            for acc, w in zip(accs, weights):
+                layer = np.zeros(lhi - llo + 1)
+                np.add.at(layer, pos - llo, w[prev:hi])
+                conv = np.convolve(fdense, layer)
+                acc[llo - alo:llo - alo + len(conv)] += conv
+            prev = hi
+        yield N, prev, accs, bests, alo
+
+
+def dict_maximal(f, ps, ws, W, N_max, kh=True):
+    """The former maximal_function, ending in the dict of from_dense."""
+    fdense, flo = f.dense()
+    positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
+    cutoffs = [2 ** j for j in range(1, N_max.bit_length())]
+    for N, k, (acc,), (best,), alo in add_at_running_sums(
+            fdense, positions, ps, [ws], cutoffs):
+        if k:
+            np.maximum(best, np.abs(acc) / (float(k) if kh else float(N)),
+                       out=best)
+    return DictSignal.from_dense(best, flo + alo)
+
+
+def dict_signals(max_size=20):
+    parts = st.floats(-5, 5) | st.just(0.0)
+    return st.dictionaries(st.integers(-60, 60),
+                           st.builds(complex, parts, parts) | parts,
+                           max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dict_signals(), dict_signals(), st.floats(-3, 3),
+       st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)))
+def test_signal_matches_dict_oracle(d1, d2, a, c):
+    f, g = SparseSignal(d1), SparseSignal(d2)
+    fo, go = DictSignal(d1), DictSignal(d2)
+    assert list(f.data.items()) == sorted(fo.data.items(),
+                                          key=lambda kv: kv[0])
+    assert f.support() == fo.support() and len(f) == len(fo.data)
+    assert [f[n] for n in range(-70, 71)] == \
+        [fo.data.get(n, 0j) for n in range(-70, 71)]
+    assert (f + g).data == (fo + go).data
+    assert (g + f).data == (go + fo).data
+    assert f.scale(a).data == fo.scale(a).data
+    assert f.scale(c).data == fo.scale(c).data
+    assert f.abs().data == fo.abs().data
+    assert f.is_nonnegative() == fo.is_nonnegative()
+    assert f.abs().is_nonnegative()
+    (arr, lo), (arr_o, lo_o) = f.dense(), fo.dense()
+    assert lo == lo_o and np.array_equal(arr, arr_o)
+    assert list(f.csv_rows()) == list(fo.csv_rows())
+
+
+def test_data_is_a_read_only_view():
+    f = SparseSignal({5: 1.0, -2: 2j})
+    assert list(f.data) == [-2, 5]
+    with pytest.raises(TypeError):
+        f.data[0] = 1.0
+    assert SparseSignal().data == {} and SparseSignal({3: 0.0}).support() == []
+    assert SparseSignal.from_dense(np.array([0.0, 0.0])).support() == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0, 5) | st.just(0.0), min_size=1, max_size=300),
+       st.integers(-1000, 1000))
+def test_lr_norm_of_from_dense_is_bit_equal(vals, offset):
+    arr = np.array(vals)
+    f, fo = SparseSignal.from_dense(arr, offset), DictSignal.from_dense(arr, offset)
+    for r in (1, 1.5, 2, 3, 4, math.inf):
+        assert lr_norm(f, r) == dict_lr_norm(fo, r)
+
+
+# (p-2)(p-5)(p-11) puts three primes on one atom, where the order of the
+# additions shows in the last bits; p^2 - 10p puts 3 and 7 on one atom
+@pytest.mark.parametrize("coeffs", [[0, 1], [0, 0, 1], [0, -10, 1], [3, -2],
+                                    [0, 0, 2], [-110, 87, -18, 1]])
+@pytest.mark.parametrize("variant", ["Kh", "K1", "K2"])
+def test_kernel_atoms_and_mass_bit_equal(tps95, pt20, variant, coeffs):
+    W = IntPolynomial(coeffs)
+    # the weights are dense over the hull of W(p), about n^deg entries
+    sizes = {2: (10, 97, 2 ** 10, 2 ** 13), 3: (10, 97, 2 ** 8), 4: (10, 97)}
+    for n in sizes[len(coeffs)]:
+        if variant == "Kh":
+            ps, _ = tps95.prefix(n)
+            ws = np.ones(len(ps)) / len(ps)
+        elif variant == "K1":
+            ps, ws = tps95.prefix(n)
+            ws = ws / n
+        else:
+            ps = pt20.primes_in(1, n)
+            ws = np.log(ps.astype(np.float64)) / n
+        k = build_kernel(variant, tps95, pt20, W, n)
+        atoms, mass = dict_kernel_atoms(ps, ws, W)
+        assert k.atoms == atoms and list(k.atoms) == sorted(atoms)
+        assert k.mass == mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-40, 40), st.floats(0.01, 5),
+                       min_size=1, max_size=20),
+       st.sampled_from([10, 30, 64]), st.sampled_from([[0, 1], [3, -2], [0, 0, 1]]))
+def test_convolve_close_to_dict_oracle(tps_identity, pt20, d, n, coeffs):
+    k = build_kernel("K2", tps_identity, pt20, IntPolynomial(coeffs), n)
+    out = convolve(k, SparseSignal(d))
+    want = dict_convolve(k.atoms, DictSignal(d))
+    assert out.support() == want.support()
+    for x, v in want.data.items():
+        assert abs(out[x] - v) <= 1e-15 * abs(v)
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [0, 1, 1]])
+def test_maximal_ratio_matches_dict_pipeline(tps95, pt20, coeffs):
+    W = IntPolynomial(coeffs)
+    n = 2 ** 10 if len(coeffs) == 2 else 2 ** 7
+    ps, _ = tps95.prefix(n)
+    ws = np.ones(len(ps))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(256, size=64, replace=False)
+        d = {int(i): 1.0 for i in idx}
+        if seed % 2:
+            d = {i: float(v) for i, v in zip(d, rng.random(64))}
+        f, fo = SparseSignal(d), DictSignal(d)
+        mf = maximal_function(f, "Kh", tps95, pt20, W, n)
+        mo = dict_maximal(fo, ps, ws, W, n)
+        assert list(mf.data.items()) == list(mo.data.items())
+        for r in (1.0, 1.5, 2.0, 4.0, math.inf):
+            if seed % 2 == 0:
+                assert lr_norm(mf, r) / lr_norm(f, r) == \
+                    dict_lr_norm(mo, r) / dict_lr_norm(fo, r)
+            else:
+                assert lr_norm(mf, r) == dict_lr_norm(mo, r)
+
+
+# (p-17)(p-19)(p-29) puts three primes of one dyadic layer on one atom,
+# where the order of the log-weight additions shows in the last bits
+@pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [0, 0, 1],
+                                    [-9367, 1367, -65, 1]])
+def test_weighted_compare_matches_add_at_loop(tps95, pt20, coeffs):
+    W = IntPolynomial(coeffs)
+    Z = [2 ** j for j in range(2, {2: 11, 3: 9, 4: 7}[len(coeffs)])]
+    S = tps95.primes[tps95.primes <= Z[-1]]
+    w1v = np.ones(len(S))
+    w2v = np.log(S.astype(np.float64))
+    W1c, W2c = np.cumsum(w1v), np.cumsum(w2v)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        f = random_signal(rng, 60, 400)
+        rmax, _ = weighted_maximal_compare(S, lambda x: 1.0, math.log, f, W, Z)
+        fdense, _ = f.dense()
+        positions = np.asarray(W.eval_vec(S), dtype=np.int64)
+        for _, k, (a1, a2), (b1, b2), _ in add_at_running_sums(
+                fdense.real, positions, S, [w1v, w2v], Z):
+            if k:
+                np.maximum(b1, a1 / W1c[k - 1], out=b1)
+                np.maximum(b2, a2 / W2c[k - 1], out=b2)
+        mask = b1 > 0
+        assert rmax == float(np.max(b2[mask] / b1[mask]))
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [-9367, 1367, -65, 1]])
+def test_running_sums_match_add_at_loop(tps95, coeffs):
+    W = IntPolynomial(coeffs)
+    S = tps95.primes[tps95.primes <= 64]
+    positions = np.asarray(W.eval_vec(S), dtype=np.int64)
+    weights = [np.log(S.astype(np.float64)), np.ones(len(S)) / 3]
+    cutoffs = [2 ** j for j in range(1, 7)]
+    rng = np.random.default_rng(4)
+    for fdense in (rng.random(50), rng.random(50) + 1j * rng.random(50)):
+        steps = zip(_running_sums(fdense, positions, S, weights, cutoffs),
+                    add_at_running_sums(fdense, positions, S, weights, cutoffs))
+        for (N, k, accs), (N_o, k_o, accs_o, _, _) in steps:
+            assert (N, k) == (N_o, k_o)
+            for a, b in zip(accs, accs_o):
+                assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -1,11 +1,14 @@
 """Sieve correctness against trial division and thin set enumeration oracles."""
 
 import math
+import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from thinprimes import sieve, thinfn
 from thinprimes.errors import LimitMismatch, LimitTooLarge
 from thinprimes.sieve import (
     PrimeTable,
@@ -237,3 +240,85 @@ def test_csv_rows(tps95):
     rows = list(tps95.to_csv_rows())
     assert rows[0][0] == int(tps95.primes[0])
     assert len(rows) == len(tps95.primes)
+
+
+def unchunked_enumeration(tf, pt, N):
+    """The former single-pass enumeration: one array over every n."""
+    n_lo = math.ceil(tf.x0)
+    if tf.h_x0 < 2.0:
+        n_lo = max(n_lo, math.ceil(tf.phi(2.0) - 1e-9))
+    ns = np.arange(n_lo, math.floor(tf.phi(float(N + 1))) + 2, dtype=np.int64)
+    ps = sieve._floor_h_bulk(tf, ns)
+    keep = (ps >= 2) & (ps <= N)
+    ps, wit = ps[keep], ns[keep]
+    prime_mask = pt.spf[ps] == ps.astype(pt.spf.dtype)
+    ps, wit = ps[prime_mask], wit[prime_mask]
+    uniq, first = np.unique(ps, return_index=True)
+    return uniq, tf.weight_vec(uniq.astype(np.float64)), wit[first]
+
+
+@pytest.mark.parametrize("family,kw", [("power", {"gamma": 0.95}),
+                                       ("power", {"gamma": 1.0}),
+                                       ("h3", {"Cc": 1.0})])
+def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw):
+    tf = make_thin_function(family, **kw)
+    N = 2 * 10 ** 5
+    want = unchunked_enumeration(tf, pt20, N)
+    monkeypatch.setattr(sieve, "SEGMENT", 997)
+    for threads in (1, 2):
+        got = enumerate_thin_primes(tf, pt20, N, threads=threads)
+        for a, b in zip((got.primes, got.weights, got.witnesses), want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_enumeration_with_no_candidates(pt20):
+    tf = make_thin_function("h3", Cc=1.0)     # smallest member is 3
+    tps = enumerate_thin_primes(tf, pt20, 2)
+    assert tps.primes.size == tps.weights.size == tps.witnesses.size == 0
+
+
+@pytest.mark.parametrize("N", [2, 3, 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 + 5])
+def test_table_primes_match_spf_fixed_points(N, tmp_path):
+    pt = build_prime_table(N)
+    idx = np.arange(N + 1, dtype=pt.spf.dtype)
+    mask = pt.spf == idx
+    mask[:2] = False
+    want = np.flatnonzero(mask).astype(np.int64)
+    assert pt.primes.dtype == np.int64 and np.array_equal(pt.primes, want)
+    assert np.all(pt.spf[2:] != 0) and np.all(pt.spf[:2] == 0)
+    if N < 2 ** 20:
+        pt.save_cache(tmp_path / "t.bin")
+        assert np.array_equal(PrimeTable.load_cache(tmp_path / "t.bin").primes,
+                              want)
+
+
+def test_enumeration_peak_memory(tf95):
+    N = 1 << 23
+    pt = build_prime_table(N)
+    tracemalloc.start()
+    try:
+        enumerate_thin_primes(tf95, pt, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 2 ** 20
+
+
+def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
+    # every floor decision escalates to mpmath, in chunks of 97 values of n
+    # spread over more workers than cores; the process-wide working
+    # precision must come back unchanged and the set must not move
+    want = enumerate_thin_primes(tf95, pt20, 20000)
+    monkeypatch.setattr(sieve, "NEAR_INT_GUARD", 1.0)
+    monkeypatch.setattr(thinfn, "NEAR_INT_GUARD", 1.0)
+    monkeypatch.setattr(sieve, "SEGMENT", 97)
+    prec, interval = mp.mp.prec, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = enumerate_thin_primes(tf95, pt20, 20000, threads=4)
+            assert mp.mp.prec == prec
+            assert np.array_equal(got.primes, want.primes)
+            assert np.array_equal(got.witnesses, want.witnesses)
+    finally:
+        sys.setswitchinterval(interval)
