@@ -30,7 +30,6 @@ from .expsum import (
     IntPolynomial,
     PhaseSpec,
     bilinear_sum_bound,
-    default_M,
     default_v,
     formlem_decay,
     lambda_exp_sum,

@@ -89,3 +89,12 @@ def next_pow2(n: int) -> int:
     while m < n:
         m <<= 1
     return m
+
+
+def dyadic(first: int, last: int) -> list[int]:
+    """first, 2*first, 4*first, ... up to last inclusive."""
+    out = []
+    while first <= last:
+        out.append(first)
+        first *= 2
+    return out

@@ -20,11 +20,23 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import EmptySet, HypothesisViolated, ParameterOutOfRange
+from ._num import dyadic
+from .errors import EmptySet, HypothesisViolated, LimitTooLarge, ParameterOutOfRange
 from .expsum import IntPolynomial, grid_sup_gaps
 from .sieve import PrimeTable, ThinPrimeSet
 
 KERNEL_VARIANTS = ("Kh", "K1", "K2")
+# bytes of the dense arrays one kernel or running sum may hold over its hull
+MAX_HULL_BYTES = 1 << 32
+
+
+def _check_hull(entries: int, dtype, what: str) -> None:
+    """Raise LimitTooLarge, before allocating, when `entries` values of
+    dtype would pass MAX_HULL_BYTES."""
+    nbytes = entries * np.dtype(dtype).itemsize
+    if nbytes > MAX_HULL_BYTES:
+        raise LimitTooLarge(f"{what} needs {nbytes} bytes over its hull, "
+                            f"above the {MAX_HULL_BYTES}-byte guard")
 
 
 def _nonzero_view(offset: int, values: np.ndarray) -> MappingProxyType:
@@ -158,6 +170,7 @@ def build_kernel(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
     # bincount adds each position's weights in prime order, starting at 0.0
     positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
     lo = int(positions.min())
+    _check_hull(int(positions.max()) - lo + 1, np.float64, f"kernel {variant}")
     weights = np.bincount(positions - lo, weights=ws)
     return Kernel(variant, N, lo, weights, math.fsum(weights))
 
@@ -170,16 +183,6 @@ def convolve(kernel: Kernel, f: SparseSignal) -> SparseSignal:
                                    kernel.offset + f.offset)
 
 
-def _dyadic_range(n_max: int) -> list[int]:
-    if n_max < 2 or n_max & (n_max - 1):
-        raise ParameterOutOfRange("N_max must be a power of two >= 2")
-    out, n = [], 2
-    while n <= n_max:
-        out.append(n)
-        n *= 2
-    return out
-
-
 def _running_sums(fdense, positions, keys, weights, cutoffs):
     """Yield (N, k, accs) per cutoff N: k = #{keys <= N}, and accs[j](x) =
     sum_{i < k} weights[j][i] * f(x - positions[i]) over the full hull.
@@ -187,6 +190,7 @@ def _running_sums(fdense, positions, keys, weights, cutoffs):
     in index order and np.convolve convolves with f."""
     alo = int(positions.min())
     size = len(fdense) + int(positions.max()) - alo
+    _check_hull(size * len(weights), fdense.dtype, "running sum")
     accs = [np.zeros(size, dtype=fdense.dtype) for _ in weights]
     prev = 0
     for N in cutoffs:
@@ -217,9 +221,11 @@ def maximal_function(f: SparseSignal, variant: str, tps: ThinPrimeSet,
         return SparseSignal()
     fdense, flo = f.dense()
     positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
+    if N_max < 2 or N_max & (N_max - 1):
+        raise ParameterOutOfRange("N_max must be a power of two >= 2")
     best = 0.0
     for N, k, (acc,) in _running_sums(fdense, positions, ps, [ws],
-                                      _dyadic_range(N_max)):
+                                      dyadic(2, N_max)):
         if k:
             norm = float(k) if variant == "Kh" else float(N)
             best = np.maximum(best, np.abs(acc) / norm)

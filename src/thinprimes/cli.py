@@ -7,6 +7,12 @@ report is reproducible from its own header.  CSV is the primary output
 ('#'-prefixed header comment lines, then a column row); --format json
 mirrors the same rows with a schema marker.
 
+Each subcommand's keys are listed once, in ALLOWED_KEYS, and decide which
+shared inputs it takes: the thin function (all of THINFN_KEYS, unless
+side=full), the polynomial W and the limit N, built and checked once by
+_inputs.  Prime tables and thin sets come only from _tables, and every
+report or diagnostic is written by _write.
+
 Exit codes: 0 success, 2 validation/parse failure (no output written),
 3 computational failure (diagnostic JSON written instead of the report).
 """
@@ -22,6 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._num import dyadic
 from .averages import SparseSignal, lr_norm, maximal_function, abel_summation
 from .ergodic import CircleRotation, FiniteCycle, average_series, oscillation_sum
 from .errors import ParseError, ThinPrimesError, ValidationError
@@ -37,10 +44,6 @@ from .expsum import (
 from .goldbach import admissibility_check, goldbach_reports, parseval_check
 from .sieve import build_prime_table, density_profile, enumerate_thin_primes
 from .thinfn import admissible_params, make_thin_function
-
-SUBCOMMANDS = ("sieve", "density", "vaughan", "formlem-decay", "vdc",
-               "bilinear", "maximal", "abel", "ergodic", "oscillation",
-               "goldbach", "parseval", "admissible")
 
 # keys every subcommand understands
 COMMON_KEYS = {"out", "format", "threads", "seed", "dry-run"}
@@ -63,6 +66,8 @@ ALLOWED_KEYS = {
     "parseval": THINFN_KEYS | {"N", "weighted", "side"},
     "admissible": {"q", "gamma", "gammas"},
 }
+SUBCOMMANDS = tuple(ALLOWED_KEYS)
+TOOL = f"thinprimes {__version__}"
 
 DEFAULTS = {
     "format": "csv",
@@ -94,6 +99,11 @@ DEFAULTS = {
 }
 
 
+def _split(conv):
+    """Parser of a comma list of conv values; empty entries are skipped."""
+    return lambda text: [conv(tok) for tok in text.split(",") if tok != ""]
+
+
 class RunConfig:
     """Validated flat configuration for one subcommand."""
 
@@ -106,23 +116,20 @@ class RunConfig:
     def get(self, key: str, default=None):
         return self.values.get(key, DEFAULTS.get(key, default))
 
-    def get_int(self, key: str, default=None) -> int:
+    def _typed(self, key: str, default, conv, what: str):
         raw = self.get(key, default)
         if raw is None:
             raise ValidationError(f"missing required key {key!r}")
         try:
-            return int(str(raw))
+            return conv(str(raw))
         except ValueError as exc:
-            raise ValidationError(f"key {key!r}: {raw!r} is not an integer") from exc
+            raise ValidationError(f"key {key!r}: {raw!r} is not {what}") from exc
+
+    def get_int(self, key: str, default=None) -> int:
+        return self._typed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=None) -> float:
-        raw = self.get(key, default)
-        if raw is None:
-            raise ValidationError(f"missing required key {key!r}")
-        try:
-            return float(str(raw))
-        except ValueError as exc:
-            raise ValidationError(f"key {key!r}: {raw!r} is not a number") from exc
+        return self._typed(key, default, float, "a number")
 
     def get_bool(self, key: str) -> bool:
         raw = str(self.get(key, "false")).lower()
@@ -133,20 +140,10 @@ class RunConfig:
         raise ValidationError(f"key {key!r}: {raw!r} is not a boolean")
 
     def get_int_list(self, key: str, default=None) -> list[int]:
-        raw = self.get(key, default)
-        if raw is None:
-            raise ValidationError(f"missing required key {key!r}")
-        try:
-            return [int(tok) for tok in str(raw).split(",") if tok != ""]
-        except ValueError as exc:
-            raise ValidationError(f"key {key!r}: {raw!r} is not an int list") from exc
+        return self._typed(key, default, _split(int), "an int list")
 
     def get_float_list(self, key: str, default=None) -> list[float]:
-        raw = self.get(key, default)
-        try:
-            return [float(tok) for tok in str(raw).split(",") if tok != ""]
-        except ValueError as exc:
-            raise ValidationError(f"key {key!r}: {raw!r} is not a float list") from exc
+        return self._typed(key, default, _split(float), "a float list")
 
     def thin_function(self):
         """The configured ThinFunction, built once per configuration."""
@@ -209,7 +206,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfig:
     """Merge file values and flag overrides, rejecting unknown keys."""
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in ALLOWED_KEYS:
         raise ValidationError(f"unknown subcommand {subcommand!r}")
     values = {}
     if path:
@@ -233,32 +230,30 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(cfg: RunConfig, columns, rows, wall: float, out_path, fmt: str,
-          footer=None):
-    header_cfg = " ".join(f"{k}={v}" for k, v in sorted(cfg.resolved().items()))
+def _report(cfg: RunConfig, columns, rows, footer, wall: float, fmt: str) -> str:
+    """The report text: CSV with a '#' header, or its JSON mirror.
+
+    admissible's JSON is one flat object of its single row's values."""
     if fmt == "json":
-        doc = {
-            "schema": 1,
-            "tool": f"thinprimes {__version__}",
-            "config": cfg.resolved(),
-            "wall_time_s": wall,
-            "columns": list(columns),
-            "rows": [list(r) for r in rows],
-        }
-        if footer:
-            doc.update(footer)
-        payload = json.dumps(doc, indent=2, default=_fmt) + "\n"
-    else:
-        lines = [
-            f"# tool: thinprimes {__version__}",
-            f"# config: {header_cfg}",
-            f"# wall_time_s: {wall:.3f}",
-            ",".join(columns),
-        ]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        if footer:
-            lines += [f"{k},{_fmt(v)}" for k, v in footer.items()]
-        payload = "\n".join(lines) + "\n"
+        doc = {"schema": 1, "tool": TOOL}
+        if cfg.subcommand == "admissible":
+            doc.update(zip(columns, rows[0]))
+            doc["wall_time_s"] = wall
+        else:
+            doc.update(config=cfg.resolved(), wall_time_s=wall,
+                       columns=list(columns), rows=[list(r) for r in rows])
+        doc.update(footer or {})
+        return json.dumps(doc, indent=2, default=_fmt) + "\n"
+    header_cfg = " ".join(f"{k}={v}" for k, v in sorted(cfg.resolved().items()))
+    lines = [f"# tool: {TOOL}", f"# config: {header_cfg}",
+             f"# wall_time_s: {wall:.3f}", ",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [f"{k},{_fmt(v)}" for k, v in (footer or {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+def _write(payload: str, out_path) -> None:
+    """Write a report or diagnostic to --out, or to stdout without one."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -266,22 +261,39 @@ def _emit(cfg: RunConfig, columns, rows, wall: float, out_path, fmt: str,
         sys.stdout.write(payload)
 
 
-def _default_checkpoints(n: int) -> list[int]:
-    out = []
-    x = 10
-    while x < n:
-        out.append(x)
-        x *= 10
-    out.append(n)
-    return out
+def _inputs(cfg: RunConfig):
+    """(thin function, W, N) of the subcommand, each None where its keys
+    do not apply; raises ValidationError on a bad value."""
+    keys = ALLOWED_KEYS[cfg.subcommand]
+    tf = (cfg.thin_function()
+          if THINFN_KEYS <= keys and cfg.get("side") != "full" else None)
+    W = cfg.polynomial() if "W" in keys else None
+    n = cfg.get_int("N") if "N" in keys else None
+    if n is not None and n < 2:
+        raise ValidationError("N must be >= 2")
+    return tf, W, n
 
 
-def _dyadic_up_to(n: int, start: int = 16) -> list[int]:
-    out, v = [], min(start, 1 << max(n.bit_length() - 1, 1))
-    while v <= n:
-        out.append(v)
-        v *= 2
-    return out
+def _tables(cfg: RunConfig, n: int, thin=(), sieve_to: int | None = None):
+    """The prime table up to sieve_to (default n) and the thin set up to n
+    of each ThinFunction in thin, on --threads workers."""
+    threads = cfg.get_int("threads")
+    pt = build_prime_table(n if sieve_to is None else sieve_to, threads=threads)
+    return pt, [enumerate_thin_primes(tf, pt, n, threads=threads) for tf in thin]
+
+
+def _checkpoints(cfg: RunConfig, n: int) -> list[int]:
+    """--checkpoints if given, else 10, 100, ... below N and N itself."""
+    if cfg.values.get("checkpoints"):
+        return cfg.get_int_list("checkpoints")
+    return [10 ** j for j in range(1, len(str(n))) if 10 ** j < n] + [n]
+
+
+def _gammas(cfg: RunConfig, default=None) -> list[float]:
+    gammas = cfg.get_float_list("gammas", default)
+    if len(gammas) != 3:
+        raise ValidationError("gammas must be a comma triple")
+    return gammas
 
 
 def _observable(cfg: RunConfig):
@@ -290,11 +302,12 @@ def _observable(cfg: RunConfig):
         m = cfg.get_int("cycle-m")
         if m < 1:
             raise ValidationError("cycle-m must be >= 1")
+        system = FiniteCycle(m)     # checks m before the table is allocated
         table = np.zeros(m, dtype=np.complex128)
         table[0] = 1.0
         if m > 1:
             table[1] = -1.0
-        return FiniteCycle(m), table, int(cfg.get_int("x")) % m
+        return system, table, int(cfg.get_int("x")) % m
     if system == "rotation":
         return (CircleRotation(cfg.get_float("alpha")),
                 [(cfg.get_int("freq"), 1.0)], cfg.get_float("x"))
@@ -304,29 +317,19 @@ def _observable(cfg: RunConfig):
 def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     """Execute the subcommand; returns (columns, rows, footer)."""
     sub = cfg.subcommand
-    threads = cfg.get_int("threads")
+    tf, W, n = _inputs(cfg)
     if sub == "sieve":
-        n = cfg.get_int("N")
-        pt = build_prime_table(n, threads=threads)
-        cps = cfg.get_int_list("checkpoints", None) if cfg.values.get(
-            "checkpoints") else _default_checkpoints(n)
-        return ["x", "pi_x"], [(x, pt.pi(x)) for x in cps], None
+        pt, _ = _tables(cfg, n)
+        return ["x", "pi_x"], [(x, pt.pi(x)) for x in _checkpoints(cfg, n)], None
     if sub == "density":
-        tf = cfg.thin_function()
-        n = cfg.get_int("N")
-        pt = build_prime_table(n, threads=threads)
-        tps = enumerate_thin_primes(tf, pt, n, threads=threads)
-        cps = cfg.get_int_list("checkpoints", None) if cfg.values.get(
-            "checkpoints") else _default_checkpoints(n)
-        rows = density_profile(tps, cps)
+        _, (tps,) = _tables(cfg, n, [tf])
+        rows = density_profile(tps, _checkpoints(cfg, n))
         return ["x", "count", "count_logx_over_phi"], rows, None
     if sub == "vaughan":
-        tf = cfg.thin_function()
-        W = cfg.polynomial()
         P = cfg.get_int("P")
         P1 = cfg.get_int("P1") if cfg.values.get("P1") else 2 * P
         spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, P1)
-        pt = build_prime_table(P1, threads=threads)
+        pt, _ = _tables(cfg, P1)
         v = cfg.get_float("v") if cfg.values.get("v") else default_v(P1, W.degree)
         res = vaughan_split(pt, spec, v)
         row = (P, P1, v, spec.xi, spec.m,
@@ -337,17 +340,12 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 "S21_im", "S22_re", "S22_im", "S3_re", "S3_im", "residual",
                 "residual_rel"], [row], None
     if sub == "formlem-decay":
-        tf = cfg.thin_function()
-        W = cfg.polynomial()
-        n = cfg.get_int("N")
-        pt = build_prime_table(n, threads=threads)
-        tps = enumerate_thin_primes(tf, pt, n, threads=threads)
+        pt, (tps,) = _tables(cfg, n, [tf])
         prof = formlem_decay(tf, pt, W, cfg.get_int("xi-grid"), n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer
     if sub == "vdc":
-        n = cfg.get_int("N")
         k = cfg.get_int("k")
         beta = cfg.get_float("beta")
         eta = math.factorial(k) * beta
@@ -355,8 +353,6 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         return (["N", "k", "beta", "sum_abs", "bound", "constant"],
                 [(n, k, beta, res.sum_abs, res.bound, res.constant)], None)
     if sub == "bilinear":
-        tf = cfg.thin_function()
-        W = cfg.polynomial()
         K, L = cfg.get_int("K"), cfg.get_int("L")
         P = K * L
         spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, 2 * P)
@@ -371,12 +367,8 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 [(K, L, res.value.real, res.value.imag, res.bound,
                   res.constant)], None)
     if sub == "maximal":
-        tf = cfg.thin_function()
-        W = cfg.polynomial()
-        n = cfg.get_int("N")
         support = cfg.get_int("support")
-        pt = build_prime_table(n, threads=threads)
-        tps = enumerate_thin_primes(tf, pt, n, threads=threads)
+        pt, (tps,) = _tables(cfg, n, [tf])
         rng = np.random.default_rng(cfg.get_int("seed"))
         rows = []
         for r in cfg.get_float_list("r-list"):
@@ -388,21 +380,17 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 rows.append((r, support, trial, lr_norm(mf, r) / lr_norm(f, r)))
         return ["r", "support_size", "seed", "ratio"], rows, None
     if sub == "abel":
-        n = cfg.get_int("N")
-        pt = build_prime_table(n, threads=threads)
+        pt, _ = _tables(cfg, n)
         lhs, rhs, resid = abel_summation(pt.lambda_, lambda x: 1.0 / math.log(x),
                                          2, n)
         return ["lhs", "rhs", "residual"], [(lhs, rhs, resid)], None
     if sub in ("ergodic", "oscillation"):
-        tf = cfg.thin_function()
-        W = cfg.polynomial()
-        n = cfg.get_int("N")
-        pt = build_prime_table(n, threads=threads)
-        tps = enumerate_thin_primes(tf, pt, n, threads=threads)
+        pt, (tps,) = _tables(cfg, n, [tf])
         system, table, x = _observable(cfg)
         if sub == "ergodic":
+            first = min(16, 1 << (n.bit_length() - 1))
             series = average_series(system, table, x, tps, pt, W,
-                                    _dyadic_up_to(n), cfg.get_bool("weighted"))
+                                    dyadic(first, n), cfg.get_bool("weighted"))
             return ["N", "re", "im", "gap"], list(series.csv_rows()), None
         eps = cfg.get_float("eps")
         breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
@@ -412,10 +400,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         J = len(breaks) - 1
         return ["J", "eps", "value", "value_over_J"], [(J, eps, val, val / J)], None
     if sub == "goldbach":
-        gammas = cfg.get_float_list("gammas", "1,1,1")
-        if len(gammas) != 3:
-            raise ValidationError("gammas must be a comma triple")
-        n = cfg.get_int("N")
+        gammas = _gammas(cfg, "1,1,1")
         n_end = cfg.get_int("N-end") if cfg.values.get("N-end") else n
         if n % 2 == 0 or n_end < n:
             raise ValidationError("N must be odd and N-end >= N")
@@ -425,41 +410,29 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 tfs.append(make_thin_function("power", gamma=g))
             except ThinPrimesError as exc:
                 raise ValidationError(str(exc)) from exc
-        pt = build_prime_table(max(n_end, 100), threads=threads)
-        sets = [enumerate_thin_primes(t, pt, n_end, threads=threads) for t in tfs]
+        pt, sets = _tables(cfg, n_end, tfs, sieve_to=max(n_end, 100))
         reports = goldbach_reports(tfs, sets, n, n_end, cfg.get_int("cutoff"), pt)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
                 "flags"], [r.csv_row() for r in reports], None
     if sub == "parseval":
-        n = cfg.get_int("N")
-        weighted = cfg.get_bool("weighted")
-        pt = build_prime_table(n, threads=threads)
-        if cfg.get("side") == "full":
-            source = pt
-        else:
-            tf = cfg.thin_function()
-            source = enumerate_thin_primes(tf, pt, n, threads=threads)
-        lhs, rhs = parseval_check(source, n, weighted)
+        pt, sets = _tables(cfg, n, [tf] if tf else [])
+        lhs, rhs = parseval_check(sets[0] if tf else pt, n, cfg.get_bool("weighted"))
         rel = abs(lhs - rhs) / rhs if rhs else 0.0
         return ["N", "lhs", "rhs", "rel_err"], [(n, lhs, rhs, rel)], None
-    if sub == "admissible":
-        q = cfg.get_int("q")
-        gamma = cfg.get_float("gamma")
-        try:
-            ap = admissible_params(q, gamma)
-        except ThinPrimesError as exc:
-            raise ValidationError(str(exc)) from exc
-        footer = None
-        if cfg.values.get("gammas"):
-            gs = cfg.get_float_list("gammas")
-            if len(gs) != 3:
-                raise ValidationError("gammas must be a comma triple")
-            ok, lhs = admissibility_check(*gs)
-            footer = {"ternary_admissible": ok,
-                      "ternary_lhs": ",".join(f"{v:.6g}" for v in lhs)}
-        return (["q", "gamma", "chi_max", "c_q"],
-                [(q, gamma, ap.chi_max, str(ap.c_q))], footer)
-    raise ValidationError(f"unknown subcommand {sub!r}")
+    # admissible
+    q = cfg.get_int("q")
+    gamma = cfg.get_float("gamma")
+    try:
+        ap = admissible_params(q, gamma)
+    except ThinPrimesError as exc:
+        raise ValidationError(str(exc)) from exc
+    footer = None
+    if cfg.values.get("gammas"):
+        ok, lhs = admissibility_check(*_gammas(cfg))
+        footer = {"ternary_admissible": ok,
+                  "ternary_lhs": ",".join(f"{v:.6g}" for v in lhs)}
+    return (["q", "gamma", "chi_max", "c_q"],
+            [(q, gamma, ap.chi_max, str(ap.c_q))], footer)
 
 
 def _validate_early(cfg: RunConfig) -> None:
@@ -469,16 +442,7 @@ def _validate_early(cfg: RunConfig) -> None:
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
     if cfg.get_int("threads") < 1:
         raise ValidationError("threads must be >= 1")
-    needs_tf = cfg.subcommand in ("density", "vaughan", "formlem-decay",
-                                  "bilinear", "maximal", "ergodic",
-                                  "oscillation", "parseval")
-    if needs_tf and not (cfg.subcommand == "parseval" and cfg.get("side") == "full"):
-        cfg.thin_function()
-    if "W" in ALLOWED_KEYS[cfg.subcommand]:
-        cfg.polynomial()
-    if "N" in ALLOWED_KEYS[cfg.subcommand] and cfg.subcommand != "admissible":
-        if cfg.get_int("N") < 2:
-            raise ValidationError("N must be >= 2")
+    _inputs(cfg)
 
 
 def main(argv=None) -> int:
@@ -540,34 +504,13 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ThinPrimesError as exc:
-        diag = {"schema": 1, "tool": f"thinprimes {__version__}",
-                "error": type(exc).__name__, "message": str(exc),
-                "config": cfg.resolved()}
-        payload = json.dumps(diag, indent=2) + "\n"
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        _write(json.dumps({"schema": 1, "tool": TOOL,
+                           "error": type(exc).__name__, "message": str(exc),
+                           "config": cfg.resolved()}, indent=2) + "\n", out_path)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - t0
-    if args.subcommand == "admissible" and fmt == "json":
-        ap_row = rows[0]
-        doc = {"schema": 1, "tool": f"thinprimes {__version__}",
-               "q": ap_row[0], "gamma": ap_row[1],
-               "chi_max": ap_row[2], "c_q": ap_row[3],
-               "wall_time_s": wall}
-        if footer:
-            doc.update(footer)
-        payload = json.dumps(doc, indent=2) + "\n"
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
-        return 0
-    _emit(cfg, columns, rows, wall, out_path, fmt, footer)
+    _write(_report(cfg, columns, rows, footer, time.perf_counter() - t0, fmt),
+           out_path)
     return 0
 
 

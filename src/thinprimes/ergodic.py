@@ -26,15 +26,20 @@ from .errors import (
 from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
 
+MAX_CYCLE = 1 << 31
+
 
 @dataclass(frozen=True)
 class FiniteCycle:
-    """Z_m with uniform measure and the shift x -> x+1 mod m."""
+    """Z_m with uniform measure and the shift x -> x+1 mod m.
+
+    m <= 2^31 keeps every orbit index exact in int64 (IntPolynomial.mod_vec).
+    """
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterOutOfRange("m must be >= 1")
+        if not 1 <= self.m <= MAX_CYCLE:
+            raise ParameterOutOfRange("m must satisfy 1 <= m <= 2^31")
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,7 @@ def _orbit_values(sys, f, x, ps: np.ndarray, W: IntPolynomial) -> np.ndarray:
         table = np.asarray(f, dtype=np.complex128)
         if table.shape != (m,):
             raise ParameterOutOfRange(f"observable table must have length {m}")
-        vals = W.eval_vec(ps)
-        if isinstance(vals, np.ndarray) and W.abs_bound(
-                int(np.abs(ps).max(initial=0))) * 1 < 2 ** 62:
-            idx = (int(x) + vals) % m
-            idx = idx.astype(np.int64)
-        else:
-            idx = np.array([(int(x) + int(v)) % m for v in vals], dtype=np.int64)
-        return table[idx]
+        return table[(int(x) % m + W.mod_vec(ps, m)) % m]
     if isinstance(sys, CircleRotation):
         # f is a trig polynomial: iterable of (frequency, coefficient)
         shifts = frac_mul_int_vec(sys.alpha, W.eval_vec(ps))

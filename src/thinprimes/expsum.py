@@ -22,6 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from ._num import (
+    dyadic,
     e2pi,
     frac_mul_int_vec,
     fsum_complex,
@@ -136,17 +137,6 @@ def phase_terms(spec: PhaseSpec, ks: np.ndarray) -> np.ndarray:
 def default_v(P1: int, q: int) -> float:
     """Split point of the decomposition: P1^((2^(q+1)-2)/(2^(2q+1)+2^q-2))."""
     return float(P1) ** ((2 ** (q + 1) - 2) / (2 ** (2 * q + 1) + 2 ** q - 2))
-
-
-def default_epsilon(chi: float, q: int) -> float:
-    """Interior point of the open constraint 0 < eps < chi/(100(2^(q+2)-1))."""
-    return chi / (200 * (2 ** (q + 2) - 1))
-
-
-def default_M(tf: ThinFunction, P: int, q: int, chi: float) -> float:
-    """Sawtooth truncation M = P^(1+chi+eps) / phi(P)."""
-    eps = default_epsilon(chi, q)
-    return float(P) ** (1.0 + chi + eps) / tf.phi(float(P))
 
 
 def lambda_exp_sum(pt: PrimeTable, spec: PhaseSpec) -> complex:
@@ -496,16 +486,12 @@ def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
     if tps is None:
         from .sieve import enumerate_thin_primes
         tps = enumerate_thin_primes(tf, pt, N_max)
-    dyadic = []
-    n = DYADIC_START
-    while n <= N_max:
-        dyadic.append(n)
-        n *= 2
+    levels = dyadic(DYADIC_START, N_max)
     full_p = pt.primes_in(1, N_max)
     sup = grid_sup_gaps(tps.primes, tps.weights, full_p,
                         np.log(full_p.astype(np.float64)), W, xi_grid_size,
-                        dyadic)
-    entries = [(n, float(g), float(g) / n) for n, g in zip(dyadic, sup)]
+                        levels)
+    entries = [(n, float(g), float(g) / n) for n, g in zip(levels, sup)]
     pos = [(n, g) for n, g, _ in entries if g > 0.0]
     fitted = None
     if len(pos) >= 2:

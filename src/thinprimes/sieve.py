@@ -331,10 +331,11 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     """All primes p <= N of the form floor(h(n)), with weights attached.
 
     Iterates n from ceil(x0) to floor(phi(N+1)) + 1, deduplicates colliding
-    floor values (h(n+1) - h(n) < 1 happens for c = 1 families at small n)
-    and keeps the smallest witness n per prime.  n is taken in chunks of
-    SEGMENT values, mapped serially or over `threads` workers; the chunks
-    are merged in index order, so the set does not depend on thread count.
+    floor values (consecutive n share floor(h(n)) wherever h' < 1, as for
+    Ch < 1) and keeps the smallest witness n per prime.  n is taken in
+    chunks of SEGMENT values, mapped serially or over `threads` workers; the
+    chunks are merged in index order, so the set and its witnesses do not
+    depend on thread count.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")

@@ -18,7 +18,12 @@ from thinprimes.averages import (
     maximal_function,
     weighted_maximal_compare,
 )
-from thinprimes.errors import EmptySet, HypothesisViolated, ParameterOutOfRange
+from thinprimes.errors import (
+    EmptySet,
+    HypothesisViolated,
+    LimitTooLarge,
+    ParameterOutOfRange,
+)
 from thinprimes.expsum import IntPolynomial, formlem_decay
 from thinprimes.sieve import enumerate_thin_primes
 
@@ -77,6 +82,15 @@ def test_empty_kernel(pt20):
     tps = enumerate_thin_primes(tf, pt20, 100)
     with pytest.raises(EmptySet):
         build_kernel("Kh", tps, pt20, W_LIN, 2)
+
+
+def test_hull_guard_raises_before_allocating(tps95, pt20):
+    # W = k^3 up to 2^20: a 2^60-entry hull, far past MAX_HULL_BYTES
+    cube = IntPolynomial([0, 0, 0, 1])
+    with pytest.raises(LimitTooLarge, match="kernel K1"):
+        build_kernel("K1", tps95, pt20, cube, 1 << 20)
+    with pytest.raises(LimitTooLarge, match="running sum"):
+        maximal_function(SparseSignal.delta(0), "Kh", tps95, pt20, cube, 1 << 20)
 
 
 def test_convolution_identity(tps_identity, pt20):

@@ -283,3 +283,13 @@ def test_computational_error_exits_3(tmp_path, capsys):
     assert rc == 3
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1 and doc["error"] == "EmptySet"
+
+
+def test_hull_too_large_exits_3(tmp_path, capsys):
+    # W = k^2 up to N = 2^20 puts a 2^40-entry hull under the running sum
+    out = tmp_path / "err.json"
+    rc = main(["maximal", "--gamma", "0.95", "--W", "0,0,1", "--N", "1048576",
+               "--trials", "1", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(out.read_text())["error"] == "LimitTooLarge"
+    assert capsys.readouterr().err.startswith("LimitTooLarge: running sum")

@@ -209,3 +209,25 @@ def test_weighted_unweighted_consistency(tps95, pt20):
         mass = float(np.sum(ws))
         diffs.append(abs(a - a1 * (n / mass)))
     assert diffs[-1] <= diffs[0]
+
+
+def test_finite_cycle_degree_seven_matches_int_oracle(tps95, pt20):
+    # k^7 passes 2^62 from k = 512 on: indices must stay exact mod m
+    m, x, n = 10007, 4321, 4096
+    W = IntPolynomial([0, 0, 0, 0, 0, 0, 0, 1])
+    rng = np.random.default_rng(7)
+    f = rng.random(m) + 1j * rng.random(m)
+    checkpoints = [16, 256, n]
+    series = average_series(FiniteCycle(m), f, x, tps95, pt20, W, checkpoints)
+    ps, _ = tps95.prefix(n)
+    cum = np.cumsum(f[[(x + int(p) ** 7) % m for p in ps]])
+    expect = [complex(cum[tps95.count(c) - 1]) / tps95.count(c)
+              for c in checkpoints]
+    assert series.values == expect
+
+
+def test_finite_cycle_size_bound():
+    FiniteCycle(1 << 31)
+    for m in (0, (1 << 31) + 1):
+        with pytest.raises(ParameterOutOfRange):
+            FiniteCycle(m)

@@ -206,10 +206,29 @@ def test_enumeration_deterministic_across_threads(pt20, tf95):
 
 
 def test_enumeration_deduplicates(pt20):
-    # c=1 family with small increments at small n: no duplicate primes
+    # h3 = x log x has h' > 1, so no floor value repeats: this checks the
+    # ascending order only; repeated values are exercised by the test below
     tf = make_thin_function("h3", Cc=1.0)
     tps = enumerate_thin_primes(tf, pt20, 10 ** 4)
     assert np.all(np.diff(tps.primes) > 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_enumeration_keeps_smallest_witness(pt20, monkeypatch, threads):
+    # Ch = 1/2 gives h' < 1, so consecutive n share floor(h(n)) (8947 repeats
+    # below n = 20000); with chunks of 101 values of n, 9 prime values have
+    # witnesses on both sides of a chunk boundary, where only the merge
+    # order picks the smaller one
+    monkeypatch.setattr(sieve, "SEGMENT", 101)
+    tf = make_thin_function("power", gamma=0.99, Ch=0.5)
+    N = 10 ** 4
+    tps = enumerate_thin_primes(tf, pt20, N, threads=threads)
+    first = {}
+    for n in range(math.ceil(tf.x0), math.floor(tf.phi(N + 1.0)) + 2):
+        first.setdefault(tf.floor_h(n), n)
+    expect = [p for p in sorted(first) if 2 <= p <= N and pt20.is_prime(p)]
+    assert tps.primes.tolist() == expect
+    assert tps.witnesses.tolist() == [first[p] for p in expect]
 
 
 def test_limit_mismatch(pt20, tf95):
