@@ -39,6 +39,26 @@ def _check_hull(entries: int, dtype, what: str) -> None:
                             f"above the {MAX_HULL_BYTES}-byte guard")
 
 
+def _positions(W: IntPolynomial, ks: np.ndarray) -> np.ndarray:
+    """W(k) as int64 positions; LimitTooLarge when a value does not fit."""
+    try:
+        return np.asarray(W.eval_vec(ks), dtype=np.int64)
+    except OverflowError:
+        raise LimitTooLarge(f"a position W(p) of {W} does not fit in int64") from None
+
+
+def check_dyadic_limit(N_max: int) -> None:
+    """maximal_function's rule for its largest level N_max."""
+    if N_max < 2 or N_max & (N_max - 1):
+        raise ParameterOutOfRange("N_max must be a power of two >= 2")
+
+
+def check_norm_exponent(r: float) -> None:
+    """lr_norm's rule for the exponent r."""
+    if r != math.inf and r < 1:
+        raise ParameterOutOfRange("r must satisfy 1 <= r <= inf")
+
+
 def _nonzero_view(offset: int, values: np.ndarray) -> MappingProxyType:
     """Read-only {offset + i: values[i]} over the nonzero entries, ascending."""
     nz = np.flatnonzero(values)
@@ -57,8 +77,9 @@ class SparseSignal:
     def __init__(self, data: dict | None = None):
         data = {int(k): complex(v) for k, v in (data or {}).items() if v != 0}
         self.offset = min(data, default=0)
-        self.values = np.zeros(max(data, default=-1) - self.offset + 1,
-                               dtype=np.complex128)
+        size = max(data, default=-1) - self.offset + 1
+        _check_hull(size, np.complex128, "signal")
+        self.values = np.zeros(size, dtype=np.complex128)
         self.values[[k - self.offset for k in data]] = list(data.values())
 
     @property
@@ -92,6 +113,7 @@ class SparseSignal:
         parts = [s for s in (self, other) if s.values.size]
         lo = min((s.offset for s in parts), default=0)
         hi = max((s.offset + s.values.size for s in parts), default=0)
+        _check_hull(hi - lo, np.complex128, "signal sum")
         out = np.zeros(hi - lo, dtype=np.complex128)
         for s in parts:
             out[s.offset - lo:s.offset - lo + s.values.size] += s.values
@@ -168,7 +190,7 @@ def build_kernel(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
     else:
         ws = ws / N
     # bincount adds each position's weights in prime order, starting at 0.0
-    positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
+    positions = _positions(W, ps)
     lo = int(positions.min())
     _check_hull(int(positions.max()) - lo + 1, np.float64, f"kernel {variant}")
     weights = np.bincount(positions - lo, weights=ws)
@@ -179,6 +201,8 @@ def convolve(kernel: Kernel, f: SparseSignal) -> SparseSignal:
     """(K*f)(x) = sum_a w_a f(x - a), one np.convolve over both hulls."""
     if not len(f):
         return SparseSignal()
+    _check_hull(kernel.weights.size + f.values.size - 1, np.complex128,
+                "convolution")
     return SparseSignal.from_dense(np.convolve(kernel.weights, f.values),
                                    kernel.offset + f.offset)
 
@@ -214,15 +238,14 @@ def maximal_function(f: SparseSignal, variant: str, tps: ThinPrimeSet,
     primes per level enter once); normalization is applied per level on the
     running sum, so the result equals the exact per-N computation.
     """
+    check_dyadic_limit(N_max)
     ps, ws = _variant_primes_weights(variant, tps, pt, N_max)
     if len(ps) == 0:
         raise EmptySet(f"no primes <= {N_max} for kernel {variant}")
     if not len(f):
         return SparseSignal()
     fdense, flo = f.dense()
-    positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
-    if N_max < 2 or N_max & (N_max - 1):
-        raise ParameterOutOfRange("N_max must be a power of two >= 2")
+    positions = _positions(W, ps)
     best = 0.0
     for N, k, (acc,) in _running_sums(fdense, positions, ps, [ws],
                                       dyadic(2, N_max)):
@@ -234,8 +257,7 @@ def maximal_function(f: SparseSignal, variant: str, tps: ThinPrimeSet,
 
 def lr_norm(f: SparseSignal, r: float) -> float:
     """ell^r norm; r = math.inf gives the exact sup norm."""
-    if r != math.inf and r < 1:
-        raise ParameterOutOfRange("r must satisfy 1 <= r <= inf")
+    check_norm_exponent(r)
     # the nonzeros in ascending n: zero padding changes np.sum's pairing
     mags = np.abs(f.values[f.values != 0])
     if not mags.size:
@@ -304,7 +326,7 @@ def weighted_maximal_compare(S, w1, w2, f: SparseSignal, Omega: IntPolynomial,
     c_sup = float(np.max(w2v * W1c / (w1v * W2c)))
 
     fdense, _ = f.dense()
-    positions = np.asarray(Omega.eval_vec(S), dtype=np.int64)
+    positions = _positions(Omega, S)
     best1 = best2 = 0.0
     for _, k, (acc1, acc2) in _running_sums(fdense.real, positions, S,
                                             [w1v, w2v], Z):

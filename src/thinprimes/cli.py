@@ -29,13 +29,21 @@ import numpy as np
 
 from . import __version__
 from ._num import dyadic
-from .averages import SparseSignal, lr_norm, maximal_function, abel_summation
+from .averages import (
+    SparseSignal,
+    abel_summation,
+    check_dyadic_limit,
+    check_norm_exponent,
+    lr_norm,
+    maximal_function,
+)
 from .ergodic import CircleRotation, FiniteCycle, average_series, oscillation_sum
 from .errors import ParseError, ThinPrimesError, ValidationError
 from .expsum import (
     IntPolynomial,
     PhaseSpec,
     bilinear_sum_bound,
+    check_decay_args,
     formlem_decay,
     vaughan_split,
     vdc_bound_check,
@@ -436,13 +444,30 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
 
 
 def _validate_early(cfg: RunConfig) -> None:
-    """Cheap precondition checks before any table is built (fail fast)."""
+    """Cheap precondition checks before any table is built (fail fast).
+
+    The rules a library call would check only after the tables exist are
+    run here through the library's own check functions."""
     fmt = cfg.get("format")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
     if cfg.get_int("threads") < 1:
         raise ValidationError("threads must be >= 1")
-    _inputs(cfg)
+    _, _, n = _inputs(cfg)
+    sub = cfg.subcommand
+    if sub == "maximal" and cfg.get_int("support") < 1:
+        raise ValidationError("support must be >= 1")
+    if sub == "parseval" and cfg.get("side") not in ("thin", "full"):
+        raise ValidationError(f"side must be thin or full, got {cfg.get('side')!r}")
+    try:
+        if sub == "maximal":
+            check_dyadic_limit(n)
+            for r in cfg.get_float_list("r-list"):
+                check_norm_exponent(r)
+        elif sub == "formlem-decay":
+            check_decay_args(cfg.get_int("xi-grid"), n)
+    except ThinPrimesError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def main(argv=None) -> int:

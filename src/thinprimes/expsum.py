@@ -35,7 +35,7 @@ from .errors import (
     RegimeViolation,
 )
 from .sieve import PrimeTable, ThinPrimeSet
-from .thinfn import NEAR_INT_GUARD, ThinFunction
+from .thinfn import MP_DPS, NEAR_INT_GUARD, ThinFunction
 
 # |m*phi(k)| above which the product is formed in extended precision
 EXTENDED_PHASE_LIMIT = float(2 ** 40)
@@ -115,7 +115,7 @@ def _frac_m_phi(tf: ThinFunction, m: int, ks: np.ndarray) -> np.ndarray:
     f = ((p % 1.0) + (e % 1.0)) % 1.0
     big = np.flatnonzero(np.abs(p) > EXTENDED_PHASE_LIMIT)
     for i in big:
-        with mp.workdps(40):
+        with mp.workdps(MP_DPS):
             v = mp.mpf(m) * tf.phi_mp(int(ks[i]))
             f[i] = float(v - mp.floor(v))
     return f
@@ -469,6 +469,14 @@ def grid_sup_gaps(thin_p: np.ndarray, thin_w: np.ndarray, full_p: np.ndarray,
     return gaps
 
 
+def check_decay_args(xi_grid_size: int, N_max: int) -> None:
+    """formlem_decay's rules for its grid size and largest level."""
+    if not 64 <= xi_grid_size <= MAX_XI_GRID:
+        raise ParameterOutOfRange("xi grid must have between 64 and 2^31 points")
+    if N_max < DYADIC_START or N_max & (N_max - 1):
+        raise ParameterOutOfRange("N_max must be a power of two >= 16")
+
+
 def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
                   xi_grid_size: int, N_max: int,
                   tps: ThinPrimeSet | None = None) -> DecayProfile:
@@ -477,12 +485,9 @@ def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
     Dyadic N runs from 16 to N_max and G = xi_grid_size.  xi is the exact
     rational j/G and each gap is one DFT (grid_sup_gaps).
     """
-    if not 64 <= xi_grid_size <= MAX_XI_GRID:
-        raise ParameterOutOfRange("xi grid must have between 64 and 2^31 points")
+    check_decay_args(xi_grid_size, N_max)
     if N_max > pt.limit:
         raise RangeBeyondTable(f"N_max={N_max} beyond table limit {pt.limit}")
-    if N_max < DYADIC_START or N_max & (N_max - 1):
-        raise ParameterOutOfRange("N_max must be a power of two >= 16")
     if tps is None:
         from .sieve import enumerate_thin_primes
         tps = enumerate_thin_primes(tf, pt, N_max)
@@ -532,7 +537,7 @@ def _phi_frac_neg(tf: ThinFunction, ks: np.ndarray) -> np.ndarray:
     f = (-phis) % 1.0
     suspect = np.flatnonzero(np.minimum(f, 1.0 - f) < NEAR_INT_GUARD)
     for i in suspect:
-        with mp.workdps(40):
+        with mp.workdps(MP_DPS):
             v = -tf.phi_mp(int(ks[i]))
             f[i] = float(v - mp.floor(v))
     return f

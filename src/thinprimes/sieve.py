@@ -4,15 +4,14 @@ The PrimeTable stores spf(n) for 2 <= n <= N, built segment by segment
 (2^20 entries per segment) so the marking loops stay cache resident.  All
 arithmetic queries (primality, Mobius, von Mangoldt) factor through spf in
 O(log n).  Thin prime sets are enumerated from the defining floor values
-floor(h(n)), with the near-integer escalation path of ThinFunction guarding
-every floor decision.
+floor(h(n)); every floor decision here, in enumeration and in the membership
+tests alike, is a call of ThinFunction's certified floor route.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,13 +23,11 @@ from .errors import (
     LimitMismatch,
     LimitTooLarge,
 )
-from .thinfn import NEAR_INT_GUARD, ThinFunction
+from .thinfn import ThinFunction
 
 SEGMENT = 1 << 20
 MAX_LIMIT = 1 << 34
 CACHE_MAGIC = b"TPLB1"
-# mpmath's precision is process-wide: one escalated floor decision at a time
-_MP_LOCK = threading.Lock()
 
 
 def _base_primes(n: int) -> np.ndarray:
@@ -275,7 +272,8 @@ def thin_membership(tf: ThinFunction, p: int, mode: str | None = None) -> bool:
                      for n in range(lo, hi + 1))
         if mode == "direct":
             return direct
-    criterion = tf.floor_neg_phi(float(p)) - tf.floor_neg_phi(float(p + 1)) == 1
+    a, b = tf.floor_neg_phi_vec([p, p + 1])
+    criterion = bool(a - b == 1)
     if mode == "floor_criterion":
         return criterion
     if direct != criterion:
@@ -289,36 +287,21 @@ def floor_criterion_threshold(tf: ThinFunction, pt: PrimeTable, limit: int) -> i
 
     The floor-difference criterion only holds for sufficiently large p; this
     measures the crossover for a concrete ThinFunction.  None means full
-    agreement over the scanned range.
+    agreement over the scanned range.  Direct membership is read from the
+    enumerated set, and the criterion is two bulk floor(-phi) calls.
     """
-    worst = None
-    for p in pt.primes_in(int(math.ceil(tf.h_x0)) - 1, limit):
-        p = int(p)
-        d = thin_membership(tf, p, "direct")
-        c = thin_membership(tf, p, "floor_criterion")
-        if d != c:
-            worst = p
-    return worst
-
-
-def _floor_h_bulk(tf: ThinFunction, ns: np.ndarray) -> np.ndarray:
-    """Vectorized floor(h(n)) with per-element escalation near integers."""
-    if tf.is_identity:
-        return ns.astype(np.int64)
-    hv = tf.h_vec(ns.astype(np.float64))
-    fl = np.floor(hv)
-    suspicious = np.flatnonzero(np.minimum(hv - fl, fl + 1.0 - hv) < NEAR_INT_GUARD)
-    out = fl.astype(np.int64)
-    with _MP_LOCK:
-        for i in suspicious:
-            out[i] = tf.floor_h(int(ns[i]))
-    return out
+    ps = pt.primes_in(int(math.ceil(tf.h_x0)) - 1, limit)
+    xs = ps.astype(np.float64)
+    crit = tf.floor_neg_phi_vec(xs) - tf.floor_neg_phi_vec(xs + 1.0) == 1
+    direct = enumerate_thin_primes(tf, pt, limit).indicator(limit)[ps]
+    bad = np.flatnonzero(crit != direct)
+    return int(ps[bad[-1]]) if bad.size else None
 
 
 def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
     """(primes, witnesses) among floor(h(n)) for n in [lo, hi), in n order."""
     ns = np.arange(lo, hi, dtype=np.int64)
-    ps = _floor_h_bulk(tf, ns)
+    ps = tf.floor_h_vec(ns)
     keep = (ps >= 2) & (ps <= N)
     ps, ns = ps[keep], ns[keep]
     # spf lookup needs int indexing; ps fits the table by construction

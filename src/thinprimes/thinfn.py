@@ -19,6 +19,10 @@ evaluate the same function, with the binary64 parameters entering as their
 exact values.  The inverse phi is closed-form for the power family and a
 bracketed Newton elsewhere.
 
+Every floor(h(n)) and floor(-phi(x)) decision is made by _certified_floor,
+through floor_h_vec and floor_neg_phi_vec; the scalar floor_h and
+floor_neg_phi are one-element calls of these, so scalar and bulk agree.
+
 The degenerate member power(gamma=1) is the identity h(x) = x.  It is kept
 as exact ground truth: every derived quantity short-circuits to its exact
 value and all floor decisions are exact.
@@ -27,6 +31,7 @@ value and all floor decisions are exact.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -53,8 +58,8 @@ MP_DPS = 40
 # Largest number of Newton steps phi_mp takes before it gives up.
 MP_NEWTON_STEPS = 60
 
-# Most scalar phi values a Newton-family instance memoizes (a full memo is emptied).
-PHI_CACHE_SIZE = 4096
+# mpmath's precision is process-wide: one escalated floor decision at a time
+_MP_LOCK = threading.Lock()
 
 
 class _Ops(NamedTuple):
@@ -111,14 +116,32 @@ def _domain_floor(family: str, m) -> float:
     return 1.0 + 1e-12
 
 
+def _certified_floor(v, exact, args, name: str) -> np.ndarray:
+    """floor(v) as int64.  An entry within NEAR_INT_GUARD of an integer is
+    decided from exact(args[i]) at MP_DPS digits, one at a time under
+    _MP_LOCK, and raises PrecisionExhausted if that is within MP_GUARD."""
+    fl = np.floor(v)
+    near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < NEAR_INT_GUARD)
+    out = fl.astype(np.int64)
+    if near.size:
+        with _MP_LOCK, mp.workdps(MP_DPS):
+            for i in near:
+                a = args[i].item()
+                vm = exact(a)
+                if abs(vm - mp.nint(vm)) < MP_GUARD:
+                    raise PrecisionExhausted(
+                        f"{name}({a}) within {MP_GUARD} of an integer at {MP_DPS} digits")
+                out[i] = int(mp.floor(vm))
+    return out
+
+
 class ThinFunction:
     """One member h of the thin-prime generating family.
 
     Parameters are binary64; the object they define is h with exactly those
     float parameters, and all escalated-precision paths evaluate that same
     function.  Instances are immutable after construction and safe for
-    concurrent read access (the phi memo is a plain dict of at most
-    PHI_CACHE_SIZE entries; concurrent writes at worst recompute a value).
+    concurrent read access.
     """
 
     def __init__(self, family: str, c: float, gamma: float, A=None, B=None,
@@ -142,7 +165,6 @@ class ThinFunction:
             self._verify_x0(x0)
         self.x0 = x0
         self.h_x0 = float(self._derivs(x0)[0]) if not self.is_identity else x0
-        self._phi_cache: dict = {}
 
     # -- the family, once for both coefficient types ----------------------
 
@@ -276,21 +298,14 @@ class ThinFunction:
     # -- inverse side ------------------------------------------------------
 
     def phi(self, x: float) -> float:
-        """Inverse of h; Newton-family values are memoized per instance."""
+        """Inverse of h: closed form for the power family, else bracketed Newton."""
         if x < self.h_x0 * (1 - 1e-12):
             raise DomainError(f"x={x} below h(x0)={self.h_x0}")
         if self.is_identity:
             return float(x)
         if self.family == "power":
             return (x / self.Ch) ** self.gamma
-        y = self._phi_cache.get(x)
-        if y is None:
-            if len(self._phi_cache) >= PHI_CACHE_SIZE:
-                self._phi_cache.clear()
-            y = self._phi_cache[x] = self._phi_scalar(float(x))
-        return y
-
-    def _phi_scalar(self, x: float) -> float:
+        x = float(x)
         lo = self.x0
         hi = max(2.0 * lo, (x / self.Ch) ** self.gamma * 2.0)
         grow = 0
@@ -335,7 +350,7 @@ class ThinFunction:
         res = np.abs(self._derivs(y)[0] - x)
         bad = np.flatnonzero(res > 1e-13 * x)
         for i in bad:
-            y[i] = self._phi_scalar(float(x[i]))
+            y[i] = self.phi(float(x[i]))
         return y
 
     def phi_deriv(self, x: float, n: int = 1) -> float:
@@ -394,33 +409,28 @@ class ThinFunction:
             raise NoConvergence(
                 f"phi_mp({x}) not within {tol} after {MP_NEWTON_STEPS} Newton steps")
 
-    def floor_h(self, n: int) -> int:
-        """floor(h(n)) with the near-integer escalation path."""
+    def floor_h_vec(self, ns) -> np.ndarray:
+        """floor(h(n)) as int64 for integers n, certified by _certified_floor."""
+        ns = np.asarray(ns, dtype=np.int64)
         if self.is_identity:
-            return int(n)
-        v = self.h(float(n))
-        if abs(v - round(v)) >= NEAR_INT_GUARD:
-            return math.floor(v)
-        with mp.workdps(MP_DPS):
-            vm = self.h_mp(n)
-            if abs(vm - mp.nint(vm)) < MP_GUARD:
-                raise PrecisionExhausted(
-                    f"h({n}) within {MP_GUARD} of an integer at {MP_DPS} digits")
-            return int(mp.floor(vm))
+            return ns.copy()
+        return _certified_floor(self.h_vec(ns), self.h_mp, ns, "h")
+
+    def floor_neg_phi_vec(self, xs) -> np.ndarray:
+        """floor(-phi(x)) as int64, certified by _certified_floor."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if self.is_identity:
+            return np.floor(-xs).astype(np.int64)
+        return _certified_floor(-self.phi_vec(xs), lambda x: -self.phi_mp(x),
+                                xs, "phi")
+
+    def floor_h(self, n: int) -> int:
+        if n < self.x0 and not self.is_identity:
+            raise DomainError(f"n={n} below x0={self.x0}")
+        return int(self.floor_h_vec([n])[0])
 
     def floor_neg_phi(self, x: float) -> int:
-        """floor(-phi(x)) with the near-integer escalation path."""
-        if self.is_identity:
-            return -int(x) if float(x) == int(x) else math.floor(-x)
-        v = self.phi(x)
-        if abs(v - round(v)) >= NEAR_INT_GUARD:
-            return math.floor(-v)
-        with mp.workdps(MP_DPS):
-            vm = self.phi_mp(x)
-            if abs(vm - mp.nint(vm)) < MP_GUARD:
-                raise PrecisionExhausted(
-                    f"phi({x}) within {MP_GUARD} of an integer at {MP_DPS} digits")
-            return int(mp.floor(-vm))
+        return int(self.floor_neg_phi_vec([x])[0])
 
     # -- config round trip -------------------------------------------------
 

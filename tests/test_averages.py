@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinprimes import averages
 from thinprimes.averages import (
+    Kernel,
     SparseSignal,
     _running_sums,
     abel_summation,
@@ -91,6 +93,30 @@ def test_hull_guard_raises_before_allocating(tps95, pt20):
         build_kernel("K1", tps95, pt20, cube, 1 << 20)
     with pytest.raises(LimitTooLarge, match="running sum"):
         maximal_function(SparseSignal.delta(0), "Kh", tps95, pt20, cube, 1 << 20)
+
+
+def test_positions_beyond_int64_raise_limit_too_large(tps95, pt20):
+    # W = k^7 at p near 1024 is about 2^70: no int64 position exists
+    w7 = IntPolynomial([0] * 7 + [1])
+    with pytest.raises(LimitTooLarge, match="int64"):
+        build_kernel("Kh", tps95, pt20, w7, 1024)
+    with pytest.raises(LimitTooLarge, match="int64"):
+        maximal_function(SparseSignal.delta(0), "Kh", tps95, pt20, w7, 1024)
+    with pytest.raises(LimitTooLarge, match="int64"):
+        weighted_maximal_compare(tps95.primes, lambda x: 1.0, lambda x: 1.0,
+                                 SparseSignal.delta(0), w7, [1024])
+
+
+def test_signal_hulls_checked_before_allocating(monkeypatch):
+    with pytest.raises(LimitTooLarge, match="signal needs"):
+        SparseSignal({0: 1.0, 2 ** 40: 1.0})
+    with pytest.raises(LimitTooLarge, match="signal sum"):
+        SparseSignal.delta(0) + SparseSignal.delta(2 ** 40)
+    monkeypatch.setattr(averages, "MAX_HULL_BYTES", 1000)
+    f = SparseSignal({i: 1.0 for i in range(40)})      # 640 bytes
+    k = Kernel("Kh", 40, 0, np.ones(40), 40.0)         # 79-entry output
+    with pytest.raises(LimitTooLarge, match="convolution"):
+        convolve(k, f)
 
 
 def test_convolution_identity(tps_identity, pt20):

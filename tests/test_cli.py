@@ -293,3 +293,32 @@ def test_hull_too_large_exits_3(tmp_path, capsys):
     assert rc == 3
     assert json.loads(out.read_text())["error"] == "LimitTooLarge"
     assert capsys.readouterr().err.startswith("LimitTooLarge: running sum")
+
+
+def test_position_overflow_exits_3(tmp_path, capsys):
+    # W = k^7 at p near 1024 is about 2^70, past int64
+    out = tmp_path / "err.json"
+    rc = main(["maximal", "--gamma", "0.95", "--N", "1024",
+               "--W", "0,0,0,0,0,0,0,1", "--trials", "1", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(out.read_text())["error"] == "LimitTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--N", "100"],
+    ["formlem-decay", "--N", "100"],
+    ["maximal", "--N", "1024", "--r-list", "2,0.5"],
+    ["formlem-decay", "--N", "1024", "--xi-grid", "32"],
+    ["maximal", "--N", "1024", "--support", "0"],
+    ["parseval", "--N", "100", "--side", "bogus"],
+], ids=" ".join)
+def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,
+                                                capsys):
+    import thinprimes.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "build_prime_table",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    assert capsys.readouterr().err.startswith("ValidationError: ")

@@ -177,6 +177,32 @@ def test_floor_criterion_threshold_measured(pt20):
         assert floor_criterion_threshold(tf, pt20, 3000) is None
 
 
+def former_threshold(tf, pt, limit):
+    """floor_criterion_threshold as it was: two membership calls per prime."""
+    worst = None
+    for p in pt.primes_in(int(math.ceil(tf.h_x0)) - 1, limit):
+        p = int(p)
+        d = thin_membership(tf, p, "direct")
+        c = thin_membership(tf, p, "floor_criterion")
+        if d != c:
+            worst = p
+    return worst
+
+
+@pytest.mark.parametrize("family,kw", [
+    ("power", {"gamma": 0.9}), ("power", {"gamma": 0.95}),
+    ("power", {"gamma": 0.99}), ("power", {"gamma": 0.99, "Ch": 0.5}),
+    ("h1", {"c": 1.25, "A": 0.1}), ("h2", {"c": 1.25, "A": 0.1, "B": 0.3}),
+    ("h3", {"Cc": 1.0}), ("h4", {"Cc": 0.2, "B": 0.5}), ("h5", {"m": 2})])
+def test_floor_criterion_threshold_matches_former_loop(pt20, family, kw):
+    from thinprimes.sieve import floor_criterion_threshold
+    tf = make_thin_function(family, **kw)
+    got = floor_criterion_threshold(tf, pt20, 3000)
+    assert got == former_threshold(tf, pt20, 3000)
+    if "Ch" in kw:       # h' < 1: the criterion fails, up to the limit
+        assert got == 2999
+
+
 def test_cross_check_mode_random_sample(pt20, tf95, tps95):
     rng = np.random.default_rng(4)
     for p in rng.choice(pt20.primes_in(10 ** 3, 10 ** 6), 200, replace=False):
@@ -267,7 +293,7 @@ def unchunked_enumeration(tf, pt, N):
     if tf.h_x0 < 2.0:
         n_lo = max(n_lo, math.ceil(tf.phi(2.0) - 1e-9))
     ns = np.arange(n_lo, math.floor(tf.phi(float(N + 1))) + 2, dtype=np.int64)
-    ps = sieve._floor_h_bulk(tf, ns)
+    ps = tf.floor_h_vec(ns)
     keep = (ps >= 2) & (ps <= N)
     ps, wit = ps[keep], ns[keep]
     prime_mask = pt.spf[ps] == ps.astype(pt.spf.dtype)
@@ -328,7 +354,6 @@ def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
     # spread over more workers than cores; the process-wide working
     # precision must come back unchanged and the set must not move
     want = enumerate_thin_primes(tf95, pt20, 20000)
-    monkeypatch.setattr(sieve, "NEAR_INT_GUARD", 1.0)
     monkeypatch.setattr(thinfn, "NEAR_INT_GUARD", 1.0)
     monkeypatch.setattr(sieve, "SEGMENT", 97)
     prec, interval = mp.mp.prec, sys.getswitchinterval()
