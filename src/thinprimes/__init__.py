@@ -65,7 +65,5 @@ from .thinfn import (
     ThinFunction,
     admissible_params,
     derivative_ratio_report,
-    evaluate,
     make_thin_function,
-    thin_function_from_config,
 )

@@ -25,7 +25,6 @@ from .errors import EmptySet, HypothesisViolated, LimitTooLarge, ParameterOutOfR
 from .expsum import IntPolynomial, grid_sup_gaps
 from .sieve import PrimeTable, ThinPrimeSet
 
-KERNEL_VARIANTS = ("Kh", "K1", "K2")
 # bytes of the dense arrays one kernel or running sum may hold over its hull
 MAX_HULL_BYTES = 1 << 32
 
@@ -267,6 +266,12 @@ def lr_norm(f: SparseSignal, r: float) -> float:
     return float(np.sum(mags ** r) ** (1.0 / r))
 
 
+def check_abel_range(a: float, b: float) -> None:
+    """abel_summation's rule for its range (a, b]."""
+    if not 0 <= a < b:
+        raise ParameterOutOfRange(f"need 0 <= a < b, got a={a}, b={b}")
+
+
 def abel_summation(u, g, a: float, b: float) -> tuple[float, float, float]:
     """Summation by parts with the step integral evaluated in closed form.
 
@@ -274,8 +279,7 @@ def abel_summation(u, g, a: float, b: float) -> tuple[float, float, float]:
     where U is the running sum of u.  U is a step function, so the integral
     is a finite sum of U * (g at segment ends) and needs no quadrature.
     """
-    if not 0 <= a < b:
-        raise ParameterOutOfRange("need 0 <= a < b")
+    check_abel_range(a, b)
     n_lo, n_hi = math.floor(a) + 1, math.floor(b)
     if n_hi < n_lo:
         return 0.0, 0.0, 0.0

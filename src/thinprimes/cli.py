@@ -32,12 +32,19 @@ from ._num import dyadic
 from .averages import (
     SparseSignal,
     abel_summation,
+    check_abel_range,
     check_dyadic_limit,
     check_norm_exponent,
     lr_norm,
     maximal_function,
 )
-from .ergodic import CircleRotation, FiniteCycle, average_series, oscillation_sum
+from .ergodic import (
+    CircleRotation,
+    FiniteCycle,
+    average_series,
+    check_eps,
+    oscillation_sum,
+)
 from .errors import ParseError, ThinPrimesError, ValidationError
 from .expsum import (
     IntPolynomial,
@@ -49,8 +56,18 @@ from .expsum import (
     vdc_bound_check,
     default_v,
 )
-from .goldbach import admissibility_check, goldbach_reports, parseval_check
-from .sieve import build_prime_table, density_profile, enumerate_thin_primes
+from .goldbach import (
+    admissibility_check,
+    check_cutoff,
+    goldbach_reports,
+    parseval_check,
+)
+from .sieve import (
+    build_prime_table,
+    check_checkpoints,
+    density_profile,
+    enumerate_thin_primes,
+)
 from .thinfn import admissible_params, make_thin_function
 
 # keys every subcommand understands
@@ -75,6 +92,7 @@ ALLOWED_KEYS = {
     "admissible": {"q", "gamma", "gammas"},
 }
 SUBCOMMANDS = tuple(ALLOWED_KEYS)
+ABEL_FROM = 2   # abel sums Lambda(n)/log(n) over ABEL_FROM < n <= N
 TOOL = f"thinprimes {__version__}"
 
 DEFAULTS = {
@@ -153,19 +171,20 @@ class RunConfig:
     def get_float_list(self, key: str, default=None) -> list[float]:
         return self._typed(key, default, _split(float), "a float list")
 
+    def _gamma_defaulted(self) -> bool:
+        """The power family takes the default gamma: neither gamma nor c given."""
+        return (self.get("family") == "power"
+                and not {"gamma", "c"} & self.values.keys())
+
     def thin_function(self):
         """The configured ThinFunction, built once per configuration."""
         if self._tf is not None:
             return self._tf
         kwargs = {}
-        for key, conv in (("gamma", float), ("c", float), ("A", float),
-                          ("B", float), ("C", float), ("m", int),
-                          ("Ch", float), ("x0", float)):
-            raw = self.values.get(key)
-            if key in ("gamma", "Ch") and raw is None and self.get("family") == "power":
-                raw = DEFAULTS.get(key)
-            if raw is not None:
-                kwargs["Cc" if key == "C" else key] = conv(raw)
+        for key in ("gamma", "c", "A", "B", "C", "m", "Ch", "x0"):
+            if key in self.values or (key == "gamma" and self._gamma_defaulted()):
+                get = self.get_int if key == "m" else self.get_float
+                kwargs["Cc" if key == "C" else key] = get(key)
         try:
             tf = make_thin_function(self.get("family"), **kwargs)
         except ThinPrimesError as exc:
@@ -186,8 +205,8 @@ class RunConfig:
         out.update(self.values)
         out = {k: v for k, v in out.items()
                if k in ALLOWED_KEYS[self.subcommand] | COMMON_KEYS}
-        if out.get("family", "power") != "power" and "gamma" not in self.values:
-            out.pop("gamma", None)   # gamma default applies to power only
+        if "gamma" not in self.values and not self._gamma_defaulted():
+            out.pop("gamma", None)
         out.update(self.extras)
         out["subcommand"] = self.subcommand
         return out
@@ -305,21 +324,27 @@ def _gammas(cfg: RunConfig, default=None) -> list[float]:
 
 
 def _observable(cfg: RunConfig):
+    """(system, observable, start point); raises ValidationError on a bad
+    value, before any table is built."""
     system = cfg.get("system")
-    if system == "cycle":
-        m = cfg.get_int("cycle-m")
-        if m < 1:
-            raise ValidationError("cycle-m must be >= 1")
-        system = FiniteCycle(m)     # checks m before the table is allocated
-        table = np.zeros(m, dtype=np.complex128)
-        table[0] = 1.0
-        if m > 1:
-            table[1] = -1.0
-        return system, table, int(cfg.get_int("x")) % m
-    if system == "rotation":
+    if system not in ("cycle", "rotation"):
+        raise ValidationError(f"unknown system {system!r} (cycle or rotation)")
+    try:
+        if system == "cycle":
+            m = cfg.get_int("cycle-m")
+            cycle = FiniteCycle(m)     # checks m before the table is allocated
+            table = np.zeros(m, dtype=np.complex128)
+            table[0] = 1.0
+            if m > 1:
+                table[1] = -1.0
+            return cycle, table, cfg.get_int("x") % m
+        x = cfg.get_float("x")
+        if not math.isfinite(x):
+            raise ValidationError(f"x must be finite, got {x!r}")
         return (CircleRotation(cfg.get_float("alpha")),
-                [(cfg.get_int("freq"), 1.0)], cfg.get_float("x"))
-    raise ValidationError(f"unknown system {system!r} (cycle or rotation)")
+                [(cfg.get_int("freq"), 1.0)], x)
+    except ThinPrimesError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
@@ -390,11 +415,11 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     if sub == "abel":
         pt, _ = _tables(cfg, n)
         lhs, rhs, resid = abel_summation(pt.lambda_, lambda x: 1.0 / math.log(x),
-                                         2, n)
+                                         ABEL_FROM, n)
         return ["lhs", "rhs", "residual"], [(lhs, rhs, resid)], None
     if sub in ("ergodic", "oscillation"):
-        pt, (tps,) = _tables(cfg, n, [tf])
         system, table, x = _observable(cfg)
+        pt, (tps,) = _tables(cfg, n, [tf])
         if sub == "ergodic":
             first = min(16, 1 << (n.bit_length() - 1))
             series = average_series(system, table, x, tps, pt, W,
@@ -466,6 +491,14 @@ def _validate_early(cfg: RunConfig) -> None:
                 check_norm_exponent(r)
         elif sub == "formlem-decay":
             check_decay_args(cfg.get_int("xi-grid"), n)
+        elif sub in ("sieve", "density"):
+            check_checkpoints(_checkpoints(cfg, n), n)
+        elif sub == "oscillation":
+            check_eps(cfg.get_float("eps"))
+        elif sub == "goldbach":
+            check_cutoff(cfg.get_int("cutoff"))
+        elif sub == "abel":
+            check_abel_range(ABEL_FROM, n)
     except ThinPrimesError as exc:
         raise ValidationError(str(exc)) from exc
 

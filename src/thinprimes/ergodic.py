@@ -47,6 +47,10 @@ class CircleRotation:
     """[0, 1) with x -> x + alpha mod 1."""
     alpha: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ParameterOutOfRange(f"alpha must be finite, got {self.alpha!r}")
+
 
 @dataclass
 class AverageSeries:
@@ -133,10 +137,15 @@ def convergence_report(series: AverageSeries) -> tuple[list, float]:
     return gaps, gaps[-1]
 
 
+def check_eps(eps: float) -> None:
+    """zeps_grid's rule for eps."""
+    if not 0 < eps < math.inf:
+        raise ParameterOutOfRange("eps must be positive and finite")
+
+
 def zeps_grid(eps: float, upper: int) -> list[int]:
     """Members floor((1+eps)^n) <= upper, deduplicated ascending."""
-    if eps <= 0:
-        raise ParameterOutOfRange("eps must be positive")
+    check_eps(eps)
     out, n = set(), 1
     while True:
         v = math.floor((1.0 + eps) ** n)

@@ -69,10 +69,6 @@ class CutoffTooSmall(ThinPrimesError):
     """Singular-series cutoff below the supported minimum."""
 
 
-class QuadratureTooCoarse(ThinPrimesError):
-    """DFT size too small for exact trigonometric quadrature."""
-
-
 class ParseError(ThinPrimesError):
     """Malformed config text; message carries line/position."""
 

@@ -29,23 +29,18 @@ from .errors import (
     CutoffTooSmall,
     LimitMismatch,
     ParameterOutOfRange,
-    QuadratureTooCoarse,
     SpectralMismatch,
 )
 from .sieve import PrimeTable, ThinPrimeSet, _base_primes, build_prime_table
 from .thinfn import ThinFunction
 
 
-def _grid_size(N: int, N_end: int, dft_size: int) -> int:
-    """Checked DFT size for the odd targets in [N, N_end]; 0 picks the default."""
+def _check_targets(N: int, N_end: int) -> None:
+    """The rule for a range [N, N_end] of odd targets."""
     if N < 7 or N % 2 == 0:
         raise ParameterOutOfRange("N must be odd and >= 7")
     if N_end < N:
         raise ParameterOutOfRange(f"N_end={N_end} < N={N}")
-    m = dft_size or next_pow2(3 * N_end + 1)
-    if m < 3 * N_end + 1:
-        raise QuadratureTooCoarse(f"dft_size={m} < 3N+1={3 * N_end + 1}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,9 @@ class GoldbachConfig:
     tf2: ThinFunction
     tf3: ThinFunction
     N: int
-    dft_size: int = 0    # 0: next power of two >= 3N+1
 
     def __post_init__(self):
-        object.__setattr__(self, "dft_size",
-                           _grid_size(self.N, self.N, self.dft_size))
+        _check_targets(self.N, self.N)
 
 
 def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
@@ -103,18 +96,17 @@ def _direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
 
 
 def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
-               N: int, N_end: int, dft_size: int = 0
-               ) -> tuple[np.ndarray, np.ndarray]:
+               N: int, N_end: int) -> tuple[np.ndarray, np.ndarray]:
     """(direct, spectral) ordered-triple counts for every odd n in [N, N_end].
 
     One pair-count table gives every direct count and one inverse FFT of
-    size dft_size (default: the next power of two >= 3*N_end+1) every
-    spectral count.  A target whose float value sits 0.25 or more from an
-    integer is recounted by the exact big-integer convolution.  The two
-    counts must agree at every target; the first that does not raises
-    SpectralMismatch naming it.
+    size M, the next power of two >= 3*N_end+1, every spectral count.  A
+    target whose float value sits 0.25 or more from an integer is recounted
+    by the exact big-integer convolution.  The two counts must agree at
+    every target; the first that does not raises SpectralMismatch naming it.
     """
-    M = _grid_size(N, N_end, dft_size)
+    _check_targets(N, N_end)
+    M = next_pow2(3 * N_end + 1)
     sets = (tps1, tps2, tps3)
     for t in sets:
         if t.limit < N_end:
@@ -142,11 +134,17 @@ def rep_count(cfg: GoldbachConfig, tps1: ThinPrimeSet, tps2: ThinPrimeSet,
               tps3: ThinPrimeSet) -> tuple[int, int]:
     """(R_direct, R_spectral) at cfg.N: rep_counts over a range of one.
 
-    One pair-count table and one transform of size cfg.dft_size, with the
-    same margin check, escalation and exact agreement as every range.
+    One pair-count table and one transform, with the same margin check,
+    escalation and exact agreement as every range.
     """
-    direct, spectral = rep_counts(tps1, tps2, tps3, cfg.N, cfg.N, cfg.dft_size)
+    direct, spectral = rep_counts(tps1, tps2, tps3, cfg.N, cfg.N)
     return int(direct[0]), int(spectral[0])
+
+
+def check_cutoff(cutoff: int) -> None:
+    """SingularSeries' rule for its cutoff."""
+    if cutoff < 100:
+        raise CutoffTooSmall("cutoff must be >= 100")
 
 
 class SingularSeries:
@@ -159,8 +157,7 @@ class SingularSeries:
     """
 
     def __init__(self, cutoff: int):
-        if cutoff < 100:
-            raise CutoffTooSmall("cutoff must be >= 100")
+        check_cutoff(cutoff)
         self.cutoff = cutoff
         primes = _base_primes(cutoff).tolist()
         self._slot = {p: i for i, p in enumerate(primes)}
@@ -233,8 +230,7 @@ class GoldbachReport:
 
 
 def goldbach_reports(tfs, sets, N: int, N_end: int, cutoff: int = 10 ** 4,
-                     pt: PrimeTable | None = None, dft_size: int = 0
-                     ) -> list[GoldbachReport]:
+                     pt: PrimeTable | None = None) -> list[GoldbachReport]:
     """One report per odd target in [N, N_end], from one rep_counts pass.
 
     tfs and sets are the three generating functions and their thin sets.
@@ -243,7 +239,7 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, cutoff: int = 10 ** 4,
     for the columns.
     """
     series = SingularSeries(cutoff)
-    direct, _ = rep_counts(*sets, N, N_end, dft_size)
+    direct, _ = rep_counts(*sets, N, N_end)
     if pt is None:
         pt = build_prime_table(N_end)
     reports = []
@@ -275,7 +271,7 @@ def goldbach_report(cfg: GoldbachConfig, tps1: ThinPrimeSet, tps2: ThinPrimeSet,
     goldbach_reports over a range of one.
     """
     return goldbach_reports((cfg.tf1, cfg.tf2, cfg.tf3), (tps1, tps2, tps3),
-                            cfg.N, cfg.N, cutoff, dft_size=cfg.dft_size)[0]
+                            cfg.N, cfg.N, cutoff)[0]
 
 
 def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:
@@ -288,13 +284,13 @@ def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:
     return all(v < 1.0 for v in lhs), lhs
 
 
-def parseval_check(source, N: int, weighted: bool = False,
-                   M: int | None = None) -> tuple[float, float]:
+def parseval_check(source, N: int, weighted: bool = False) -> tuple[float, float]:
     """Discrete-quadrature check of int_0^1 |G_N|^2 = sum of squared weights.
 
     source is a ThinPrimeSet (thin-side sum, optionally with the canonical
     weights) or a PrimeTable (full-prime sum, optionally log-weighted).
-    M >= 2N+1 makes the quadrature exact for the degree-<=2N product.
+    The grid of M = next_pow2(2N+1) points makes the quadrature exact for
+    the degree-<=2N product.
     """
     if isinstance(source, ThinPrimeSet):
         ps, ws = source.prefix(N)
@@ -304,21 +300,16 @@ def parseval_check(source, N: int, weighted: bool = False,
         weights = np.log(ps.astype(np.float64)) if weighted else np.ones(len(ps))
     else:
         raise ParameterOutOfRange("source must be ThinPrimeSet or PrimeTable")
-    if M is None:
-        M = next_pow2(2 * N + 1)
-    if M < 2 * N + 1:
-        raise QuadratureTooCoarse(f"M={M} < 2N+1={2 * N + 1}")
+    M = next_pow2(2 * N + 1)
     vec = np.zeros(M, dtype=np.float64)
     if len(ps):
         np.add.at(vec, ps, weights)
     spec = np.fft.rfft(vec)
     # |G|^2 averaged over the M grid points; rfft holds half the spectrum,
-    # interior bins count twice by conjugate symmetry
+    # interior bins count twice by conjugate symmetry; M is a power of two,
+    # so the last bin is the unpaired Nyquist bin (or bin 0 when M = 1)
     mags = np.abs(spec) ** 2
-    if M % 2 == 0:
-        full = np.concatenate([mags, mags[-2:0:-1]])
-    else:
-        full = np.concatenate([mags, mags[-1:0:-1]])
+    full = np.concatenate([mags, mags[-2:0:-1]])
     lhs = math.fsum(full) / M
     rhs = math.fsum(weights * weights)
     return lhs, rhs

@@ -11,7 +11,6 @@ tests alike, is a call of ThinFunction's certified floor route.
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,12 +21,12 @@ from .errors import (
     DomainError,
     LimitMismatch,
     LimitTooLarge,
+    ParameterOutOfRange,
 )
 from .thinfn import ThinFunction
 
 SEGMENT = 1 << 20
 MAX_LIMIT = 1 << 34
-CACHE_MAGIC = b"TPLB1"
 
 
 def _base_primes(n: int) -> np.ndarray:
@@ -45,12 +44,9 @@ def _base_primes(n: int) -> np.ndarray:
 class PrimeTable:
     """Smallest-prime-factor table for 2..limit with arithmetic queries."""
 
-    def __init__(self, limit: int, spf: np.ndarray, primes=None):
+    def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
         self.limit = int(limit)
         self.spf = spf
-        if primes is None:      # the n >= 2 with spf(n) == n
-            idx = np.arange(2, self.limit + 1, dtype=spf.dtype)
-            primes = np.flatnonzero(spf[2:] == idx) + 2
         self.primes = primes.astype(np.int64, copy=False)
 
     def is_prime(self, n: int) -> bool:
@@ -145,29 +141,6 @@ class PrimeTable:
                 mu[p * p:: p * p] = 0
         return mu
 
-    # -- binary cache ------------------------------------------------------
-
-    def save_cache(self, path) -> None:
-        """Magic "TPLB1", little-endian uint64 limit, then int64 spf deltas."""
-        deltas = np.diff(self.spf.astype(np.int64), prepend=np.int64(0))
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(deltas.astype("<i8").tobytes())
-
-    @classmethod
-    def load_cache(cls, path) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(5)
-            if magic != CACHE_MAGIC:
-                raise LimitMismatch(f"bad cache magic {magic!r}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
-            deltas = np.frombuffer(fh.read(), dtype="<i8")
-        spf = np.cumsum(deltas).astype(np.int64)
-        if spf.size != limit + 1:
-            raise LimitMismatch("cache truncated")
-        return cls(int(limit), spf)
-
 
 def _in_order(fn, items, threads: int) -> list:
     """[fn(x) for x in items], on `threads` workers if there are several."""
@@ -261,7 +234,7 @@ def thin_membership(tf: ThinFunction, p: int, mode: str | None = None) -> bool:
     if p < tf.h_x0 * (1 - 1e-12):
         raise DomainError(f"p={p} below h(x0)={tf.h_x0}")
     if mode not in ("direct", "floor_criterion", "cross_check"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParameterOutOfRange(f"unknown mode {mode!r}")
     direct = criterion = None
     if mode in ("direct", "cross_check"):
         lo = math.ceil(tf.phi(float(p))) - 1
@@ -343,13 +316,19 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     return ThinPrimeSet(tf, N, uniq, weights, wit)
 
 
+def check_checkpoints(checkpoints, limit: int) -> None:
+    """density_profile's rule: no checkpoint lies beyond the limit."""
+    for x in checkpoints:
+        if x > limit:
+            raise LimitMismatch(f"checkpoint {x} beyond limit {limit}")
+
+
 def density_profile(tps: ThinPrimeSet, checkpoints) -> list[tuple[int, int, float]]:
     """Rows (x, pi_h(x), pi_h(x) * log x / phi(x)) for the given checkpoints."""
+    checkpoints = [int(x) for x in checkpoints]
+    check_checkpoints(checkpoints, tps.limit)
     rows = []
     for x in checkpoints:
-        x = int(x)
-        if x > tps.limit:
-            raise LimitMismatch(f"checkpoint {x} beyond enumerated limit")
         cnt = tps.count(x)
         ratio = cnt * math.log(x) / tps.tf.phi(float(x)) if x >= tps.tf.h_x0 else float("nan")
         rows.append((x, cnt, ratio))

@@ -432,21 +432,6 @@ class ThinFunction:
     def floor_neg_phi(self, x: float) -> int:
         return int(self.floor_neg_phi_vec([x])[0])
 
-    # -- config round trip -------------------------------------------------
-
-    def to_config_text(self) -> str:
-        pairs = [("family", self.family)]
-        if self.family == "power":
-            pairs.append(("gamma", repr(self.gamma)))
-        else:
-            pairs.append(("c", repr(self.c)))
-        for key, val in (("A", self.A), ("B", self.B), ("C", self.Cc), ("m", self.m)):
-            if val is not None:
-                pairs.append((key, repr(val)))
-        pairs.append(("Ch", repr(self.Ch)))
-        pairs.append(("x0", repr(self.x0)))
-        return "\n".join(f"{k}={v}" for k, v in pairs)
-
     def __repr__(self):
         return (f"ThinFunction({self.family}, c={self.c:.6g}, gamma={self.gamma:.6g}, "
                 f"x0={self.x0:.6g})")
@@ -456,8 +441,8 @@ def make_thin_function(family: str, *, gamma=None, c=None, A=None, B=None,
                        Cc=None, m=None, Ch=1.0, x0=None) -> ThinFunction:
     """Validate family parameters and construct the ThinFunction.
 
-    For the power family pass gamma (c is forced to 1/gamma); h1/h2 take c
-    directly; h3/h4/h5 have c = 1.  x0=None auto-selects the smallest left
+    For the power family pass gamma or c (c is forced to 1/gamma, and a c
+    given with gamma must equal it); h1/h2 take c directly; h3/h4/h5 have c = 1.  x0=None auto-selects the smallest left
     endpoint on a log grid where the growth checks hold.
     """
     family = family.lower()
@@ -470,6 +455,8 @@ def make_thin_function(family: str, *, gamma=None, c=None, A=None, B=None,
             if c is None:
                 raise ParameterOutOfRange("power family needs gamma (or c)")
             gamma = 1.0 / c
+        elif c is not None and c != 1.0 / gamma:
+            raise ParameterOutOfRange(f"c={c} is not 1/gamma for gamma={gamma}")
         c = 1.0 / gamma
         if not 1.0 <= c < 2.0:
             raise ParameterOutOfRange(f"c=1/gamma={c} outside [1, 2)")
@@ -499,53 +486,6 @@ def make_thin_function(family: str, *, gamma=None, c=None, A=None, B=None,
     if m is None or int(m) < 1:
         raise ParameterOutOfRange("h5 needs iterated-log depth m >= 1")
     return ThinFunction(family, 1.0, 1.0, m=int(m), Ch=Ch, x0=x0)
-
-
-def thin_function_from_config(text: str) -> ThinFunction:
-    """Parse the flat key=value block emitted by to_config_text."""
-    kv = {}
-    for token in text.replace(", ", "\n").splitlines():
-        token = token.strip()
-        if not token or token.startswith("#"):
-            continue
-        if "=" not in token:
-            raise ParameterOutOfRange(f"malformed entry {token!r}")
-        k, v = token.split("=", 1)
-        kv[k.strip()] = v.strip()
-    family = kv.pop("family", "power")
-    conv = {"gamma": float, "c": float, "A": float, "B": float, "C": float,
-            "m": int, "Ch": float, "x0": float}
-    kwargs = {}
-    for k, v in kv.items():
-        if k not in conv:
-            raise ParameterOutOfRange(f"unknown thin-function key {k!r}")
-        kwargs["Cc" if k == "C" else k] = conv[k](v)
-    return make_thin_function(family, **kwargs)
-
-
-QUANTITIES = ("h", "h_deriv", "phi", "phi_deriv", "ell_h", "vartheta",
-              "theta", "sigma")
-
-
-def evaluate(tf: ThinFunction, quantity: str, x: float, n: int = 1) -> float:
-    """Uniform scalar access to h, phi, their derivatives and diagnostics."""
-    if quantity == "h":
-        return tf.h(x)
-    if quantity == "h_deriv":
-        return tf.h_deriv(x, n)
-    if quantity == "phi":
-        return tf.phi(x)
-    if quantity == "phi_deriv":
-        return tf.phi_deriv(x, n)
-    if quantity == "ell_h":
-        return tf.ell_h(x)
-    if quantity == "vartheta":
-        return tf.vartheta(x)
-    if quantity == "theta":
-        return tf.theta(x)
-    if quantity == "sigma":
-        return tf.sigma(x)
-    raise ParameterOutOfRange(f"unknown quantity {quantity!r}")
 
 
 class RatioRow(NamedTuple):

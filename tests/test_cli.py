@@ -275,6 +275,16 @@ def test_thin_function_built_once_per_run(tmp_path, monkeypatch):
     assert header.count("x0-resolved=") == 1
 
 
+def test_c_alone_sets_the_power_exponent(tmp_path):
+    # the gamma default applies, and is echoed, only when c is not given
+    by_c, by_gamma = tmp_path / "c.csv", tmp_path / "g.csv"
+    assert main(["density", "--c", "1.05", "--N", "4096", "--out", str(by_c)]) == 0
+    assert main(["density", "--gamma", "0.9523809523809523", "--N", "4096",
+                 "--out", str(by_gamma)]) == 0
+    assert body_lines(by_c) == body_lines(by_gamma)
+    assert " gamma=" not in by_c.read_text().splitlines()[1]
+
+
 def test_computational_error_exits_3(tmp_path, capsys):
     # empty thin set at N=2 for the h3 family: EmptySet is a compute error
     out = tmp_path / "err.json"
@@ -311,6 +321,16 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["formlem-decay", "--N", "1024", "--xi-grid", "32"],
     ["maximal", "--N", "1024", "--support", "0"],
     ["parseval", "--N", "100", "--side", "bogus"],
+    ["density", "--gamma", "abc", "--N", "100"],
+    ["density", "--family", "h5", "--m", "x", "--N", "100"],
+    ["density", "--gamma", "0.95", "--c", "1.5", "--N", "100"],
+    ["oscillation", "--N", "64", "--eps", "-1"],
+    ["goldbach", "--N", "101", "--cutoff", "50"],
+    ["sieve", "--N", "100", "--checkpoints", "1000"],
+    ["density", "--N", "100", "--checkpoints", "1000"],
+    ["abel", "--N", "2"],
+    ["ergodic", "--system", "rotation", "--N", "64", "--x", "nan"],
+    ["ergodic", "--system", "rotation", "--N", "64", "--alpha", "nan"],
 ], ids=" ".join)
 def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,
                                                 capsys):

@@ -145,8 +145,9 @@ def test_empty_average(pt20):
 
 def test_zeps_grid_enumeration():
     assert zeps_grid(0.5, 60) == [1, 2, 3, 5, 7, 11, 17, 25, 38, 57]
-    with pytest.raises(ParameterOutOfRange):
-        zeps_grid(0.0, 10)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterOutOfRange):
+            zeps_grid(eps, 10)
 
 
 def test_oscillation_one_point_oracle(tps_identity, pt20):
@@ -224,6 +225,13 @@ def test_finite_cycle_degree_seven_matches_int_oracle(tps95, pt20):
     expect = [complex(cum[tps95.count(c) - 1]) / tps95.count(c)
               for c in checkpoints]
     assert series.values == expect
+
+
+def test_rotation_angle_must_be_finite():
+    CircleRotation(0.25)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ParameterOutOfRange):
+            CircleRotation(alpha)
 
 
 def test_finite_cycle_size_bound():

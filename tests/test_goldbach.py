@@ -13,7 +13,6 @@ from thinprimes.errors import (
     CutoffTooSmall,
     LimitMismatch,
     ParameterOutOfRange,
-    QuadratureTooCoarse,
     SpectralMismatch,
 )
 from thinprimes.goldbach import (
@@ -49,8 +48,6 @@ def test_config_validation(tf_identity):
         GoldbachConfig(tf_identity, tf_identity, tf_identity, 8)
     with pytest.raises(ParameterOutOfRange):
         GoldbachConfig(tf_identity, tf_identity, tf_identity, 5)
-    with pytest.raises(QuadratureTooCoarse):
-        GoldbachConfig(tf_identity, tf_identity, tf_identity, 9, dft_size=16)
 
 
 def test_r9_and_r7(tps_identity, pt20, tf_identity):
@@ -204,11 +201,6 @@ def test_parseval_weighted_full_side(pt20):
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_parseval_quadrature_guard(tps_identity):
-    with pytest.raises(QuadratureTooCoarse):
-        parseval_check(tps_identity, 100, M=128)
-
-
 def test_parseval_random_configs(pt20, tps_identity, tps95, tps99):
     rng = np.random.default_rng(17)
     sources = [tps_identity, tps95, tps99, pt20]
@@ -328,8 +320,6 @@ def test_range_validation(tps_identity, pt20, tf_identity):
         rep_counts(*sets, 1001, 999)
     with pytest.raises(ParameterOutOfRange):
         rep_counts(*sets, 1000, 1001)
-    with pytest.raises(QuadratureTooCoarse):
-        rep_counts(*sets, 1001, 1101, dft_size=2048)
     short = enumerate_thin_primes(tf_identity, pt20, 1000)
     with pytest.raises(LimitMismatch):
         rep_counts(short, tps_identity, tps_identity, 1001, 1001)

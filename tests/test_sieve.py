@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from thinprimes import sieve, thinfn
-from thinprimes.errors import LimitMismatch, LimitTooLarge
+from thinprimes.errors import LimitMismatch, LimitTooLarge, ParameterOutOfRange
 from thinprimes.sieve import (
-    PrimeTable,
     build_prime_table,
     density_profile,
     enumerate_thin_primes,
@@ -80,16 +79,6 @@ def test_threaded_build_identical(pt20):
     assert np.array_equal(pt4.spf, pt20.spf)
 
 
-def test_cache_roundtrip(tmp_path, pt20):
-    pt = build_prime_table(10 ** 4)
-    path = tmp_path / "table.bin"
-    pt.save_cache(path)
-    assert path.read_bytes()[:5] == b"TPLB1"
-    back = PrimeTable.load_cache(path)
-    assert back.limit == pt.limit
-    assert np.array_equal(back.spf, pt.spf)
-
-
 def test_identity_enumeration(pt20, tf_identity):
     tps = enumerate_thin_primes(tf_identity, pt20, 10)
     assert tps.primes.tolist() == [2, 3, 5, 7]
@@ -132,6 +121,11 @@ def test_weights_positive_finite(tps95):
 def test_membership_identity(pt20, tf_identity):
     for mode in ("direct", "floor_criterion", "cross_check"):
         assert thin_membership(tf_identity, 17, mode)
+
+
+def test_membership_unknown_mode_is_typed(tf_identity):
+    with pytest.raises(ParameterOutOfRange, match="bogus"):
+        thin_membership(tf_identity, 17, "bogus")
 
 
 def test_membership_gamma09_p2(pt20):
@@ -262,6 +256,11 @@ def test_limit_mismatch(pt20, tf95):
         enumerate_thin_primes(tf95, pt20, (1 << 20) + 2)
 
 
+def test_density_checkpoint_beyond_limit(tps_identity):
+    with pytest.raises(LimitMismatch):
+        density_profile(tps_identity, [10, tps_identity.limit + 1])
+
+
 def test_density_identity(pt20, tps_identity):
     rows = density_profile(tps_identity, [10, 10 ** 6])
     assert rows[0][1] == 4
@@ -323,7 +322,7 @@ def test_enumeration_with_no_candidates(pt20):
 
 
 @pytest.mark.parametrize("N", [2, 3, 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 + 5])
-def test_table_primes_match_spf_fixed_points(N, tmp_path):
+def test_table_primes_match_spf_fixed_points(N):
     pt = build_prime_table(N)
     idx = np.arange(N + 1, dtype=pt.spf.dtype)
     mask = pt.spf == idx
@@ -331,10 +330,6 @@ def test_table_primes_match_spf_fixed_points(N, tmp_path):
     want = np.flatnonzero(mask).astype(np.int64)
     assert pt.primes.dtype == np.int64 and np.array_equal(pt.primes, want)
     assert np.all(pt.spf[2:] != 0) and np.all(pt.spf[:2] == 0)
-    if N < 2 ** 20:
-        pt.save_cache(tmp_path / "t.bin")
-        assert np.array_equal(PrimeTable.load_cache(tmp_path / "t.bin").primes,
-                              want)
 
 
 def test_enumeration_peak_memory(tf95):

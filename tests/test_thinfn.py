@@ -24,9 +24,7 @@ from thinprimes.sieve import thin_membership
 from thinprimes.thinfn import (
     admissible_params,
     derivative_ratio_report,
-    evaluate,
     make_thin_function,
-    thin_function_from_config,
 )
 
 # converged parameter choices; ratios checked numerically below
@@ -47,6 +45,9 @@ def test_power_gamma_forces_c():
     tf = make_thin_function("power", gamma=0.9)
     assert tf.c == pytest.approx(1.0 / 0.9)
     assert tf.x0 == 1.0
+    assert make_thin_function("power", gamma=0.9, c=1.0 / 0.9).c == tf.c
+    with pytest.raises(ParameterOutOfRange):
+        make_thin_function("power", gamma=0.95, c=1.5)
 
 
 def test_power_phi_closed_form():
@@ -99,15 +100,6 @@ def test_h3_phi_solves_h():
     tf = make_thin_function("h3", Cc=1.0)
     y = tf.phi(100.0)
     assert y * math.log(y) == pytest.approx(100.0, rel=1e-12)
-
-
-def test_evaluate_dispatch():
-    tf = make_thin_function("power", gamma=1.0)
-    assert evaluate(tf, "theta", 100.0) == 0.0
-    assert evaluate(tf, "h", 3.0) == 3.0
-    assert evaluate(tf, "phi", 9.0) == 9.0
-    with pytest.raises(ParameterOutOfRange):
-        evaluate(tf, "nonsense", 1.0)
 
 
 def test_domain_errors():
@@ -247,7 +239,7 @@ def test_sigma_conventions():
 
 def test_theta_identity_zero():
     tf = make_thin_function("power", gamma=1.0)
-    assert evaluate(tf, "theta", 100.0) == 0.0
+    assert tf.theta(100.0) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,22 +304,6 @@ def test_phi_cache_concurrent_reads_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(tf2.phi, xs))
     assert all(r == serial[x] for x, r in zip(xs, results))
-
-
-def test_config_roundtrip():
-    for tf in (make_thin_function("power", gamma=0.95),
-               make_thin_function("h2", **H2),
-               make_thin_function("h5", m=2)):
-        back = thin_function_from_config(tf.to_config_text())
-        assert back.family == tf.family
-        assert back.c == tf.c and back.x0 == tf.x0
-        x = 4.0 * tf.x0
-        assert back.h(x) == tf.h(x)
-
-
-def test_config_rejects_unknown_key():
-    with pytest.raises(ParameterOutOfRange):
-        thin_function_from_config("family=power\ngamma=0.9\nwhat=1")
 
 
 def test_phi_cache_consistency():
