@@ -50,7 +50,10 @@ from .expsum import (
     IntPolynomial,
     PhaseSpec,
     bilinear_sum_bound,
+    check_bilinear_sizes,
     check_decay_args,
+    check_split_point,
+    check_vdc_args,
     formlem_decay,
     vaughan_split,
     vdc_bound_check,
@@ -59,6 +62,7 @@ from .expsum import (
 from .goldbach import (
     admissibility_check,
     check_cutoff,
+    check_targets,
     goldbach_reports,
     parseval_check,
 )
@@ -347,6 +351,46 @@ def _observable(cfg: RunConfig):
         raise ValidationError(str(exc)) from exc
 
 
+def _phase_spec(cfg: RunConfig, tf, W) -> PhaseSpec:
+    """vaughan's phases over (P, P1], or bilinear's over (KL, 2KL]."""
+    if cfg.subcommand == "bilinear":
+        P = cfg.get_int("K") * cfg.get_int("L")
+        P1 = 2 * P
+    else:
+        P = cfg.get_int("P")
+        P1 = cfg.get_int("P1") if cfg.values.get("P1") else 2 * P
+    return PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, P1)
+
+
+def _split_point(cfg: RunConfig, spec: PhaseSpec) -> float:
+    """vaughan's v: --v if given, else default_v(P1, deg W)."""
+    if cfg.values.get("v"):
+        return cfg.get_float("v")
+    return default_v(spec.P1, spec.W.degree)
+
+
+def _vdc_args(cfg: RunConfig) -> tuple[int, float, float]:
+    """(k, beta, eta) of vdc: F(t) = beta t^k has F^(k) = eta = k! beta."""
+    k, beta = cfg.get_int("k"), cfg.get_float("beta")
+    return k, beta, math.factorial(max(k, 0)) * beta   # k < 2 is refused
+
+
+def _breaks(n: int) -> list[int]:
+    """oscillation's breakpoints 4^j <= N, j >= 2; at least two."""
+    breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
+    if len(breaks) < 2:
+        raise ValidationError("N too small for oscillation breaks")
+    return breaks
+
+
+def _n_end(cfg: RunConfig, n: int) -> int:
+    """goldbach's last target: --N-end if given, else N."""
+    n_end = cfg.get_int("N-end") if cfg.values.get("N-end") else n
+    if n % 2 == 0 or n_end < n:
+        raise ValidationError("N must be odd and N-end >= N")
+    return n_end
+
+
 def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     """Execute the subcommand; returns (columns, rows, footer)."""
     sub = cfg.subcommand
@@ -359,13 +403,11 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         rows = density_profile(tps, _checkpoints(cfg, n))
         return ["x", "count", "count_logx_over_phi"], rows, None
     if sub == "vaughan":
-        P = cfg.get_int("P")
-        P1 = cfg.get_int("P1") if cfg.values.get("P1") else 2 * P
-        spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, P1)
-        pt, _ = _tables(cfg, P1)
-        v = cfg.get_float("v") if cfg.values.get("v") else default_v(P1, W.degree)
+        spec = _phase_spec(cfg, tf, W)
+        v = _split_point(cfg, spec)
+        pt, _ = _tables(cfg, spec.P1)
         res = vaughan_split(pt, spec, v)
-        row = (P, P1, v, spec.xi, spec.m,
+        row = (spec.P, spec.P1, v, spec.xi, spec.m,
                res.S1.real, res.S1.imag, res.S21.real, res.S21.imag,
                res.S22.real, res.S22.imag, res.S3.real, res.S3.imag,
                res.residual, res.residual / (1.0 + abs(res.direct)))
@@ -379,16 +421,13 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer
     if sub == "vdc":
-        k = cfg.get_int("k")
-        beta = cfg.get_float("beta")
-        eta = math.factorial(k) * beta
+        k, beta, eta = _vdc_args(cfg)
         res = vdc_bound_check(lambda t: beta * t ** k, n, k, eta, 1.0)
         return (["N", "k", "beta", "sum_abs", "bound", "constant"],
                 [(n, k, beta, res.sum_abs, res.bound, res.constant)], None)
     if sub == "bilinear":
         K, L = cfg.get_int("K"), cfg.get_int("L")
-        P = K * L
-        spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, 2 * P)
+        spec = _phase_spec(cfg, tf, W)
         if cfg.get("delta") == "random":
             rng = np.random.default_rng(cfg.get_int("seed"))
             d1 = np.exp(2j * np.pi * rng.random(L))
@@ -425,18 +464,13 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
             series = average_series(system, table, x, tps, pt, W,
                                     dyadic(first, n), cfg.get_bool("weighted"))
             return ["N", "re", "im", "gap"], list(series.csv_rows()), None
-        eps = cfg.get_float("eps")
-        breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
-        if len(breaks) < 2:
-            raise ValidationError("N too small for oscillation breaks")
+        eps, breaks = cfg.get_float("eps"), _breaks(n)
         val = oscillation_sum(system, table, x, tps, pt, W, breaks, eps)
         J = len(breaks) - 1
         return ["J", "eps", "value", "value_over_J"], [(J, eps, val, val / J)], None
     if sub == "goldbach":
         gammas = _gammas(cfg, "1,1,1")
-        n_end = cfg.get_int("N-end") if cfg.values.get("N-end") else n
-        if n % 2 == 0 or n_end < n:
-            raise ValidationError("N must be odd and N-end >= N")
+        n_end = _n_end(cfg, n)
         tfs = []
         for g in gammas:
             try:
@@ -478,7 +512,7 @@ def _validate_early(cfg: RunConfig) -> None:
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
     if cfg.get_int("threads") < 1:
         raise ValidationError("threads must be >= 1")
-    _, _, n = _inputs(cfg)
+    tf, W, n = _inputs(cfg)
     sub = cfg.subcommand
     if sub == "maximal" and cfg.get_int("support") < 1:
         raise ValidationError("support must be >= 1")
@@ -495,8 +529,19 @@ def _validate_early(cfg: RunConfig) -> None:
             check_checkpoints(_checkpoints(cfg, n), n)
         elif sub == "oscillation":
             check_eps(cfg.get_float("eps"))
+            _breaks(n)
         elif sub == "goldbach":
             check_cutoff(cfg.get_int("cutoff"))
+            check_targets(n, _n_end(cfg, n))
+        elif sub == "vaughan":
+            spec = _phase_spec(cfg, tf, W)
+            check_split_point(spec.P, _split_point(cfg, spec))
+        elif sub == "bilinear":
+            check_bilinear_sizes(cfg.get_int("K"), cfg.get_int("L"))
+            _phase_spec(cfg, tf, W)
+        elif sub == "vdc":
+            k, _, eta = _vdc_args(cfg)
+            check_vdc_args(k, eta, 1.0)
         elif sub == "abel":
             check_abel_range(ABEL_FROM, n)
     except ThinPrimesError as exc:

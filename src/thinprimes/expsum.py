@@ -3,12 +3,13 @@
 All sums carry phases exp(2*pi*i*(xi*W(k) + m*phi(k))) with an integer
 polynomial W.  The xi*W(k) part is reduced mod 1 exactly (integer W(k),
 binary-rational xi); the m*phi(k) part goes through a two-product and is
-escalated to mpmath once |m*phi(k)| crosses 2^40.  Sums are accumulated
-with math.fsum so that split/recombine residuals measure the identity, not
-the accumulator.  A Vaughan split evaluates each phase once, in one table
-over (P, P1]; split and bilinear sums stream their (l, k) pairs through
-fsum in blocks of at most PAIR_BLOCK.  Sweeps over the grid xi = j/G take
-one exact DFT per cutoff (grid_sup_gaps).
+taken at 40 digits by ThinFunction.frac_m_phi_mp once |m*phi(k)| crosses
+2^40.  Sums are accumulated with math.fsum so that split/recombine
+residuals measure the identity, not the accumulator.  A Vaughan split
+evaluates each phase once, in one table over (P, P1]; split and bilinear
+sums stream their (l, k) pairs through fsum in blocks of at most
+PAIR_BLOCK.  Sweeps over the grid xi = j/G take one exact DFT per cutoff
+(grid_sup_gaps).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from ._num import (
@@ -35,7 +35,7 @@ from .errors import (
     RegimeViolation,
 )
 from .sieve import PrimeTable, ThinPrimeSet
-from .thinfn import MP_DPS, NEAR_INT_GUARD, ThinFunction
+from .thinfn import NEAR_INT_GUARD, ThinFunction
 
 # |m*phi(k)| above which the product is formed in extended precision
 EXTENDED_PHASE_LIMIT = float(2 ** 40)
@@ -109,15 +109,13 @@ class PhaseSpec:
 
 
 def _frac_m_phi(tf: ThinFunction, m: int, ks: np.ndarray) -> np.ndarray:
-    """Fractional parts of m*phi(k), escalating big products to mpmath."""
+    """Fractional parts of m*phi(k), escalating big products to 40 digits."""
     phis = tf.phi_vec(ks.astype(np.float64))
     p, e = two_prod(np.float64(m), phis)
     f = ((p % 1.0) + (e % 1.0)) % 1.0
     big = np.flatnonzero(np.abs(p) > EXTENDED_PHASE_LIMIT)
     for i in big:
-        with mp.workdps(MP_DPS):
-            v = mp.mpf(m) * tf.phi_mp(int(ks[i]))
-            f[i] = float(v - mp.floor(v))
+        f[i] = tf.frac_m_phi_mp(m, int(ks[i]))
     return f
 
 
@@ -236,10 +234,7 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
     if v is None:
         v = default_v(P1, q)
     v = float(v)
-    if v < 2:
-        raise ParameterOutOfRange("v must be >= 2")
-    if P <= v:
-        raise RegimeViolation(f"P={P} <= v={v}: identity regime needs n > v")
+    check_split_point(P, v)
     vi = int(v)
     lam = pt.lambda_array(P1)
     mu = pt.mu_array(vi)
@@ -269,6 +264,14 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
     return VaughanSplit(S1, S21, S22, S3, residual, direct)
 
 
+def check_split_point(P: int, v: float) -> None:
+    """vaughan_split's rule for its split point v."""
+    if v < 2:
+        raise ParameterOutOfRange("v must be >= 2")
+    if P <= v:
+        raise RegimeViolation(f"P={P} <= v={v}: identity regime needs n > v")
+
+
 def vaughan_moment_check(pt: PrimeTable, v: float, L: int) -> tuple[float, float]:
     """Normalized second moments of Pi_v and Xi_v over (L, 2L].
 
@@ -293,6 +296,16 @@ class VdcCheck(NamedTuple):
     constant: float
 
 
+def check_vdc_args(k: int, eta: float, r: float) -> None:
+    """vdc_bound_check's rule for the derivative order and bracket."""
+    if k < 2:
+        raise ParameterOutOfRange("k must be >= 2")
+    if not eta > 0:
+        raise ParameterOutOfRange("eta must be positive (derivative bracket)")
+    if r < 1:
+        raise ParameterOutOfRange("r must be >= 1")
+
+
 def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcCheck:
     """Measured |sum_{1<=n<=N} e(F(n))| against the k-th derivative bound.
 
@@ -300,12 +313,7 @@ def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcChe
     r*N*(eta^(1/(2^k-2)) + N^(-2/2^k) + (N^k eta)^(-2/2^k)) with implied
     constant 1; constant = sum_abs / bound is the empirical constant.
     """
-    if k < 2:
-        raise ParameterOutOfRange("k must be >= 2")
-    if not eta > 0:
-        raise ParameterOutOfRange("eta must be positive (derivative bracket)")
-    if r < 1:
-        raise ParameterOutOfRange("r must be >= 1")
+    check_vdc_args(k, eta, r)
     ns = np.arange(1, N + 1, dtype=np.float64)
     vals = np.asarray(F(ns), dtype=np.float64)
     s = fsum_complex(e2pi(vals % 1.0))
@@ -321,6 +329,12 @@ class BilinearBound(NamedTuple):
     constant: float
 
 
+def check_bilinear_sizes(K: int, L: int) -> None:
+    """bilinear_sum_bound's rule for the block sizes."""
+    if L < 2 or K < 2:
+        raise ParameterOutOfRange("need L, K >= 2")
+
+
 def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
                        spec: PhaseSpec) -> BilinearBound:
     """Bilinear form over (L,2L] x (K,2K] restricted to P < kl <= P1.
@@ -334,8 +348,7 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
     delta1 = np.asarray(delta1, dtype=np.complex128)
     delta2 = np.asarray(delta2, dtype=np.complex128)
     L, K = len(delta1), len(delta2)
-    if L < 2 or K < 2:
-        raise ParameterOutOfRange("need L, K >= 2")
+    check_bilinear_sizes(K, L)
     q = spec.W.degree
     m, tf = spec.m, spec.tf
     if m == 0:
@@ -537,7 +550,5 @@ def _phi_frac_neg(tf: ThinFunction, ks: np.ndarray) -> np.ndarray:
     f = (-phis) % 1.0
     suspect = np.flatnonzero(np.minimum(f, 1.0 - f) < NEAR_INT_GUARD)
     for i in suspect:
-        with mp.workdps(MP_DPS):
-            v = -tf.phi_mp(int(ks[i]))
-            f[i] = float(v - mp.floor(v))
+        f[i] = tf.frac_m_phi_mp(-1, int(ks[i]))
     return f

@@ -35,7 +35,7 @@ from .sieve import PrimeTable, ThinPrimeSet, _base_primes, build_prime_table
 from .thinfn import ThinFunction
 
 
-def _check_targets(N: int, N_end: int) -> None:
+def check_targets(N: int, N_end: int) -> None:
     """The rule for a range [N, N_end] of odd targets."""
     if N < 7 or N % 2 == 0:
         raise ParameterOutOfRange("N must be odd and >= 7")
@@ -52,7 +52,7 @@ class GoldbachConfig:
     N: int
 
     def __post_init__(self):
-        _check_targets(self.N, self.N)
+        check_targets(self.N, self.N)
 
 
 def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
@@ -105,7 +105,7 @@ def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
     by the exact big-integer convolution.  The two counts must agree at
     every target; the first that does not raises SpectralMismatch naming it.
     """
-    _check_targets(N, N_end)
+    check_targets(N, N_end)
     M = next_pow2(3 * N_end + 1)
     sets = (tps1, tps2, tps3)
     for t in sets:

@@ -151,14 +151,12 @@ def _in_order(fn, items, threads: int) -> list:
 
 
 def _fill_segment(spf, lo, hi, base):
-    """Mark spf for indices [lo, hi); base primes ascending so first mark wins."""
-    for p in base:
-        p = int(p)
+    """Mark spf for indices [lo, hi); base primes descending, so the
+    smallest prime factor writes last."""
+    for p in base[::-1].tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        sl = spf[start:hi:p]
-        sl[sl == 0] = p
+        if start < hi:
+            spf[start:hi:p] = p
 
 
 def build_prime_table(N: int, threads: int = 1) -> PrimeTable:

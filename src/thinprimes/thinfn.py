@@ -13,11 +13,11 @@ Six families are supported:
 
 Each family is written once, as Ch * x^c * L(log x) over truncated Taylor
 jets, and gives h and its derivatives up to order 4 at a point.  The jet
-coefficients are float64 arrays for the bulk route and mpmath numbers at
-MP_DPS digits for the extended-precision floor decisions, so both routes
+coefficients are float64 arrays for the bulk route and decimals at MP_DPS
+digits for the escalated one (h_mp, phi_mp, frac_m_phi_mp), so both routes
 evaluate the same function, with the binary64 parameters entering as their
-exact values.  The inverse phi is closed-form for the power family and a
-bracketed Newton elsewhere.
+exact values; decimal contexts are per thread, so they need no lock.  The
+inverse phi is closed-form for the power family, else a bracketed Newton.
 
 Every floor(h(n)) and floor(-phi(x)) decision is made by _certified_floor,
 through floor_h_vec and floor_neg_phi_vec; the scalar floor_h and
@@ -31,12 +31,11 @@ value and all floor decisions are exact.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -50,16 +49,14 @@ from .errors import (
 FAMILIES = ("power", "h1", "h2", "h3", "h4", "h5")
 
 # Distance to the nearest integer below which a binary64 floor decision is
-# escalated to mpmath, and below which even mpmath refuses to decide.
+# escalated to MP_DPS digits, and below which even those refuse to decide.
 NEAR_INT_GUARD = 1e-9
 MP_GUARD = 1e-25
 MP_DPS = 40
+_MP_CONTEXT = Context(prec=MP_DPS)     # entered by every escalated evaluation
 
 # Largest number of Newton steps phi_mp takes before it gives up.
 MP_NEWTON_STEPS = 60
-
-# mpmath's precision is process-wide: one escalated floor decision at a time
-_MP_LOCK = threading.Lock()
 
 
 class _Ops(NamedTuple):
@@ -71,7 +68,7 @@ class _Ops(NamedTuple):
 
 
 _NP = _Ops(float, np.log, np.exp)      # float64 scalars and arrays
-_MP = _Ops(mp.mpf, mp.log, mp.exp)     # mpf at the working precision
+_MP = _Ops(Decimal, Decimal.ln, Decimal.exp)   # decimal, in _MP_CONTEXT
 
 
 # Truncated Taylor jets [f, f', f''/2!, ...] at one point, as lists of
@@ -100,7 +97,8 @@ def _jet_exp(ops: _Ops, u):
 def _jet_log(ops: _Ops, u):
     g = [ops.log(u[0])]
     for k in range(1, len(u)):
-        g.append((u[k] - sum(j * g[j] * u[k - j] for j in range(1, k)) / k) / u[0])
+        g.append((u[k] - sum((j * g[j] * u[k - j] for j in range(1, k)),
+                             0 * g[0]) / k) / u[0])
     return g
 
 
@@ -118,20 +116,20 @@ def _domain_floor(family: str, m) -> float:
 
 def _certified_floor(v, exact, args, name: str) -> np.ndarray:
     """floor(v) as int64.  An entry within NEAR_INT_GUARD of an integer is
-    decided from exact(args[i]) at MP_DPS digits, one at a time under
-    _MP_LOCK, and raises PrecisionExhausted if that is within MP_GUARD."""
+    decided from exact(args[i]) at MP_DPS digits, and raises
+    PrecisionExhausted if that is within MP_GUARD."""
     fl = np.floor(v)
     near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < NEAR_INT_GUARD)
     out = fl.astype(np.int64)
     if near.size:
-        with _MP_LOCK, mp.workdps(MP_DPS):
+        with localcontext(_MP_CONTEXT):
             for i in near:
                 a = args[i].item()
                 vm = exact(a)
-                if abs(vm - mp.nint(vm)) < MP_GUARD:
+                if abs(vm - vm.to_integral_value()) < MP_GUARD:
                     raise PrecisionExhausted(
                         f"{name}({a}) within {MP_GUARD} of an integer at {MP_DPS} digits")
-                out[i] = int(mp.floor(vm))
+                out[i] = math.floor(vm)
     return out
 
 
@@ -385,21 +383,21 @@ class ThinFunction:
             return 1.0
         return -self.theta(x)
 
-    # -- extended-precision floor decisions -------------------------------
+    # -- extended-precision evaluations and floor decisions ---------------
 
-    def h_mp(self, x) -> mp.mpf:
-        with mp.workdps(MP_DPS):
-            return self._derivs(mp.mpf(x), 0, _MP)[0]
+    def h_mp(self, x) -> Decimal:
+        with localcontext(_MP_CONTEXT):
+            return self._derivs(Decimal(x), 0, _MP)[0]
 
-    def phi_mp(self, x) -> mp.mpf:
-        with mp.workdps(MP_DPS):
-            xm = mp.mpf(x)
+    def phi_mp(self, x) -> Decimal:
+        with localcontext(_MP_CONTEXT):
+            xm = Decimal(x)
             if self.is_identity:
                 return xm
             if self.family == "power":
-                return (xm / self.Ch) ** mp.mpf(self.gamma)
-            y = mp.mpf(self.phi(float(x)))
-            tol = mp.mpf(10) ** (-(MP_DPS - 5)) * xm
+                return (xm / Decimal(self.Ch)) ** Decimal(self.gamma)
+            y = Decimal(self.phi(float(x)))
+            tol = Decimal(10) ** (-(MP_DPS - 5)) * xm
             for _ in range(MP_NEWTON_STEPS):
                 h0, h1 = self._derivs(y, 1, _MP)
                 res = h0 - xm
@@ -407,7 +405,13 @@ class ThinFunction:
                     return y
                 y = y - res / h1
             raise NoConvergence(
-                f"phi_mp({x}) not within {tol} after {MP_NEWTON_STEPS} Newton steps")
+                f"phi_mp({x}) not within {tol:e} after {MP_NEWTON_STEPS} Newton steps")
+
+    def frac_m_phi_mp(self, m: int, x) -> float:
+        """{m*phi(x)} as a binary64, from phi_mp(x) at MP_DPS digits."""
+        with localcontext(_MP_CONTEXT):
+            v = int(m) * self.phi_mp(x)
+            return float(v - math.floor(v))
 
     def floor_h_vec(self, ns) -> np.ndarray:
         """floor(h(n)) as int64 for integers n, certified by _certified_floor."""
@@ -442,8 +446,9 @@ def make_thin_function(family: str, *, gamma=None, c=None, A=None, B=None,
     """Validate family parameters and construct the ThinFunction.
 
     For the power family pass gamma or c (c is forced to 1/gamma, and a c
-    given with gamma must equal it); h1/h2 take c directly; h3/h4/h5 have c = 1.  x0=None auto-selects the smallest left
-    endpoint on a log grid where the growth checks hold.
+    given with gamma must equal it); h1/h2 take c directly and h3/h4/h5
+    have c = 1, and none of these takes gamma.  x0=None auto-selects the
+    smallest left endpoint on a log grid where the growth checks hold.
     """
     family = family.lower()
     if family not in FAMILIES:
@@ -461,6 +466,9 @@ def make_thin_function(family: str, *, gamma=None, c=None, A=None, B=None,
         if not 1.0 <= c < 2.0:
             raise ParameterOutOfRange(f"c=1/gamma={c} outside [1, 2)")
         return ThinFunction(family, c, gamma, Ch=Ch, x0=x0)
+    if gamma is not None:
+        raise ParameterOutOfRange(f"gamma={gamma} is a power-family parameter, "
+                                  f"not one of {family}")
     if family in ("h1", "h2"):
         if c is None:
             raise ParameterOutOfRange(f"{family} needs the exponent c")

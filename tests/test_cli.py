@@ -331,6 +331,17 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["abel", "--N", "2"],
     ["ergodic", "--system", "rotation", "--N", "64", "--x", "nan"],
     ["ergodic", "--system", "rotation", "--N", "64", "--alpha", "nan"],
+    ["goldbach", "--N", "5"],
+    ["oscillation", "--gamma", "1", "--N", "32"],
+    ["vaughan", "--P", "1000", "--xi", "1.5"],
+    ["vaughan", "--P", "1000", "--P1", "5000"],
+    ["vaughan", "--P", "1000", "--v", "1"],
+    ["vaughan", "--P", "10", "--v", "20"],
+    ["vdc", "--N", "100", "--k", "1"],
+    ["vdc", "--N", "100", "--beta", "-1"],
+    ["bilinear", "--K", "1", "--L", "16"],
+    ["density", "--family", "h1", "--c", "1.25", "--A", "0.1", "--gamma", "0.9",
+     "--N", "100"],
 ], ids=" ".join)
 def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,
                                                 capsys):

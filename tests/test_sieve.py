@@ -1,5 +1,6 @@
 """Sieve correctness against trial division and thin set enumeration oracles."""
 
+import decimal
 import math
 import sys
 import tracemalloc
@@ -38,6 +39,29 @@ def test_spf_against_trial_division():
         p = int(pt.spf[n])
         assert n % p == 0
         assert all(n % d for d in range(2, p))
+
+
+def smallest_factors(N: int) -> np.ndarray:
+    """spf(n) for 0 <= n <= N by trial division, ascending over every d,
+    vectorised over the n that are still unresolved (0 for n < 2)."""
+    out = np.arange(N + 1, dtype=np.int64)
+    out[:2] = 0
+    rest = np.arange(4, N + 1, dtype=np.int64)
+    for d in range(2, math.isqrt(N) + 1):
+        hit = rest % d == 0
+        out[rest[hit]] = d
+        rest = rest[~hit]
+        rest = rest[rest >= (d + 1) ** 2]     # below that, n is prime
+    return out
+
+
+def test_spf_table_matches_trial_division():
+    # three segments, so two segment boundaries, serially and on 3 workers
+    N = (1 << 21) + 5
+    want = smallest_factors(N)
+    for threads in (1, 3):
+        pt = build_prime_table(N, threads=threads)
+        assert np.array_equal(pt.spf.astype(np.int64), want), threads
 
 
 def test_limits():
@@ -345,18 +369,22 @@ def test_enumeration_peak_memory(tf95):
 
 
 def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
-    # every floor decision escalates to mpmath, in chunks of 97 values of n
-    # spread over more workers than cores; the process-wide working
-    # precision must come back unchanged and the set must not move
+    # every floor decision escalates to 40 digits, in chunks of 97 values of
+    # n spread over more workers than cores; mpmath's working precision and
+    # the calling thread's decimal context must come back unchanged, and the
+    # set must not move
     want = enumerate_thin_primes(tf95, pt20, 20000)
     monkeypatch.setattr(thinfn, "NEAR_INT_GUARD", 1.0)
     monkeypatch.setattr(sieve, "SEGMENT", 97)
     prec, interval = mp.mp.prec, sys.getswitchinterval()
+    ctx = decimal.getcontext()
+    state = repr(ctx)
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             got = enumerate_thin_primes(tf95, pt20, 20000, threads=4)
             assert mp.mp.prec == prec
+            assert decimal.getcontext() is ctx and repr(ctx) == state
             assert np.array_equal(got.primes, want.primes)
             assert np.array_equal(got.witnesses, want.witnesses)
     finally:

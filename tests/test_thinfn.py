@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -60,6 +61,13 @@ def test_gamma_out_of_range():
         make_thin_function("power", gamma=0.5)   # c = 2
     with pytest.raises(ParameterOutOfRange):
         make_thin_function("power", gamma=1.2)
+
+
+def test_gamma_is_only_a_power_parameter():
+    for family, params in (("h1", H1), ("h2", H2), ("h3", dict(Cc=1.0)),
+                           ("h4", H4), ("h5", dict(m=2))):
+        with pytest.raises(ParameterOutOfRange, match="power-family"):
+            make_thin_function(family, gamma=0.9, **params)
 
 
 def test_family_parameter_validation():
@@ -400,6 +408,23 @@ def test_vector_floors_match_50_digits(tf, draws):
         assert got_phi.tolist() == [_floor50(-_phi50(tf, mp.mpf(x))) for x in xs]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FLOOR_TFS), st.floats(2.0, 2.0 ** 40),
+       st.sampled_from([-1, 3, 1 << 41]))
+@example(FLOOR_TFS[0], 512.0, -1)
+def test_mp_routes_match_50_digits(tf, x, m):
+    n, y = max(x, tf.x0 + 1.0), max(x, tf.h_x0 + 1.0)
+    with mp.workdps(50):
+        h, p = _closed_form(tf)(mp.mpf(n)), _phi50(tf, mp.mpf(y))
+        assert abs(mp.mpf(str(tf.h_mp(n))) / h - 1) <= mp.mpf(10) ** -30
+        assert abs(mp.mpf(str(tf.phi_mp(y))) / p - 1) <= mp.mpf(10) ** -30
+        # {m phi} is as exact as phi_mp's Newton stop (1e-35 relative) allows
+        want = mp.frac(m * p)
+        tol = max(mp.mpf(10) ** -15, abs(m * p) * mp.mpf(10) ** -34)
+        got = tf.frac_m_phi_mp(m, y)
+        assert min(abs(got - want), 1 - abs(got - want)) <= tol
+
+
 def test_scalar_floor_is_the_one_element_vector_floor(tf95):
     # binary64 h and h_vec round differently at some of these n (1140 of
     # the 20000 with numpy 2.4 on x86-64); a one-element h_vec is the bulk
@@ -417,17 +442,21 @@ def test_scalar_floor_is_the_one_element_vector_floor(tf95):
 def test_phi_mp_raises_at_the_newton_cap(monkeypatch):
     tf = make_thin_function("h3", Cc=1.0)
     x = 1e6 + 0.5
-    with mp.workdps(thinfn.MP_DPS):
-        assert abs(tf.h_mp(tf.phi_mp(x)) - x) <= mp.mpf(10) ** -30 * x
+    with localcontext(Context(prec=thinfn.MP_DPS)):
+        err = abs(tf.h_mp(tf.phi_mp(x)) - Decimal(x))
+        assert err <= Decimal(10) ** -30 * Decimal(x)
     monkeypatch.setattr(thinfn, "MP_NEWTON_STEPS", 1)
     with pytest.raises(NoConvergence):
         tf.phi_mp(x)
 
 
 def test_import_does_not_load_sympy():
+    # nor mpmath: it serves the 50-digit oracles of the tests only
     src = os.path.dirname(os.path.dirname(thinprimes.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c",
-                    "import thinprimes, sys; assert 'sympy' not in sys.modules"],
-                   env=env, check=True)
+    for module in ("thinprimes", "thinprimes.cli"):
+        subprocess.run([sys.executable, "-c",
+                        f"import {module}, sys; "
+                        "assert not {'sympy', 'mpmath'} & set(sys.modules)"],
+                       env=env, check=True)
