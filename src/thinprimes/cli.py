@@ -1,20 +1,22 @@
 """Batch command-line front end: one subcommand per experiment.
 
-Configuration is a flat key=value text file plus --key value overrides; the
-resolved configuration is validated against the target subcommand before
-any computation starts and echoed in full into every report header, so a
-report is reproducible from its own header.  CSV is the primary output
-('#'-prefixed header comment lines, then a column row); --format json
-mirrors the same rows with a schema marker.
+Configuration is a flat key=value text file plus --key value overrides
+(--out, --format, --threads and --seed among them), echoed in full into
+every report header, so a report is reproducible from its own header.  CSV
+is the primary output ('#'-prefixed header comment lines, then a column
+row); --format json mirrors the same rows with a schema marker.
 
-Each subcommand's keys are listed once, in ALLOWED_KEYS, and decide which
-shared inputs it takes: the thin function (all of THINFN_KEYS, unless
-side=full), the polynomial W and the limit N, built and checked once by
-_inputs.  Prime tables and thin sets come only from _tables, and every
-report or diagnostic is written by _write.
+Each subcommand's keys are listed once, in ALLOWED_KEYS.  run() is the one
+pass over them: each branch reads and checks all of its arguments, through
+the library's own check functions, and then crosses _begin, the boundary
+that refuses a given key the run did not read, stops a --dry-run and starts
+the run.  _tables, the only source of prime tables and thin sets, calls
+_begin first; vdc, bilinear and admissible build no table and call it
+themselves.  Every report or diagnostic is written by _write.
 
-Exit codes: 0 success, 2 validation/parse failure (no output written),
-3 computational failure (diagnostic JSON written instead of the report).
+Exit codes: 0 success; 2 a ThinPrimesError before _begin, a validation or
+parse failure (no output written); 3 one after it, a computational failure
+(diagnostic JSON written instead of the report).
 """
 
 from __future__ import annotations
@@ -135,16 +137,25 @@ def _split(conv):
 
 
 class RunConfig:
-    """Validated flat configuration for one subcommand."""
+    """Flat configuration for one subcommand, and the keys read from it."""
 
     def __init__(self, subcommand: str, values: dict):
         self.subcommand = subcommand
         self.values = values
-        self.extras = {}   # resolved defaults worth echoing (e.g. auto x0)
+        self.extras = {}     # resolved defaults worth echoing (e.g. auto x0)
+        self.read = set()    # keys looked up so far; _begin refuses the rest
+        self.dry_run = False   # --dry-run, or dry-run given as true
+        self.t0 = None       # set by _begin when the run starts
         self._tf = None
 
     def get(self, key: str, default=None):
+        self.read.add(key)
         return self.values.get(key, DEFAULTS.get(key, default))
+
+    def given(self, key: str):
+        """The value given for key, or None; reads the key as get does."""
+        self.read.add(key)
+        return self.values.get(key)
 
     def _typed(self, key: str, default, conv, what: str):
         raw = self.get(key, default)
@@ -177,7 +188,7 @@ class RunConfig:
 
     def _gamma_defaulted(self) -> bool:
         """The power family takes the default gamma: neither gamma nor c given."""
-        return (self.get("family") == "power"
+        return (self.values.get("family", DEFAULTS["family"]) == "power"
                 and not {"gamma", "c"} & self.values.keys())
 
     def thin_function(self):
@@ -189,20 +200,14 @@ class RunConfig:
             if key in self.values or (key == "gamma" and self._gamma_defaulted()):
                 get = self.get_int if key == "m" else self.get_float
                 kwargs["Cc" if key == "C" else key] = get(key)
-        try:
-            tf = make_thin_function(self.get("family"), **kwargs)
-        except ThinPrimesError as exc:
-            raise ValidationError(str(exc)) from exc
+        tf = make_thin_function(self.get("family"), **kwargs)
         if "x0" not in self.values:
             self.extras["x0-resolved"] = repr(tf.x0)   # auto-selected, echoed
         self._tf = tf
         return tf
 
     def polynomial(self) -> IntPolynomial:
-        try:
-            return IntPolynomial(self.get_int_list("W"))
-        except ThinPrimesError as exc:
-            raise ValidationError(str(exc)) from exc
+        return IntPolynomial(self.get_int_list("W"))
 
     def resolved(self) -> dict:
         out = dict(DEFAULTS)
@@ -294,7 +299,7 @@ def _write(payload: str, out_path) -> None:
 
 def _inputs(cfg: RunConfig):
     """(thin function, W, N) of the subcommand, each None where its keys
-    do not apply; raises ValidationError on a bad value."""
+    do not apply."""
     keys = ALLOWED_KEYS[cfg.subcommand]
     tf = (cfg.thin_function()
           if THINFN_KEYS <= keys and cfg.get("side") != "full" else None)
@@ -305,19 +310,34 @@ def _inputs(cfg: RunConfig):
     return tf, W, n
 
 
+class _Planned(Exception):
+    """A dry run reached the table boundary."""
+
+
+def _begin(cfg: RunConfig) -> None:
+    """The boundary between reading a run's arguments and computing it.
+
+    A key that was given but not read by now is refused, a dry run stops
+    here, and the run's clock starts: main maps a ThinPrimesError raised
+    before this call to exit 2 and one raised after it to exit 3."""
+    unread = [key for key in cfg.values if key not in cfg.read]
+    if unread:
+        raise ValidationError(
+            f"key {unread[0]!r} is not used by this {cfg.subcommand} run")
+    if cfg.dry_run:
+        raise _Planned
+    cfg.t0 = time.perf_counter()
+
+
 def _tables(cfg: RunConfig, n: int, thin=(), sieve_to: int | None = None):
-    """The prime table up to sieve_to (default n) and the thin set up to n
-    of each ThinFunction in thin, on --threads workers."""
+    """Past _begin, the prime table up to sieve_to (default n) and the thin
+    set up to n of each ThinFunction in thin, on --threads workers."""
     threads = cfg.get_int("threads")
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
+    _begin(cfg)
     pt = build_prime_table(n if sieve_to is None else sieve_to, threads=threads)
     return pt, [enumerate_thin_primes(tf, pt, n, threads=threads) for tf in thin]
-
-
-def _checkpoints(cfg: RunConfig, n: int) -> list[int]:
-    """--checkpoints if given, else 10, 100, ... below N and N itself."""
-    if cfg.values.get("checkpoints"):
-        return cfg.get_int_list("checkpoints")
-    return [10 ** j for j in range(1, len(str(n))) if 10 ** j < n] + [n]
 
 
 def _gammas(cfg: RunConfig, default=None) -> list[float]:
@@ -328,83 +348,47 @@ def _gammas(cfg: RunConfig, default=None) -> list[float]:
 
 
 def _observable(cfg: RunConfig):
-    """(system, observable, start point); raises ValidationError on a bad
-    value, before any table is built."""
+    """(system, observable, start point) of ergodic and oscillation."""
     system = cfg.get("system")
-    if system not in ("cycle", "rotation"):
+    if system == "cycle":
+        m = cfg.get_int("cycle-m")
+        cycle = FiniteCycle(m)     # checks m before the table is allocated
+        table = np.zeros(m, dtype=np.complex128)
+        table[0] = 1.0
+        if m > 1:
+            table[1] = -1.0
+        return cycle, table, cfg.get_int("x") % m
+    if system != "rotation":
         raise ValidationError(f"unknown system {system!r} (cycle or rotation)")
-    try:
-        if system == "cycle":
-            m = cfg.get_int("cycle-m")
-            cycle = FiniteCycle(m)     # checks m before the table is allocated
-            table = np.zeros(m, dtype=np.complex128)
-            table[0] = 1.0
-            if m > 1:
-                table[1] = -1.0
-            return cycle, table, cfg.get_int("x") % m
-        x = cfg.get_float("x")
-        if not math.isfinite(x):
-            raise ValidationError(f"x must be finite, got {x!r}")
-        return (CircleRotation(cfg.get_float("alpha")),
-                [(cfg.get_int("freq"), 1.0)], x)
-    except ThinPrimesError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _phase_spec(cfg: RunConfig, tf, W) -> PhaseSpec:
-    """vaughan's phases over (P, P1], or bilinear's over (KL, 2KL]."""
-    if cfg.subcommand == "bilinear":
-        P = cfg.get_int("K") * cfg.get_int("L")
-        P1 = 2 * P
-    else:
-        P = cfg.get_int("P")
-        P1 = cfg.get_int("P1") if cfg.values.get("P1") else 2 * P
-    return PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, P1)
-
-
-def _split_point(cfg: RunConfig, spec: PhaseSpec) -> float:
-    """vaughan's v: --v if given, else default_v(P1, deg W)."""
-    if cfg.values.get("v"):
-        return cfg.get_float("v")
-    return default_v(spec.P1, spec.W.degree)
-
-
-def _vdc_args(cfg: RunConfig) -> tuple[int, float, float]:
-    """(k, beta, eta) of vdc: F(t) = beta t^k has F^(k) = eta = k! beta."""
-    k, beta = cfg.get_int("k"), cfg.get_float("beta")
-    return k, beta, math.factorial(max(k, 0)) * beta   # k < 2 is refused
-
-
-def _breaks(n: int) -> list[int]:
-    """oscillation's breakpoints 4^j <= N, j >= 2; at least two."""
-    breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
-    if len(breaks) < 2:
-        raise ValidationError("N too small for oscillation breaks")
-    return breaks
-
-
-def _n_end(cfg: RunConfig, n: int) -> int:
-    """goldbach's last target: --N-end if given, else N."""
-    n_end = cfg.get_int("N-end") if cfg.values.get("N-end") else n
-    if n % 2 == 0 or n_end < n:
-        raise ValidationError("N must be odd and N-end >= N")
-    return n_end
+    x = cfg.get_float("x")
+    if not math.isfinite(x):
+        raise ValidationError(f"x must be finite, got {x!r}")
+    return CircleRotation(cfg.get_float("alpha")), [(cfg.get_int("freq"), 1.0)], x
 
 
 def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
-    """Execute the subcommand; returns (columns, rows, footer)."""
+    """Read and check every argument of the subcommand, then compute it;
+    returns (columns, rows, footer)."""
     sub = cfg.subcommand
     tf, W, n = _inputs(cfg)
-    if sub == "sieve":
-        pt, _ = _tables(cfg, n)
-        return ["x", "pi_x"], [(x, pt.pi(x)) for x in _checkpoints(cfg, n)], None
-    if sub == "density":
-        _, (tps,) = _tables(cfg, n, [tf])
-        rows = density_profile(tps, _checkpoints(cfg, n))
-        return ["x", "count", "count_logx_over_phi"], rows, None
+    if sub in ("sieve", "density"):
+        if cfg.given("checkpoints"):
+            xs = cfg.get_int_list("checkpoints")
+        else:   # 10, 100, ... below N, and N itself
+            xs = [10 ** j for j in range(1, len(str(n))) if 10 ** j < n] + [n]
+        check_checkpoints(xs, n)
+        pt, sets = _tables(cfg, n, [tf] if tf else [])
+        if tf:
+            rows = density_profile(sets[0], xs)
+            return ["x", "count", "count_logx_over_phi"], rows, None
+        return ["x", "pi_x"], [(x, pt.pi(x)) for x in xs], None
     if sub == "vaughan":
-        spec = _phase_spec(cfg, tf, W)
-        v = _split_point(cfg, spec)
+        P = cfg.get_int("P")
+        P1 = cfg.get_int("P1") if cfg.given("P1") else 2 * P
+        spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, P1)
+        v = (cfg.get_float("v") if cfg.given("v")
+             else default_v(spec.P1, spec.W.degree))
+        check_split_point(spec.P, v)
         pt, _ = _tables(cfg, spec.P1)
         res = vaughan_split(pt, spec, v)
         row = (spec.P, spec.P1, v, spec.xi, spec.m,
@@ -415,36 +399,59 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 "S21_im", "S22_re", "S22_im", "S3_re", "S3_im", "residual",
                 "residual_rel"], [row], None
     if sub == "formlem-decay":
+        grid = cfg.get_int("xi-grid")
+        check_decay_args(grid, n)
         pt, (tps,) = _tables(cfg, n, [tf])
-        prof = formlem_decay(tf, pt, W, cfg.get_int("xi-grid"), n, tps=tps)
+        prof = formlem_decay(tf, pt, W, grid, n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer
     if sub == "vdc":
-        k, beta, eta = _vdc_args(cfg)
-        res = vdc_bound_check(lambda t: beta * t ** k, n, k, eta, 1.0)
+        # F(t) = beta t^k has F^(k) = eta = k! beta, checked in logs before it
+        # is formed; k is clamped to where the rule can accept it, so lgamma
+        # is defined and finite
+        k, beta = cfg.get_int("k"), cfg.get_float("beta")
+        check_vdc_args(n, k, math.lgamma(min(max(k, 2), 1024) + 1)
+                       + (math.log(beta) if beta > 0 else -math.inf), 1.0)
+        _begin(cfg)
+        res = vdc_bound_check(lambda t: beta * t ** k, n, k,
+                              math.factorial(k) * beta, 1.0)
         return (["N", "k", "beta", "sum_abs", "bound", "constant"],
                 [(n, k, beta, res.sum_abs, res.bound, res.constant)], None)
     if sub == "bilinear":
         K, L = cfg.get_int("K"), cfg.get_int("L")
-        spec = _phase_spec(cfg, tf, W)
-        if cfg.get("delta") == "random":
-            rng = np.random.default_rng(cfg.get_int("seed"))
+        check_bilinear_sizes(K, L)
+        spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf,
+                         K * L, 2 * K * L)
+        delta = cfg.get("delta")
+        if delta not in ("ones", "random"):
+            raise ValidationError(f"delta must be ones or random, got {delta!r}")
+        seed = cfg.get_int("seed") if delta == "random" else None
+        _begin(cfg)
+        if seed is None:
+            d1, d2 = np.ones(L, dtype=complex), np.ones(K, dtype=complex)
+        else:
+            rng = np.random.default_rng(seed)
             d1 = np.exp(2j * np.pi * rng.random(L))
             d2 = np.exp(2j * np.pi * rng.random(K))
-        else:
-            d1, d2 = np.ones(L, dtype=complex), np.ones(K, dtype=complex)
         res = bilinear_sum_bound(d1, d2, spec)
         return (["K", "L", "value_re", "value_im", "bound", "constant"],
                 [(K, L, res.value.real, res.value.imag, res.bound,
                   res.constant)], None)
     if sub == "maximal":
-        support = cfg.get_int("support")
+        check_dyadic_limit(n)
+        rs = cfg.get_float_list("r-list")
+        for r in rs:
+            check_norm_exponent(r)
+        support, trials = cfg.get_int("support"), cfg.get_int("trials")
+        if support < 1:
+            raise ValidationError("support must be >= 1")
+        seed = cfg.get_int("seed")
         pt, (tps,) = _tables(cfg, n, [tf])
-        rng = np.random.default_rng(cfg.get_int("seed"))
+        rng = np.random.default_rng(seed)
         rows = []
-        for r in cfg.get_float_list("r-list"):
-            for trial in range(cfg.get_int("trials")):
+        for r in rs:
+            for trial in range(trials):
                 idx = rng.choice(support, size=max(1, support // 4),
                                  replace=False)
                 f = SparseSignal({int(i): 1.0 for i in idx})
@@ -452,100 +459,73 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 rows.append((r, support, trial, lr_norm(mf, r) / lr_norm(f, r)))
         return ["r", "support_size", "seed", "ratio"], rows, None
     if sub == "abel":
+        check_abel_range(ABEL_FROM, n)
         pt, _ = _tables(cfg, n)
         lhs, rhs, resid = abel_summation(pt.lambda_, lambda x: 1.0 / math.log(x),
                                          ABEL_FROM, n)
         return ["lhs", "rhs", "residual"], [(lhs, rhs, resid)], None
-    if sub in ("ergodic", "oscillation"):
+    if sub == "ergodic":
         system, table, x = _observable(cfg)
+        weighted = cfg.get_bool("weighted")
         pt, (tps,) = _tables(cfg, n, [tf])
-        if sub == "ergodic":
-            first = min(16, 1 << (n.bit_length() - 1))
-            series = average_series(system, table, x, tps, pt, W,
-                                    dyadic(first, n), cfg.get_bool("weighted"))
-            return ["N", "re", "im", "gap"], list(series.csv_rows()), None
-        eps, breaks = cfg.get_float("eps"), _breaks(n)
+        first = min(16, 1 << (n.bit_length() - 1))
+        series = average_series(system, table, x, tps, pt, W,
+                                dyadic(first, n), weighted)
+        return ["N", "re", "im", "gap"], list(series.csv_rows()), None
+    if sub == "oscillation":
+        system, table, x = _observable(cfg)
+        eps = cfg.get_float("eps")
+        check_eps(eps)
+        breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
+        if len(breaks) < 2:
+            raise ValidationError("N too small for oscillation breaks")
+        pt, (tps,) = _tables(cfg, n, [tf])
         val = oscillation_sum(system, table, x, tps, pt, W, breaks, eps)
         J = len(breaks) - 1
         return ["J", "eps", "value", "value_over_J"], [(J, eps, val, val / J)], None
     if sub == "goldbach":
-        gammas = _gammas(cfg, "1,1,1")
-        n_end = _n_end(cfg, n)
-        tfs = []
-        for g in gammas:
-            try:
-                tfs.append(make_thin_function("power", gamma=g))
-            except ThinPrimesError as exc:
-                raise ValidationError(str(exc)) from exc
+        n_end = cfg.get_int("N-end") if cfg.given("N-end") else n
+        if n % 2 == 0 or n_end < n:
+            raise ValidationError("N must be odd and N-end >= N")
+        check_targets(n, n_end)
+        cutoff = cfg.get_int("cutoff")
+        check_cutoff(cutoff)
+        tfs = [make_thin_function("power", gamma=g) for g in _gammas(cfg, "1,1,1")]
         pt, sets = _tables(cfg, n_end, tfs, sieve_to=max(n_end, 100))
-        reports = goldbach_reports(tfs, sets, n, n_end, cfg.get_int("cutoff"), pt)
+        reports = goldbach_reports(tfs, sets, n, n_end, cutoff, pt)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
                 "flags"], [r.csv_row() for r in reports], None
     if sub == "parseval":
+        side = cfg.get("side")
+        if side not in ("thin", "full"):
+            raise ValidationError(f"side must be thin or full, got {side!r}")
+        weighted = cfg.get_bool("weighted")
         pt, sets = _tables(cfg, n, [tf] if tf else [])
-        lhs, rhs = parseval_check(sets[0] if tf else pt, n, cfg.get_bool("weighted"))
+        lhs, rhs = parseval_check(sets[0] if tf else pt, n, weighted)
         rel = abs(lhs - rhs) / rhs if rhs else 0.0
         return ["N", "lhs", "rhs", "rel_err"], [(n, lhs, rhs, rel)], None
     # admissible
-    q = cfg.get_int("q")
-    gamma = cfg.get_float("gamma")
-    try:
-        ap = admissible_params(q, gamma)
-    except ThinPrimesError as exc:
-        raise ValidationError(str(exc)) from exc
+    q, gamma = cfg.get_int("q"), cfg.get_float("gamma")
+    ap = admissible_params(q, gamma)
+    gammas = _gammas(cfg) if cfg.given("gammas") else None
+    _begin(cfg)
     footer = None
-    if cfg.values.get("gammas"):
-        ok, lhs = admissibility_check(*_gammas(cfg))
+    if gammas:
+        ok, lhs = admissibility_check(*gammas)
         footer = {"ternary_admissible": ok,
                   "ternary_lhs": ",".join(f"{v:.6g}" for v in lhs)}
     return (["q", "gamma", "chi_max", "c_q"],
             [(q, gamma, ap.chi_max, str(ap.c_q))], footer)
 
 
-def _validate_early(cfg: RunConfig) -> None:
-    """Cheap precondition checks before any table is built (fail fast).
-
-    The rules a library call would check only after the tables exist are
-    run here through the library's own check functions."""
+def _format(cfg: RunConfig) -> str:
+    """The checked --format; admissible alone defaults to json."""
     fmt = cfg.get("format")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
-    if cfg.get_int("threads") < 1:
-        raise ValidationError("threads must be >= 1")
-    tf, W, n = _inputs(cfg)
-    sub = cfg.subcommand
-    if sub == "maximal" and cfg.get_int("support") < 1:
-        raise ValidationError("support must be >= 1")
-    if sub == "parseval" and cfg.get("side") not in ("thin", "full"):
-        raise ValidationError(f"side must be thin or full, got {cfg.get('side')!r}")
-    try:
-        if sub == "maximal":
-            check_dyadic_limit(n)
-            for r in cfg.get_float_list("r-list"):
-                check_norm_exponent(r)
-        elif sub == "formlem-decay":
-            check_decay_args(cfg.get_int("xi-grid"), n)
-        elif sub in ("sieve", "density"):
-            check_checkpoints(_checkpoints(cfg, n), n)
-        elif sub == "oscillation":
-            check_eps(cfg.get_float("eps"))
-            _breaks(n)
-        elif sub == "goldbach":
-            check_cutoff(cfg.get_int("cutoff"))
-            check_targets(n, _n_end(cfg, n))
-        elif sub == "vaughan":
-            spec = _phase_spec(cfg, tf, W)
-            check_split_point(spec.P, _split_point(cfg, spec))
-        elif sub == "bilinear":
-            check_bilinear_sizes(cfg.get_int("K"), cfg.get_int("L"))
-            _phase_spec(cfg, tf, W)
-        elif sub == "vdc":
-            k, _, eta = _vdc_args(cfg)
-            check_vdc_args(k, eta, 1.0)
-        elif sub == "abel":
-            check_abel_range(ABEL_FROM, n)
-    except ThinPrimesError as exc:
-        raise ValidationError(str(exc)) from exc
+    if cfg.subcommand == "admissible" and "format" not in cfg.values:
+        return "json"
+    return fmt
 
 
 def main(argv=None) -> int:
@@ -554,65 +534,44 @@ def main(argv=None) -> int:
         description="thin prime set experiments; see README for subcommands")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output file (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--dry-run", action="store_true")
     args, extra = parser.parse_known_args(argv)
 
     overrides = {}
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
+    tokens = iter(extra)
+    for tok in tokens:
         if not tok.startswith("--"):
             print(f"unexpected argument {tok!r}", file=sys.stderr)
             return 2
-        key = tok[2:]
-        if "=" in key:
-            key, val = key.split("=", 1)
-        else:
-            if i + 1 >= len(extra):
+        key, eq, val = tok[2:].partition("=")
+        if not eq:
+            val = next(tokens, None)
+            if val is None:
                 print(f"flag --{key} needs a value", file=sys.stderr)
                 return 2
-            val = extra[i + 1]
-            i += 1
         overrides[key] = val
-        i += 1
-    for key in ("format", "threads", "seed", "out"):
-        if getattr(args, key) is not None:
-            overrides[key] = str(getattr(args, key))
 
+    cfg = None
     try:
         cfg = parse_config(args.subcommand, args.config, overrides)
-        _validate_early(cfg)
-    except (ParseError, ValidationError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    fmt = cfg.get("format")
-    if args.subcommand == "admissible" and "format" not in cfg.values:
-        fmt = "json"
-    out_path = cfg.values.get("out")
-
-    if args.dry_run or cfg.values.get("dry-run", "").lower() in ("1", "true"):
-        plan = {"plan": cfg.resolved(), "format": fmt, "out": out_path}
-        print(json.dumps(plan, indent=2))
-        return 0
-
-    t0 = time.perf_counter()
-    try:
+        cfg.dry_run = cfg.get_bool("dry-run") or args.dry_run
+        fmt, out_path = _format(cfg), cfg.get("out")
         columns, rows, footer = run(cfg)
-    except (ParseError, ValidationError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except _Planned:
+        print(json.dumps({"plan": cfg.resolved(), "format": fmt, "out": out_path},
+                         indent=2))
+        return 0
     except ThinPrimesError as exc:
+        if cfg is None or cfg.t0 is None:
+            kind = ParseError if isinstance(exc, ParseError) else ValidationError
+            print(f"{kind.__name__}: {exc}", file=sys.stderr)
+            return 2
         _write(json.dumps({"schema": 1, "tool": TOOL,
                            "error": type(exc).__name__, "message": str(exc),
                            "config": cfg.resolved()}, indent=2) + "\n", out_path)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write(_report(cfg, columns, rows, footer, time.perf_counter() - t0, fmt),
+    _write(_report(cfg, columns, rows, footer, time.perf_counter() - cfg.t0, fmt),
            out_path)
     return 0
 

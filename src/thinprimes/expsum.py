@@ -30,11 +30,12 @@ from ._num import (
 )
 from .errors import (
     HypothesisViolated,
+    LimitTooLarge,
     ParameterOutOfRange,
     RangeBeyondTable,
     RegimeViolation,
 )
-from .sieve import PrimeTable, ThinPrimeSet
+from .sieve import MAX_LIMIT, PrimeTable, ThinPrimeSet
 from .thinfn import NEAR_INT_GUARD, ThinFunction
 
 # |m*phi(k)| above which the product is formed in extended precision
@@ -266,7 +267,7 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
 
 def check_split_point(P: int, v: float) -> None:
     """vaughan_split's rule for its split point v."""
-    if v < 2:
+    if not v >= 2:     # nan too
         raise ParameterOutOfRange("v must be >= 2")
     if P <= v:
         raise RegimeViolation(f"P={P} <= v={v}: identity regime needs n > v")
@@ -296,14 +297,23 @@ class VdcCheck(NamedTuple):
     constant: float
 
 
-def check_vdc_args(k: int, eta: float, r: float) -> None:
-    """vdc_bound_check's rule for the derivative order and bracket."""
+def check_vdc_args(N: int, k: int, log_eta: float, r: float) -> None:
+    """vdc_bound_check's rules for N, the derivative order and the bracket.
+
+    eta is passed as its natural log (-inf when eta <= 0), so an eta such
+    as k! beta that would overflow a float is refused before it is formed.
+    N^k max(eta, 1) <= e^709 keeps N^k, eta and N^k eta finite floats, and
+    N is held to the prime table's memory guard, as the sum takes O(N)."""
+    if N > MAX_LIMIT:
+        raise LimitTooLarge(f"N={N} exceeds the 2^34 memory guard")
     if k < 2:
         raise ParameterOutOfRange("k must be >= 2")
-    if not eta > 0:
+    if not log_eta > -math.inf:
         raise ParameterOutOfRange("eta must be positive (derivative bracket)")
     if r < 1:
         raise ParameterOutOfRange("r must be >= 1")
+    if k > (709.0 - max(log_eta, 0.0)) / math.log(max(N, 2)):
+        raise ParameterOutOfRange(f"N^k eta overflows a float (N={N}, k={k})")
 
 
 def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcCheck:
@@ -313,7 +323,7 @@ def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcChe
     r*N*(eta^(1/(2^k-2)) + N^(-2/2^k) + (N^k eta)^(-2/2^k)) with implied
     constant 1; constant = sum_abs / bound is the empirical constant.
     """
-    check_vdc_args(k, eta, r)
+    check_vdc_args(N, k, math.log(eta) if eta > 0 else -math.inf, r)
     ns = np.arange(1, N + 1, dtype=np.float64)
     vals = np.asarray(F(ns), dtype=np.float64)
     s = fsum_complex(e2pi(vals % 1.0))

@@ -46,7 +46,15 @@ from .errors import (
     PrecisionExhausted,
 )
 
-FAMILIES = ("power", "h1", "h2", "h3", "h4", "h5")
+# Each family and the parameters it takes besides Ch and x0, which all take.
+FAMILIES = {
+    "power": ("gamma", "c"),
+    "h1": ("c", "A"),
+    "h2": ("c", "A", "B"),
+    "h3": ("Cc",),
+    "h4": ("Cc", "B"),
+    "h5": ("m",),
+}
 
 # Distance to the nearest integer below which a binary64 floor decision is
 # escalated to MP_DPS digits, and below which even those refuse to decide.
@@ -441,34 +449,41 @@ class ThinFunction:
                 f"x0={self.x0:.6g})")
 
 
+def _reciprocal(v: float) -> float:
+    """1/v, taking 1/0 as inf so that the range check refuses it."""
+    return 1.0 / v if v else math.inf
+
+
 def make_thin_function(family: str, *, gamma=None, c=None, A=None, B=None,
                        Cc=None, m=None, Ch=1.0, x0=None) -> ThinFunction:
     """Validate family parameters and construct the ThinFunction.
 
-    For the power family pass gamma or c (c is forced to 1/gamma, and a c
-    given with gamma must equal it); h1/h2 take c directly and h3/h4/h5
-    have c = 1, and none of these takes gamma.  x0=None auto-selects the
-    smallest left endpoint on a log grid where the growth checks hold.
+    A parameter outside the family's FAMILIES entry is refused.  For the
+    power family pass gamma or c (c is forced to 1/gamma, and a c given with
+    gamma must equal it); h1/h2 take c directly and h3/h4/h5 have c = 1.
+    x0=None auto-selects the smallest left endpoint on a log grid where the
+    growth checks hold.
     """
     family = family.lower()
     if family not in FAMILIES:
         raise ParameterOutOfRange(f"unknown family {family!r}")
+    for name, value in dict(gamma=gamma, c=c, A=A, B=B, Cc=Cc, m=m).items():
+        if value is not None and name not in FAMILIES[family]:
+            raise ParameterOutOfRange(
+                f"{name}={value} is not a parameter of family {family}")
     if Ch <= 0:
         raise ParameterOutOfRange("Ch must be positive")
     if family == "power":
         if gamma is None:
             if c is None:
                 raise ParameterOutOfRange("power family needs gamma (or c)")
-            gamma = 1.0 / c
-        elif c is not None and c != 1.0 / gamma:
+            gamma = _reciprocal(c)
+        elif c is not None and c != _reciprocal(gamma):
             raise ParameterOutOfRange(f"c={c} is not 1/gamma for gamma={gamma}")
-        c = 1.0 / gamma
+        c = _reciprocal(gamma)
         if not 1.0 <= c < 2.0:
             raise ParameterOutOfRange(f"c=1/gamma={c} outside [1, 2)")
         return ThinFunction(family, c, gamma, Ch=Ch, x0=x0)
-    if gamma is not None:
-        raise ParameterOutOfRange(f"gamma={gamma} is a power-family parameter, "
-                                  f"not one of {family}")
     if family in ("h1", "h2"):
         if c is None:
             raise ParameterOutOfRange(f"{family} needs the exponent c")

@@ -1,12 +1,26 @@
 """CLI parse/validate behavior, report formats and exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thinprimes.cli import main, parse_config, parse_config_text
-from thinprimes.errors import ParseError, ValidationError
-from thinprimes.sieve import enumerate_thin_primes
+from thinprimes import errors
+from thinprimes.cli import (
+    ALLOWED_KEYS,
+    COMMON_KEYS,
+    SUBCOMMANDS,
+    main,
+    parse_config,
+    parse_config_text,
+)
+from thinprimes.errors import ParseError, ThinPrimesError, ValidationError
+from thinprimes.sieve import MAX_LIMIT, build_prime_table, enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
 
@@ -62,6 +76,17 @@ def test_dry_run_prints_plan_without_output(tmp_path, capsys):
     plan = json.loads(capsys.readouterr().out)
     assert plan["plan"]["subcommand"] == "sieve"
     assert plan["plan"]["N"] == "1000"
+
+
+@pytest.mark.parametrize("word", ["yes", "on", "1", "true"])
+def test_config_file_dry_run_plans(word, tmp_path, monkeypatch, capsys):
+    import thinprimes.cli as cli
+    monkeypatch.setattr(cli, "build_prime_table", None)   # must not be called
+    cfgfile, out = tmp_path / "run.cfg", tmp_path / "report.csv"
+    cfgfile.write_text(f"N=1000\ndry-run={word}\n")
+    assert main(["sieve", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().out)["plan"]["dry-run"] == word
 
 
 def test_no_partial_output_on_validation_failure(tmp_path):
@@ -337,11 +362,28 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["vaughan", "--P", "1000", "--P1", "5000"],
     ["vaughan", "--P", "1000", "--v", "1"],
     ["vaughan", "--P", "10", "--v", "20"],
+    ["vaughan", "--P", "100", "--v", "nan"],
     ["vdc", "--N", "100", "--k", "1"],
     ["vdc", "--N", "100", "--beta", "-1"],
     ["bilinear", "--K", "1", "--L", "16"],
     ["density", "--family", "h1", "--c", "1.25", "--A", "0.1", "--gamma", "0.9",
      "--N", "100"],
+    ["density", "--gamma", "0.95", "--A", "5", "--N", "100"],
+    ["density", "--family", "h3", "--C", "1.0", "--c", "1.5", "--N", "100"],
+    ["density", "--family", "h1", "--c", "1.25", "--A", "0.1", "--C", "3",
+     "--N", "100"],
+    ["ergodic", "--N", "64", "--alpha", "0.3"],
+    ["ergodic", "--system", "rotation", "--N", "64", "--cycle-m", "7"],
+    ["ergodic", "--N", "64", "--freq", "3"],
+    ["parseval", "--side", "full", "--gamma", "0.9", "--N", "100"],
+    ["vdc", "--N", "100", "--k", "200"],
+    ["vdc", "--N", "100", "--k", "160"],
+    ["vdc", "--N", "17179869185"],
+    ["vdc", "--N", "100", "--threads", "2"],
+    ["sieve", "--N", "100", "--seed", "3"],
+    ["sieve", "--N", "100", "--format", "xml"],
+    ["bilinear", "--K", "16", "--L", "16", "--delta", "bogus"],
+    ["sieve", "--N", "100", "--config", "dry-run=maybe"],
 ], ids=" ".join)
 def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,
                                                 capsys):
@@ -349,7 +391,106 @@ def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,
     calls = []
     monkeypatch.setattr(cli, "build_prime_table",
                         lambda *a, **k: calls.append(a))
+    if "--config" in argv:    # the entry after --config is the file's text
+        i = argv.index("--config") + 1
+        (tmp_path / "run.cfg").write_text(argv[i])
+        argv = argv[:i] + [str(tmp_path / "run.cfg")] + argv[i + 1:]
     out = tmp_path / "r.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert calls == [] and not out.exists()
     assert capsys.readouterr().err.startswith("ValidationError: ")
+
+
+# Value pools for the contract test: valid values, boundaries and invalid
+# ones.  Sizes stay small (N <= 2^12, threads <= 4, small P, K*L, xi grid,
+# support and trials), because a large value of one of those is allocated
+# before any guard; the one huge N lies above sieve.MAX_LIMIT, which the
+# prime table and vdc refuse before allocating.
+HUGE_N = str(MAX_LIMIT + 1)
+POOLS = {
+    "N": ["2", "7", "16", "64", "101", "1024", "4095", "4096", "0", "-3",
+          "x", "1e3", HUGE_N],
+    "checkpoints": ["10,100", "5000", "", "x"],
+    "family": ["power", "h1", "h2", "h3", "h4", "h5", "h9"],
+    "gamma": ["1", "0.95", "0.8", "0.5", "1.2", "nan", "abc"],
+    "c": ["1.0", "1.05", "1.25", "2.0", "0", "inf"],
+    "A": ["0.1", "-1", "5"],
+    "B": ["0.3", "0.5", "0", "1.5"],
+    "C": ["1.0", "0.2", "-1"],
+    "m": ["1", "2", "0", "x"],
+    "Ch": ["1.0", "2.5", "0", "-1"],
+    "x0": ["3.0", "100.0", "-1", "nan"],
+    "W": ["0,1", "0,0,1", "0,1,1", "1", "0", "", "x"],
+    "P": ["2", "10", "300", "0", "-1"],
+    "P1": ["20", "500", "600", "5"],
+    "xi": ["0", "0.17", "0.3", "1", "1.5", "nan"],
+    "mfreq": ["0", "1", "2", "-1"],
+    "v": ["1", "2", "5", "20", "nan"],
+    "xi-grid": ["64", "128", "32", "0", str(1 << 40)],
+    "k": ["2", "3", "1", "-3", "160", "200", str(10 ** 30)],
+    "beta": ["1e-4", "1e-300", "0", "-1", "nan", "inf"],
+    "K": ["2", "16", "1", "0"],
+    "L": ["2", "16", "1", "-4"],
+    "delta": ["ones", "random", "bogus"],
+    "r-list": ["1.5,2,4", "1,2", "0.5", "inf", "", "x"],
+    "support": ["1", "64", "0", "-1"],
+    "trials": ["1", "2", "0"],
+    "system": ["cycle", "rotation", "torus"],
+    "cycle-m": ["1", "2", "7", "0", str(1 << 40)],
+    "alpha": ["0.3", "nan", "inf"],
+    "freq": ["1", "3", "-2"],
+    "x": ["0", "5", "0.25", "nan", "-1"],
+    "weighted": ["true", "false", "yes", "maybe"],
+    "eps": ["0.5", "2", "0", "-1", "inf"],
+    "gammas": ["1,1,1", "1,0.99,0.95", "1,1", "0.5,1,1", "x"],
+    "N-end": ["7", "121", "4095", "5", HUGE_N],
+    "cutoff": ["100", "10000", "50"],
+    "side": ["thin", "full", "bogus"],
+    "q": ["1", "2", "0", "-1"],
+    "format": ["csv", "json", "xml"],
+    "threads": ["1", "2", "4", "0"],
+    "seed": ["0", "7", "-1", "x"],
+}
+# keys drawn every time, so that most draws get past the missing-key check
+REQUIRED = {"vaughan": ["P"], "bilinear": ["K", "L"]}
+
+
+@st.composite
+def command_lines(draw):
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    keys = sorted(ALLOWED_KEYS[sub] | (COMMON_KEYS - {"out", "dry-run"}))
+    must = REQUIRED.get(sub, []) + (["N"] if "N" in keys else [])
+    extra = draw(st.lists(st.sampled_from(keys), unique=True, max_size=5))
+    argv = [sub]
+    for key in must + [k for k in extra if k not in must]:
+        argv += ["--" + key, draw(st.sampled_from(POOLS[key]))]
+    return argv + (["--dry-run"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_cli_contract(argv):
+    """Any drawn command line exits 0, 2 or 3 without a traceback: exit 2
+    builds no table and writes nothing, and exit 3 writes a diagnostic that
+    names a computational ThinPrimesError."""
+    import thinprimes.cli as cli
+    calls = []
+    def sieve_spy(*args, **kwargs):
+        calls.append(args)
+        return build_prime_table(*args, **kwargs)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.setattr(cli, "build_prime_table", sieve_spy)
+        out = Path(tmp) / "r.out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 2, 3)
+        if rc == 2:
+            assert calls == [] and not out.exists()
+            assert err.getvalue().startswith(("ValidationError: ", "ParseError: "))
+        elif rc == 3:
+            name = json.loads(out.read_text())["error"]
+            assert issubclass(getattr(errors, name), ThinPrimesError)
+            assert name not in ("ValidationError", "ParseError")
+        else:
+            assert out.exists() != ("--dry-run" in argv)

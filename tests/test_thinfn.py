@@ -61,13 +61,24 @@ def test_gamma_out_of_range():
         make_thin_function("power", gamma=0.5)   # c = 2
     with pytest.raises(ParameterOutOfRange):
         make_thin_function("power", gamma=1.2)
+    for zero_or_inf in (dict(gamma=0.0), dict(c=0.0), dict(c=math.inf),
+                        dict(gamma=0.0, c=1.0)):
+        with pytest.raises(ParameterOutOfRange):
+            make_thin_function("power", **zero_or_inf)
 
 
-def test_gamma_is_only_a_power_parameter():
-    for family, params in (("h1", H1), ("h2", H2), ("h3", dict(Cc=1.0)),
-                           ("h4", H4), ("h5", dict(m=2))):
-        with pytest.raises(ParameterOutOfRange, match="power-family"):
-            make_thin_function(family, gamma=0.9, **params)
+OWN = {"power": dict(gamma=0.9), "h1": H1, "h2": H2, "h3": dict(Cc=1.0),
+       "h4": H4, "h5": dict(m=2)}
+FOREIGN = dict(gamma=0.9, c=1.5, A=0.2, B=0.4, Cc=2.0, m=3)
+
+
+@pytest.mark.parametrize("family,name", [
+    (family, name) for family in OWN for name in FOREIGN
+    if name not in thinfn.FAMILIES[family]])
+def test_parameter_outside_family_refused(family, name):
+    with pytest.raises(ParameterOutOfRange, match=f"^{name}=.* not a parameter "
+                                                  f"of family {family}$"):
+        make_thin_function(family, **OWN[family], **{name: FOREIGN[name]})
 
 
 def test_family_parameter_validation():
