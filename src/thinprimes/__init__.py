@@ -20,7 +20,6 @@ from .ergodic import (
     CircleRotation,
     FiniteCycle,
     average_series,
-    convergence_report,
     ergodic_average,
     oscillation_sum,
     zeps_grid,
@@ -33,23 +32,17 @@ from .expsum import (
     default_v,
     formlem_decay,
     lambda_exp_sum,
-    phi_error_sum,
-    sawtooth,
-    vaughan_moment_check,
     vaughan_split,
     vdc_bound_check,
-    weighted_prime_sums,
 )
 from .goldbach import (
     GoldbachConfig,
     GoldbachReport,
     admissibility_check,
-    goldbach_report,
     goldbach_reports,
     parseval_check,
     rep_count,
     rep_counts,
-    singular_series,
 )
 from .sieve import (
     PrimeTable,
@@ -57,8 +50,6 @@ from .sieve import (
     build_prime_table,
     density_profile,
     enumerate_thin_primes,
-    floor_criterion_threshold,
-    thin_membership,
 )
 from .thinfn import (
     AdmissibleParams,

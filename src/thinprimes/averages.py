@@ -144,10 +144,6 @@ class SparseSignal:
         for k, v in self.data.items():
             yield k, v.real, v.imag
 
-    @classmethod
-    def from_csv_rows(cls, rows) -> "SparseSignal":
-        return cls({int(i): float(re) + 1j * float(im) for i, re, im in rows})
-
 
 @dataclass
 class Kernel:

@@ -33,6 +33,7 @@ from . import __version__
 from ._num import dyadic
 from .averages import (
     SparseSignal,
+    _check_hull,
     abel_summation,
     check_abel_range,
     check_dyadic_limit,
@@ -419,10 +420,9 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         return (["N", "k", "beta", "sum_abs", "bound", "constant"],
                 [(n, k, beta, res.sum_abs, res.bound, res.constant)], None)
     if sub == "bilinear":
-        K, L = cfg.get_int("K"), cfg.get_int("L")
-        check_bilinear_sizes(K, L)
-        spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf,
-                         K * L, 2 * K * L)
+        K, L, m = cfg.get_int("K"), cfg.get_int("L"), cfg.get_int("mfreq")
+        check_bilinear_sizes(K, L, m)
+        spec = PhaseSpec(cfg.get_float("xi"), W, m, tf, K * L, 2 * K * L)
         delta = cfg.get("delta")
         if delta not in ("ones", "random"):
             raise ValidationError(f"delta must be ones or random, got {delta!r}")
@@ -446,6 +446,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         support, trials = cfg.get_int("support"), cfg.get_int("trials")
         if support < 1:
             raise ValidationError("support must be >= 1")
+        _check_hull(support, np.complex128, "signal")
         seed = cfg.get_int("seed")
         pt, (tps,) = _tables(cfg, n, [tf])
         rng = np.random.default_rng(seed)
@@ -492,7 +493,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         check_cutoff(cutoff)
         tfs = [make_thin_function("power", gamma=g) for g in _gammas(cfg, "1,1,1")]
         pt, sets = _tables(cfg, n_end, tfs, sieve_to=max(n_end, 100))
-        reports = goldbach_reports(tfs, sets, n, n_end, cutoff, pt)
+        reports = goldbach_reports(tfs, sets, n, n_end, pt, cutoff)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
                 "flags"], [r.csv_row() for r in reports], None
     if sub == "parseval":

@@ -21,7 +21,6 @@ from .errors import (
     InvalidBreaks,
     ParameterOutOfRange,
     RangeBeyondTable,
-    TooFewCheckpoints,
 )
 from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
@@ -127,14 +126,6 @@ def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
         else:
             out.append(complex(cum_plain[cnt - 1]) / cnt)
     return AverageSeries(checkpoints, out, weighted)
-
-
-def convergence_report(series: AverageSeries) -> tuple[list, float]:
-    """Cauchy-style gaps between consecutive checkpoint averages."""
-    if len(series.checkpoints) < 4:
-        raise TooFewCheckpoints("need at least 4 checkpoints")
-    gaps = [abs(b - a) for a, b in zip(series.values, series.values[1:])]
-    return gaps, gaps[-1]
 
 
 def check_eps(eps: float) -> None:

@@ -33,10 +33,6 @@ class PrecisionExhausted(ThinPrimesError):
     """A floor decision stayed ambiguous even in extended precision."""
 
 
-class CriterionDisagreement(ThinPrimesError):
-    """Direct membership and the floor-difference criterion disagree."""
-
-
 class RangeBeyondTable(ThinPrimesError):
     """A sum range reaches past the built prime table."""
 
@@ -51,10 +47,6 @@ class HypothesisViolated(ThinPrimesError):
 
 class EmptySet(ThinPrimesError):
     """An averaging set is empty at the requested cutoff."""
-
-
-class TooFewCheckpoints(ThinPrimesError):
-    """Convergence report needs at least four checkpoints."""
 
 
 class InvalidBreaks(ThinPrimesError):

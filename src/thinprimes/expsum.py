@@ -36,7 +36,7 @@ from .errors import (
     RegimeViolation,
 )
 from .sieve import MAX_LIMIT, PrimeTable, ThinPrimeSet
-from .thinfn import NEAR_INT_GUARD, ThinFunction
+from .thinfn import ThinFunction
 
 # |m*phi(k)| above which the product is formed in extended precision
 EXTENDED_PHASE_LIMIT = float(2 ** 40)
@@ -273,24 +273,6 @@ def check_split_point(P: int, v: float) -> None:
         raise RegimeViolation(f"P={P} <= v={v}: identity regime needs n > v")
 
 
-def vaughan_moment_check(pt: PrimeTable, v: float, L: int) -> tuple[float, float]:
-    """Normalized second moments of Pi_v and Xi_v over (L, 2L].
-
-    Returns (sum |Pi_v|^2 / (L log^2 L), sum |Xi_v|^2 / (L log^3 L)); both
-    are bounded by the convolution moment estimates.
-    """
-    if 2 * L > pt.limit:
-        raise RangeBeyondTable(f"2L={2*L} beyond table limit {pt.limit}")
-    if L < 2:
-        raise ParameterOutOfRange("L must be >= 2")
-    piv = pi_v_array(pt, v, 2 * L)[L + 1:]
-    xiv = xi_v_array(pt, v, 2 * L)[L + 1:]
-    lg = math.log(L)
-    m_pi = float(np.sum(piv * piv)) / (L * lg ** 2)
-    m_xi = float(np.sum(xiv * xiv)) / (L * lg ** 3)
-    return m_pi, m_xi
-
-
 class VdcCheck(NamedTuple):
     sum_abs: float
     bound: float
@@ -339,10 +321,12 @@ class BilinearBound(NamedTuple):
     constant: float
 
 
-def check_bilinear_sizes(K: int, L: int) -> None:
-    """bilinear_sum_bound's rule for the block sizes."""
+def check_bilinear_sizes(K: int, L: int, m: int) -> None:
+    """bilinear_sum_bound's rules for the block sizes and the frequency m."""
     if L < 2 or K < 2:
         raise ParameterOutOfRange("need L, K >= 2")
+    if m == 0:
+        raise HypothesisViolated("m=0: the bilinear estimate needs m != 0")
 
 
 def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
@@ -358,11 +342,9 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
     delta1 = np.asarray(delta1, dtype=np.complex128)
     delta2 = np.asarray(delta2, dtype=np.complex128)
     L, K = len(delta1), len(delta2)
-    check_bilinear_sizes(K, L)
-    q = spec.W.degree
     m, tf = spec.m, spec.tf
-    if m == 0:
-        raise HypothesisViolated("m=0: the bilinear estimate needs m != 0")
+    check_bilinear_sizes(K, L, m)
+    q = spec.W.degree
     mn = min(K, L)
     e1 = (2 ** (2 * q + 1) + 2 ** q - 2) / (2 ** (q + 1) - 2)
     phiKL = tf.phi(float(K) * L)
@@ -395,50 +377,6 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
     return BilinearBound(value, bound, abs(value) / bound)
 
 
-class Sawtooth(NamedTuple):
-    phi_exact: float
-    phi_trunc: float
-    err_bound: float
-
-
-def sawtooth(t: float, M: int) -> Sawtooth:
-    """Sawtooth {t} - 1/2, its M-term Fourier truncation, and the error cap.
-
-    err_bound = min(1, 1/(M * ||t||)) with ||t|| the distance of t to the
-    nearest integer.
-    """
-    if M < 1:
-        raise ParameterOutOfRange("M must be >= 1")
-    frac = float(t) % 1.0
-    exact = frac - 0.5
-    ms = np.arange(1, M + 1, dtype=np.float64)
-    trunc = -math.fsum(np.sin(2.0 * np.pi * ms * frac) / (np.pi * ms))
-    dist = min(frac, 1.0 - frac)
-    err = 1.0 if dist == 0.0 else min(1.0, 1.0 / (M * dist))
-    return Sawtooth(exact, trunc, err)
-
-
-def weighted_prime_sums(tps: ThinPrimeSet, pt: PrimeTable, W: IntPolynomial,
-                        xi: float, N: int) -> tuple[complex, complex]:
-    """(G_tilde, F_tilde): weighted thin-prime and log-weighted full sums.
-
-    G_tilde = sum over thin p <= N of w(p) e(xi W(p)); F_tilde the same
-    with log p over all primes <= N.  Ascending p, fsum accumulation.
-    """
-    if N > tps.limit or N > pt.limit:
-        raise RangeBeyondTable(f"N={N} beyond enumerated or sieved limit")
-    thin_p, thin_w = tps.prefix(N)
-    g = 0j
-    if thin_p.size:
-        g = fsum_complex(thin_w * e2pi(frac_mul_int_vec(xi, W.eval_vec(thin_p))))
-    full_p = pt.primes_in(1, N)
-    f = 0j
-    if full_p.size:
-        logs = np.log(full_p.astype(np.float64))
-        f = fsum_complex(logs * e2pi(frac_mul_int_vec(xi, W.eval_vec(full_p))))
-    return g, f
-
-
 @dataclass
 class DecayProfile:
     """Sup-over-xi gap between the two prime sums at dyadic N, with a fit."""
@@ -449,12 +387,6 @@ class DecayProfile:
     @property
     def exact_zero(self) -> bool:
         return all(gap == 0.0 for _, gap, _ in self.entries)
-
-    def gap_at(self, N: int) -> float:
-        for n, gap, _ in self.entries:
-            if n == N:
-                return gap
-        raise KeyError(N)
 
     def csv_rows(self):
         for n, gap, norm in self.entries:
@@ -502,18 +434,16 @@ def check_decay_args(xi_grid_size: int, N_max: int) -> None:
 
 def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
                   xi_grid_size: int, N_max: int,
-                  tps: ThinPrimeSet | None = None) -> DecayProfile:
+                  tps: ThinPrimeSet) -> DecayProfile:
     """gap(N) = sup over xi = j/G of |G_tilde - F_tilde|, N dyadic.
 
-    Dyadic N runs from 16 to N_max and G = xi_grid_size.  xi is the exact
-    rational j/G and each gap is one DFT (grid_sup_gaps).
+    Dyadic N runs from 16 to N_max and G = xi_grid_size; tps is the thin
+    set of tf, enumerated to N_max.  xi is the exact rational j/G and each
+    gap is one DFT (grid_sup_gaps).
     """
     check_decay_args(xi_grid_size, N_max)
     if N_max > pt.limit:
         raise RangeBeyondTable(f"N_max={N_max} beyond table limit {pt.limit}")
-    if tps is None:
-        from .sieve import enumerate_thin_primes
-        tps = enumerate_thin_primes(tf, pt, N_max)
     levels = dyadic(DYADIC_START, N_max)
     full_p = pt.primes_in(1, N_max)
     sup = grid_sup_gaps(tps.primes, tps.weights, full_p,
@@ -527,38 +457,3 @@ def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
         ly = np.log([g for _, g in pos])
         fitted = float(np.polyfit(lx, ly, 1)[0])
     return DecayProfile(entries, fitted, xi_grid_size)
-
-
-def phi_error_sum(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
-                  xi: float, N: int) -> complex:
-    """Direct value of the sawtooth error sum attached to the floor counts.
-
-    sum over k <= N of (1/phi'(k)) (Phi(-phi(k+1)) - Phi(-phi(k)))
-    Lambda(k) e(xi W(k)), Phi(t) = {t} - 1/2.  Terms below h(x0) (where
-    phi is undefined) do not occur for the families with h(x0) <= 2 and are
-    skipped otherwise.
-    """
-    if N + 1 > pt.limit:
-        raise RangeBeyondTable(f"N+1={N + 1} beyond table limit {pt.limit}")
-    k_lo = max(1, math.ceil(tf.h_x0) - 1)
-    ks, lams = pt.prime_powers_in(k_lo, N)
-    if ks.size == 0:
-        return 0j
-    if tf.is_identity:
-        return 0j  # integer sawtooth arguments: every increment vanishes
-    f0 = _phi_frac_neg(tf, ks)
-    f1 = _phi_frac_neg(tf, ks + 1)
-    inv_phi1 = tf.h1_vec(tf.phi_vec(ks.astype(np.float64)))
-    terms = inv_phi1 * (f1 - f0) * lams * e2pi(
-        frac_mul_int_vec(xi, W.eval_vec(ks)))
-    return fsum_complex(terms)
-
-
-def _phi_frac_neg(tf: ThinFunction, ks: np.ndarray) -> np.ndarray:
-    """{-phi(k)} with near-integer entries recomputed in extended precision."""
-    phis = tf.phi_vec(ks.astype(np.float64))
-    f = (-phis) % 1.0
-    suspect = np.flatnonzero(np.minimum(f, 1.0 - f) < NEAR_INT_GUARD)
-    for i in suspect:
-        f[i] = tf.frac_m_phi_mp(-1, int(ks[i]))
-    return f

@@ -31,7 +31,7 @@ from .errors import (
     ParameterOutOfRange,
     SpectralMismatch,
 )
-from .sieve import PrimeTable, ThinPrimeSet, _base_primes, build_prime_table
+from .sieve import PrimeTable, ThinPrimeSet, _base_primes
 from .thinfn import ThinFunction
 
 
@@ -150,10 +150,13 @@ def check_cutoff(cutoff: int) -> None:
 class SingularSeries:
     """Both singular-series products at one cutoff, for any number of targets.
 
-    The primes up to the cutoff are sieved once.  Each target swaps in the
-    factors of its own prime divisors and multiplies left to right in
-    ascending prime order, so every value is the one a single loop over the
-    primes gives, bit for bit.
+    S_paper is the displayed prod_p (1 - 1/(p-1)^3) * prod_{p|N}
+    (1 - 1/(p^2-3p+3)), reported verbatim although its p=2 factor is 0;
+    S_classical is the Vinogradov form prod_{p|N} (1 - 1/(p-1)^2) *
+    prod_{p not | N} (1 + 1/(p-1)^3).  The primes up to the cutoff are
+    sieved once.  Each target swaps in the factors of its own prime
+    divisors and multiplies left to right in ascending prime order, so
+    every value is the one a single loop over the primes gives, bit for bit.
     """
 
     def __init__(self, cutoff: int):
@@ -187,32 +190,6 @@ class SingularSeries:
         return s_paper_all, s_classical, self.tail
 
 
-def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
-    """(S_paper, S_classical, tail_bound) for the ternary problem at N.
-
-    S_paper follows the displayed product prod_p (1 - 1/(p-1)^3) *
-    prod_{p|N} (1 - 1/(p^2-3p+3)); its p=2 factor is (1 - 1/1) = 0, so the
-    printed form vanishes identically and is reported verbatim.
-    S_classical is the Vinogradov form prod_{p|N} (1 - 1/(p-1)^2) *
-    prod_{p not | N} (1 + 1/(p-1)^3).  tail_bound = 1/(2 cutoff^2).
-    One N is factored by trial division; a run over many targets builds one
-    SingularSeries and factors each target through its prime table.
-    """
-    series = SingularSeries(cutoff)
-    divisors = []
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            divisors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        divisors.append(n)
-    return series(divisors)
-
-
 @dataclass
 class GoldbachReport:
     N: int
@@ -229,19 +206,20 @@ class GoldbachReport:
                 self.main_term, self.ratio, self.flags)
 
 
-def goldbach_reports(tfs, sets, N: int, N_end: int, cutoff: int = 10 ** 4,
-                     pt: PrimeTable | None = None) -> list[GoldbachReport]:
-    """One report per odd target in [N, N_end], from one rep_counts pass.
+def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
+                     cutoff: int = 10 ** 4) -> list[GoldbachReport]:
+    """One report per odd target in [N, N_end], from one rep_counts pass:
+    counts against the predicted main term S(N) phi1 phi2 phi3/(N log^3 N).
 
     tfs and sets are the three generating functions and their thin sets.
-    The singular series is sieved once; each target is factored through pt
-    (a table up to N_end is built when none is given).  See goldbach_report
-    for the columns.
+    The singular series is sieved once; each target is factored through pt,
+    a table up to at least N_end.  The printed singular-series product
+    degenerates to 0 (its p=2 factor); the classical Vinogradov form is
+    used for the main term and the report is flagged accordingly, with both
+    values always present.
     """
     series = SingularSeries(cutoff)
     direct, _ = rep_counts(*sets, N, N_end)
-    if pt is None:
-        pt = build_prime_table(N_end)
     reports = []
     for n, R in zip(range(N, N_end + 1, 2), direct.tolist()):
         s_paper, s_classical, _ = series([p for p, _ in pt.factorize(n)])
@@ -259,19 +237,6 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, cutoff: int = 10 ** 4,
         reports.append(GoldbachReport(n, R, s_paper, s_classical, main, ratio,
                                       flags, vr))
     return reports
-
-
-def goldbach_report(cfg: GoldbachConfig, tps1: ThinPrimeSet, tps2: ThinPrimeSet,
-                    tps3: ThinPrimeSet, cutoff: int = 10 ** 4) -> GoldbachReport:
-    """Counts against the predicted main term S(N) phi1 phi2 phi3/(N log^3 N).
-
-    The printed singular-series product degenerates to 0 (its p=2 factor);
-    the classical Vinogradov form is used for the main term and the report
-    is flagged accordingly, with both values always present.  This is
-    goldbach_reports over a range of one.
-    """
-    return goldbach_reports((cfg.tf1, cfg.tf2, cfg.tf3), (tps1, tps2, tps3),
-                            cfg.N, cfg.N, cutoff)[0]
 
 
 def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:

@@ -4,8 +4,8 @@ The PrimeTable stores spf(n) for 2 <= n <= N, built segment by segment
 (2^20 entries per segment) so the marking loops stay cache resident.  All
 arithmetic queries (primality, Mobius, von Mangoldt) factor through spf in
 O(log n).  Thin prime sets are enumerated from the defining floor values
-floor(h(n)); every floor decision here, in enumeration and in the membership
-tests alike, is a call of ThinFunction's certified floor route.
+floor(h(n)); every floor decision here is a call of ThinFunction's
+certified floor route.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CriterionDisagreement,
-    DomainError,
-    LimitMismatch,
-    LimitTooLarge,
-    ParameterOutOfRange,
-)
+from .errors import DomainError, LimitMismatch, LimitTooLarge
 from .thinfn import ThinFunction
 
 SEGMENT = 1 << 20
@@ -48,11 +42,6 @@ class PrimeTable:
         self.limit = int(limit)
         self.spf = spf
         self.primes = primes.astype(np.int64, copy=False)
-
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            return False
-        return int(self.spf[n]) == n
 
     def pi(self, x: int) -> int:
         if x > self.limit:
@@ -206,67 +195,6 @@ class ThinPrimeSet:
         arr = np.zeros(upto + 1, dtype=bool)
         arr[self.primes[: self.count(upto)]] = True
         return arr
-
-    def to_csv_rows(self):
-        for p, n, w in zip(self.primes, self.witnesses, self.weights):
-            yield int(p), int(n), float(w)
-
-
-CROSS_CHECK_BELOW = 10 ** 4
-
-
-def thin_membership(tf: ThinFunction, p: int, mode: str | None = None) -> bool:
-    """Is the prime p a value floor(h(n))?
-
-    direct          scans n in [ceil(phi(p))-1, floor(phi(p+1))+1]
-    floor_criterion checks floor(-phi(p)) - floor(-phi(p+1)) == 1
-    cross_check     runs both and raises CriterionDisagreement on mismatch
-
-    The floor criterion is only guaranteed for sufficiently large p, so the
-    default mode cross-checks below p = 10^4 and uses the fast criterion
-    above (the crossover is measured per function, see
-    floor_criterion_threshold).
-    """
-    if mode is None:
-        mode = "cross_check" if p < CROSS_CHECK_BELOW else "floor_criterion"
-    if p < tf.h_x0 * (1 - 1e-12):
-        raise DomainError(f"p={p} below h(x0)={tf.h_x0}")
-    if mode not in ("direct", "floor_criterion", "cross_check"):
-        raise ParameterOutOfRange(f"unknown mode {mode!r}")
-    direct = criterion = None
-    if mode in ("direct", "cross_check"):
-        lo = math.ceil(tf.phi(float(p))) - 1
-        hi = math.floor(tf.phi(float(p + 1))) + 1
-        lo = max(lo, math.ceil(tf.x0))
-        # float pre-filter: only n with h(n) near [p, p+1) can floor to p
-        direct = any(p - 0.5 < tf.h(float(n)) < p + 1.5 and tf.floor_h(n) == p
-                     for n in range(lo, hi + 1))
-        if mode == "direct":
-            return direct
-    a, b = tf.floor_neg_phi_vec([p, p + 1])
-    criterion = bool(a - b == 1)
-    if mode == "floor_criterion":
-        return criterion
-    if direct != criterion:
-        raise CriterionDisagreement(
-            f"p={p}: direct={direct} floor_criterion={criterion}")
-    return direct
-
-
-def floor_criterion_threshold(tf: ThinFunction, pt: PrimeTable, limit: int) -> int | None:
-    """Largest prime <= limit where the two membership tests disagree.
-
-    The floor-difference criterion only holds for sufficiently large p; this
-    measures the crossover for a concrete ThinFunction.  None means full
-    agreement over the scanned range.  Direct membership is read from the
-    enumerated set, and the criterion is two bulk floor(-phi) calls.
-    """
-    ps = pt.primes_in(int(math.ceil(tf.h_x0)) - 1, limit)
-    xs = ps.astype(np.float64)
-    crit = tf.floor_neg_phi_vec(xs) - tf.floor_neg_phi_vec(xs + 1.0) == 1
-    direct = enumerate_thin_primes(tf, pt, limit).indicator(limit)[ps]
-    bad = np.flatnonzero(crit != direct)
-    return int(ps[bad[-1]]) if bad.size else None
 
 
 def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):

@@ -19,9 +19,9 @@ evaluate the same function, with the binary64 parameters entering as their
 exact values; decimal contexts are per thread, so they need no lock.  The
 inverse phi is closed-form for the power family, else a bracketed Newton.
 
-Every floor(h(n)) and floor(-phi(x)) decision is made by _certified_floor,
-through floor_h_vec and floor_neg_phi_vec; the scalar floor_h and
-floor_neg_phi are one-element calls of these, so scalar and bulk agree.
+Every floor(h(n)) decision is made by _certified_floor, through
+floor_h_vec; the scalar floor_h is a one-element call of it, so scalar and
+bulk agree.
 
 The degenerate member power(gamma=1) is the identity h(x) = x.  It is kept
 as exact ground truth: every derived quantity short-circuits to its exact
@@ -290,11 +290,6 @@ class ThinFunction:
             return np.ones_like(x)
         return self._derivs(x, 1)[1]
 
-    def ell_h(self, x: float) -> float:
-        if x < self.x0:
-            raise DomainError(f"x={x} below x0={self.x0}")
-        return self.h(x) / (self.Ch * x ** self.c)
-
     def vartheta(self, x) -> float:
         if np.min(x) < self.x0:
             raise DomainError("argument below x0")
@@ -428,21 +423,10 @@ class ThinFunction:
             return ns.copy()
         return _certified_floor(self.h_vec(ns), self.h_mp, ns, "h")
 
-    def floor_neg_phi_vec(self, xs) -> np.ndarray:
-        """floor(-phi(x)) as int64, certified by _certified_floor."""
-        xs = np.asarray(xs, dtype=np.float64)
-        if self.is_identity:
-            return np.floor(-xs).astype(np.int64)
-        return _certified_floor(-self.phi_vec(xs), lambda x: -self.phi_mp(x),
-                                xs, "phi")
-
     def floor_h(self, n: int) -> int:
         if n < self.x0 and not self.is_identity:
             raise DomainError(f"n={n} below x0={self.x0}")
         return int(self.floor_h_vec([n])[0])
-
-    def floor_neg_phi(self, x: float) -> int:
-        return int(self.floor_neg_phi_vec([x])[0])
 
     def __repr__(self):
         return (f"ThinFunction({self.family}, c={self.c:.6g}, gamma={self.gamma:.6g}, "

@@ -366,6 +366,8 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["vdc", "--N", "100", "--k", "1"],
     ["vdc", "--N", "100", "--beta", "-1"],
     ["bilinear", "--K", "1", "--L", "16"],
+    ["bilinear", "--gamma", "0.95", "--K", "16", "--L", "16", "--mfreq", "0"],
+    ["maximal", "--N", "16", "--support", "1125899906842624", "--trials", "1"],
     ["density", "--family", "h1", "--c", "1.25", "--A", "0.1", "--gamma", "0.9",
      "--N", "100"],
     ["density", "--gamma", "0.95", "--A", "5", "--N", "100"],

@@ -10,7 +10,6 @@ from thinprimes.ergodic import (
     CircleRotation,
     FiniteCycle,
     average_series,
-    convergence_report,
     ergodic_average,
     oscillation_sum,
     zeps_grid,
@@ -20,7 +19,6 @@ from thinprimes.errors import (
     InvalidBreaks,
     ParameterOutOfRange,
     RangeBeyondTable,
-    TooFewCheckpoints,
 )
 from thinprimes.expsum import IntPolynomial
 
@@ -110,22 +108,15 @@ def test_circle_rotation_equidistribution_trend(tps95, pt20):
 def test_series_and_convergence_report(tps_identity, pt20):
     series = average_series(FiniteCycle(2), F2, 0, tps_identity, pt20, W_LIN,
                             [2 ** j for j in range(4, 21)])
-    gaps, last = convergence_report(series)
+    gaps = [gap for _, _, _, gap in series.csv_rows()][1:]
     assert all(g >= 0 for g in gaps)
-    assert last == gaps[-1]
     assert gaps[-1] < gaps[0]
     assert abs(series.values[-1] + 1.0) < 1e-2
 
 
 def test_constant_series_gaps_zero():
     series = AverageSeries([16, 32, 64, 128], [1 + 0j] * 4, False)
-    gaps, last = convergence_report(series)
-    assert gaps == [0.0, 0.0, 0.0] and last == 0.0
-
-
-def test_too_few_checkpoints():
-    with pytest.raises(TooFewCheckpoints):
-        convergence_report(AverageSeries([16, 32], [0j, 0j], False))
+    assert [gap for _, _, _, gap in series.csv_rows()] == [0.0] * 4
 
 
 def test_range_guard(tps_identity, pt20):

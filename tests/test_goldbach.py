@@ -20,14 +20,15 @@ from thinprimes.goldbach import (
     SingularSeries,
     _exact_triple_coeff,
     admissibility_check,
-    goldbach_report,
+    goldbach_reports,
     parseval_check,
     rep_count,
     rep_counts,
-    singular_series,
 )
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
+
+from oracles import singular_series
 
 
 def brute_force_r(N: int, primes: list[int]) -> int:
@@ -121,8 +122,8 @@ def test_singular_series_oracle_small_cutoff():
 
 
 def test_report_identity(tps_identity, pt20, tf_identity):
-    cfg = GoldbachConfig(tf_identity, tf_identity, tf_identity, 4097 * 2 + 1)
-    rep = goldbach_report(cfg, tps_identity, tps_identity, tps_identity)
+    N = 4097 * 2 + 1
+    rep, = goldbach_reports([tf_identity] * 3, [tps_identity] * 3, N, N, pt=pt20)
     assert rep.R > 0
     assert rep.S_paper == 0.0
     assert "degenerate" in rep.flags
@@ -134,8 +135,7 @@ def test_report_identity(tps_identity, pt20, tf_identity):
 
 
 def test_report_thin(tps95, pt20, tf95):
-    cfg = GoldbachConfig(tf95, tf95, tf95, 2001)
-    rep = goldbach_report(cfg, tps95, tps95, tps95)
+    rep, = goldbach_reports([tf95] * 3, [tps95] * 3, 2001, 2001, pt=pt20)
     assert rep.vinogradov_ratio is None
     assert rep.ratio > 0 or rep.R == 0
 

@@ -11,13 +11,10 @@ import pytest
 
 from thinprimes import sieve, thinfn
 from thinprimes.errors import LimitMismatch, LimitTooLarge, ParameterOutOfRange
-from thinprimes.sieve import (
-    build_prime_table,
-    density_profile,
-    enumerate_thin_primes,
-    thin_membership,
-)
+from thinprimes.sieve import build_prime_table, density_profile, enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
+
+from oracles import floor_criterion_threshold, floor_neg_phi_vec, thin_membership
 
 
 def trial_pi(n: int) -> int:
@@ -176,7 +173,7 @@ def test_floor_criterion_equivalence(pt20, gamma):
         out = np.floor(-phis)
         frac = np.minimum(phis % 1.0, (-phis) % 1.0)
         for i in np.flatnonzero(frac < 1e-9):
-            out[i] = tf.floor_neg_phi(float(xs[i]))
+            out[i] = floor_neg_phi_vec(tf, [xs[i]])[0]
         return out.astype(np.int64)
     crit = (neg_floor(ps) - neg_floor(ps + 1.0)) == 1
     tps = enumerate_thin_primes(tf, pt20, 10 ** 6)
@@ -188,7 +185,6 @@ def test_floor_criterion_equivalence(pt20, gamma):
 
 def test_floor_criterion_threshold_measured(pt20):
     """No crossover below 3000 for these families: full agreement."""
-    from thinprimes.sieve import floor_criterion_threshold
     for tf in (make_thin_function("power", gamma=0.9),
                make_thin_function("h3", Cc=1.0),
                make_thin_function("h5", m=2)):
@@ -213,7 +209,6 @@ def former_threshold(tf, pt, limit):
     ("h1", {"c": 1.25, "A": 0.1}), ("h2", {"c": 1.25, "A": 0.1, "B": 0.3}),
     ("h3", {"Cc": 1.0}), ("h4", {"Cc": 0.2, "B": 0.5}), ("h5", {"m": 2})])
 def test_floor_criterion_threshold_matches_former_loop(pt20, family, kw):
-    from thinprimes.sieve import floor_criterion_threshold
     tf = make_thin_function(family, **kw)
     got = floor_criterion_threshold(tf, pt20, 3000)
     assert got == former_threshold(tf, pt20, 3000)
@@ -270,7 +265,7 @@ def test_enumeration_keeps_smallest_witness(pt20, monkeypatch, threads):
     first = {}
     for n in range(math.ceil(tf.x0), math.floor(tf.phi(N + 1.0)) + 2):
         first.setdefault(tf.floor_h(n), n)
-    expect = [p for p in sorted(first) if 2 <= p <= N and pt20.is_prime(p)]
+    expect = [p for p in sorted(first) if 2 <= p <= N and int(pt20.spf[p]) == p]
     assert tps.primes.tolist() == expect
     assert tps.witnesses.tolist() == [first[p] for p in expect]
 
@@ -302,12 +297,6 @@ def test_density_gamma95_trend(pt20, tps95):
 def test_thinness(pt20, tps95):
     fracs = [tps95.count(x) / pt20.pi(x) for x in (10 ** 4, 10 ** 5, 10 ** 6)]
     assert fracs[0] > fracs[1] > fracs[2]
-
-
-def test_csv_rows(tps95):
-    rows = list(tps95.to_csv_rows())
-    assert rows[0][0] == int(tps95.primes[0])
-    assert len(rows) == len(tps95.primes)
 
 
 def unchunked_enumeration(tf, pt, N):
