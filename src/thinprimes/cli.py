@@ -403,7 +403,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         grid = cfg.get_int("xi-grid")
         check_decay_args(grid, n)
         pt, (tps,) = _tables(cfg, n, [tf])
-        prof = formlem_decay(tf, pt, W, grid, n, tps=tps)
+        prof = formlem_decay(pt, W, grid, n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer
@@ -491,9 +491,13 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         check_targets(n, n_end)
         cutoff = cfg.get_int("cutoff")
         check_cutoff(cutoff)
-        tfs = [make_thin_function("power", gamma=g) for g in _gammas(cfg, "1,1,1")]
-        pt, sets = _tables(cfg, n_end, tfs, sieve_to=max(n_end, 100))
-        reports = goldbach_reports(tfs, sets, n, n_end, pt, cutoff)
+        gammas = _gammas(cfg, "1,1,1")
+        tf_of = {g: make_thin_function("power", gamma=g) for g in gammas}
+        pt, sets = _tables(cfg, n_end, tf_of.values(), sieve_to=max(n_end, 100))
+        set_of = dict(zip(tf_of, sets))   # each distinct gamma enumerated once
+        reports = goldbach_reports([tf_of[g] for g in gammas],
+                                   [set_of[g] for g in gammas], n, n_end, pt,
+                                   cutoff)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
                 "flags"], [r.csv_row() for r in reports], None
     if sub == "parseval":

@@ -432,13 +432,12 @@ def check_decay_args(xi_grid_size: int, N_max: int) -> None:
         raise ParameterOutOfRange("N_max must be a power of two >= 16")
 
 
-def formlem_decay(tf: ThinFunction, pt: PrimeTable, W: IntPolynomial,
-                  xi_grid_size: int, N_max: int,
-                  tps: ThinPrimeSet) -> DecayProfile:
+def formlem_decay(pt: PrimeTable, W: IntPolynomial, xi_grid_size: int,
+                  N_max: int, tps: ThinPrimeSet) -> DecayProfile:
     """gap(N) = sup over xi = j/G of |G_tilde - F_tilde|, N dyadic.
 
     Dyadic N runs from 16 to N_max and G = xi_grid_size; tps is the thin
-    set of tf, enumerated to N_max.  xi is the exact rational j/G and each
+    set, enumerated to N_max.  xi is the exact rational j/G and each
     gap is one DFT (grid_sup_gaps).
     """
     check_decay_args(xi_grid_size, N_max)

@@ -4,15 +4,21 @@ R(n) counts ordered triples p1+p2+p3 = n with p_i in the i-th thin set.
 All odd targets n of a range [N, N_end] are counted in one pass by two
 independent routes, which must agree exactly at every target:
 
-- direct, in exact integers: R(n) = sum over p1 in S1 of C23(n - p1), with
-  the pair count C23(m) = #{p2 in S2 : m - p2 in S3} computed once per
-  point m that some target needs, so one pair-count table serves the range;
-- spectral: one float FFT per indicator vector on a grid of M >= 3*N_end+1
-  points, so the product of the three transforms has no wraparound and one
-  inverse transform holds every R(n) as an integer read off by rounding.
-  The rounding margin is checked at every target; a target whose margin is
-  too thin escalates on its own to an exact big-integer convolution
-  (Kronecker substitution) rather than trusting the float transform.
+- direct, in exact integers.  R(n) is symmetric in the three sets, so S1
+  and S2 are the two thinnest and S3, the densest, is read as an indicator:
+  R(n) = sum over p1 in S1 of C23(n - p1), with the pair count
+  C23(m) = #{p2 in S2 : m - p2 in S3} held in one table for the range.
+  The table is filled at the points m that some target needs by popcounts
+  of 64-bit words (S2's bitset AND the reversed S3 bitset shifted by
+  N_end - m), or, when 64*|S2| is below the number of those points, at
+  every m by |S2| shifted adds of the S3 indicator;
+- spectral: one float FFT per distinct set on a grid of
+  M = next_pow2(3*N_end - N + 1) points.  The product has degree at most
+  3*N_end, so its wrapped terms land below N, and one inverse transform
+  holds every R(n) as an integer read off by rounding.  The rounding margin
+  is checked at every target; a target whose margin is too thin escalates
+  on its own to an exact big-integer convolution (Kronecker substitution)
+  rather than trusting the float transform.
 
 A single target is a range of one over the same code.
 """
@@ -74,53 +80,135 @@ def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
     return (prod >> (bits * n)) & ((1 << bits) - 1)
 
 
-def _direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
-                   targets: np.ndarray) -> np.ndarray:
-    """Exact R(n) per target from one table of pair counts C23(m).
+def _needed_points(p1s: np.ndarray, N: int, N_end: int, size: int) -> np.ndarray:
+    """The points m = n - p1, p1 <= n, that some odd target n in [N, N_end]
+    needs, ascending.  The loop runs over targets or over p1s, whichever is
+    shorter."""
+    need = np.zeros(size, dtype=bool)
+    if (N_end - N) // 2 + 1 <= len(p1s):
+        for n in range(N, N_end + 1, 2):
+            need[n - p1s[: np.searchsorted(p1s, n, side="right")]] = True
+    else:
+        for p1 in p1s.tolist():
+            j0 = max(0, -((N - p1) // 2))   # first target >= p1
+            need[N + 2 * j0 - p1: N_end - p1 + 1: 2] = True
+    return np.flatnonzero(need)
 
-    C23(m) sums over p2 <= m - 2 only (so m - p2 >= 2 indexes i3 directly),
-    and is evaluated at the points m = n - p1 that some target needs.
+
+def _sum_over_first(p1s: np.ndarray, c23: np.ndarray, N: int,
+                    N_end: int) -> np.ndarray:
+    """R(n) = sum over p1 <= n of c23[n - p1] for every odd n in [N, N_end],
+    looping over targets or over p1s, whichever is shorter."""
+    count = (N_end - N) // 2 + 1
+    R = np.zeros(count, dtype=np.int64)
+    if count <= len(p1s):
+        for j, n in enumerate(range(N, N_end + 1, 2)):
+            k = np.searchsorted(p1s, n, side="right")
+            R[j] = c23[n - p1s[:k]].sum(dtype=np.int64)
+    else:
+        for p1 in p1s.tolist():
+            j0 = max(0, -((N - p1) // 2))
+            R[j0:] += c23[N + 2 * j0 - p1: N_end - p1 + 1: 2]
+    return R
+
+
+def _bitset(mask: np.ndarray) -> np.ndarray:
+    """mask as 64-bit words: bit j of word w is mask[64*w + j]."""
+    bits = np.zeros(-(-len(mask) // 64) * 64, dtype=bool)
+    bits[: len(mask)] = mask
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+def _pair_counts_by_popcount(p2s: np.ndarray, i3: np.ndarray,
+                             ms: np.ndarray) -> np.ndarray:
+    """C23(m) = #{p2 in p2s : m - p2 in S3} at the points ms, zero elsewhere.
+
+    With L = len(i3) - 1 and S3 reversed (bit j is i3[L - j]), m - p2 is in
+    S3 exactly when bit p2 + L - m of the reversed bitset is set, so C23(m)
+    is the popcount of S2's bitset AND the reversed bitset shifted down by
+    s = L - m.  The shift is a row of 64 pre-shifted copies (s mod 64) read
+    from word s // 64 on; the ms that share a word offset take one call.
     """
-    k1 = np.searchsorted(p1s, targets, side="right")
-    need = np.zeros(len(i3), dtype=bool)
-    for n, k in zip(targets.tolist(), k1.tolist()):
-        need[n - p1s[:k]] = True
-    ms = np.flatnonzero(need)
-    k2 = np.searchsorted(p2s, ms - 2, side="right")
-    c23 = np.zeros(len(i3), dtype=np.int64)
-    for m, k in zip(ms.tolist(), k2.tolist()):
-        c23[m] = np.count_nonzero(i3[m - p2s[:k]])
-    return np.array([c23[n - p1s[:k]].sum()
-                     for n, k in zip(targets.tolist(), k1.tolist())],
-                    dtype=np.int64)
+    L = len(i3) - 1
+    s2 = np.zeros(L + 1, dtype=bool)
+    s2[p2s] = True
+    b2 = _bitset(s2)
+    rev = _bitset(i3[::-1])
+    nxt = np.append(rev[1:], np.uint64(0))
+    shifts = np.arange(1, 64, dtype=np.uint64)[:, None]
+    table = np.empty((64, len(rev)), dtype=np.uint64)
+    table[0] = rev
+    table[1:] = (rev >> shifts) | (nxt << (np.uint64(64) - shifts))
+    c23 = np.zeros(L + 1, dtype=np.int64)
+    s = L - ms
+    q, r = s >> 6, s & 63
+    starts = np.flatnonzero(np.diff(q, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(ms)]):
+        off = int(q[a])
+        words = table[r[a:b], off:] & b2[: len(rev) - off]
+        c23[ms[a:b]] = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    return c23
+
+
+def _pair_counts_by_shifts(p2s: np.ndarray, i3: np.ndarray) -> np.ndarray:
+    """C23(m) at every m in [0, len(i3)), as one shifted add of the S3
+    indicator per p2."""
+    ind = i3.astype(np.int32)
+    c23 = np.zeros(len(i3), dtype=np.int32)
+    for p2 in p2s.tolist():
+        c23[p2:] += ind[: len(i3) - p2]
+    return c23
+
+
+def _direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
+                   N: int, N_end: int) -> np.ndarray:
+    """Exact R(n) for every odd n in [N, N_end] from one table of C23(m).
+
+    p1s and p2s are the primes up to N_end of the two thinnest sets and i3
+    the indicator of the third, of length N_end + 1.  The table is filled
+    by popcounts at the needed points m, or, when 64*|S2| is below their
+    number, by |S2| shifted adds over every m; both counts are exact.
+    """
+    ms = _needed_points(p1s, N, N_end, len(i3))
+    if 64 * len(p2s) < len(ms):
+        c23 = _pair_counts_by_shifts(p2s, i3)
+    else:
+        c23 = _pair_counts_by_popcount(p2s, i3, ms)
+    return _sum_over_first(p1s, c23, N, N_end)
 
 
 def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
                N: int, N_end: int) -> tuple[np.ndarray, np.ndarray]:
     """(direct, spectral) ordered-triple counts for every odd n in [N, N_end].
 
-    One pair-count table gives every direct count and one inverse FFT of
-    size M, the next power of two >= 3*N_end+1, every spectral count.  A
-    target whose float value sits 0.25 or more from an integer is recounted
-    by the exact big-integer convolution.  The two counts must agree at
-    every target; the first that does not raises SpectralMismatch naming it.
+    The direct count reads the two thinnest sets as prime lists and the
+    densest as an indicator.  The spectral count takes one rfft per
+    distinct set and one inverse FFT of size M = next_pow2(3*N_end - N + 1).
+    A target whose float value sits 0.25 or more from an integer is
+    recounted by the exact big-integer convolution.  The two counts must
+    agree at every target; the first that does not raises SpectralMismatch
+    naming it.
     """
     check_targets(N, N_end)
-    M = next_pow2(3 * N_end + 1)
     sets = (tps1, tps2, tps3)
     for t in sets:
         if t.limit < N_end:
             raise LimitMismatch(f"thin set enumerated to {t.limit} < N_end={N_end}")
     targets = np.arange(N, N_end + 1, 2, dtype=np.int64)
-    ind = [t.indicator(N_end) for t in sets]
-    direct = _direct_counts(tps1.primes[: tps1.count(N_end)],
-                            tps2.primes[: tps2.count(N_end)], ind[2], targets)
-    spec = np.fft.rfft(ind[0], M) * np.fft.rfft(ind[1], M) * np.fft.rfft(ind[2], M)
+    ind = {id(t): t.indicator(N_end) for t in sets}   # one per distinct set
+    s1, s2, s3 = sorted(sets, key=lambda t: t.count(N_end))   # R is symmetric
+    direct = _direct_counts(s1.primes[: s1.count(N_end)],
+                            s2.primes[: s2.count(N_end)], ind[id(s3)], N, N_end)
+    # the product has degree <= 3*N_end, so a wrapped term lands below N
+    M = next_pow2(3 * N_end - N + 1)
+    ffts = {k: np.fft.rfft(a, M) for k, a in ind.items()}
+    spec = ffts[id(tps1)] * ffts[id(tps2)] * ffts[id(tps3)]
     vals = np.fft.irfft(spec, M)[targets]
     spectral = np.rint(vals).astype(np.int64)
     for j in np.flatnonzero(np.abs(vals - spectral) >= 0.25):
         n = int(targets[j])
-        spectral[j] = _exact_triple_coeff(*(a[: n + 1] for a in ind), n)
+        spectral[j] = _exact_triple_coeff(
+            *(ind[id(t)][: n + 1] for t in sets), n)
     bad = np.flatnonzero(direct != spectral)
     if bad.size:
         j = bad[0]

@@ -3,8 +3,9 @@
 Each is an independent or slower route to a value a command computes:
 membership of one prime by scanning n or by the floor-difference
 criterion on the certified floor(-phi), the crossover of the two over a
-range, the singular series at one target by trial division, and the two
-weighted prime sums at one xi.
+range, the singular series at one target by trial division, the two
+weighted prime sums at one xi, and the direct Goldbach counts by one
+gather per pair-count point.
 """
 
 from __future__ import annotations
@@ -109,6 +110,28 @@ def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
     if n > 1:
         divisors.append(n)
     return series(divisors)
+
+
+def direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Exact R(n) per target from one table of pair counts C23(m).
+
+    C23(m) sums over p2 <= m - 2 only (so m - p2 >= 2 indexes i3 directly),
+    and is evaluated at the points m = n - p1 that some target needs, one
+    gather of i3 per point.
+    """
+    k1 = np.searchsorted(p1s, targets, side="right")
+    need = np.zeros(len(i3), dtype=bool)
+    for n, k in zip(targets.tolist(), k1.tolist()):
+        need[n - p1s[:k]] = True
+    ms = np.flatnonzero(need)
+    k2 = np.searchsorted(p2s, ms - 2, side="right")
+    c23 = np.zeros(len(i3), dtype=np.int64)
+    for m, k in zip(ms.tolist(), k2.tolist()):
+        c23[m] = np.count_nonzero(i3[m - p2s[:k]])
+    return np.array([c23[n - p1s[:k]].sum()
+                     for n, k in zip(targets.tolist(), k1.tolist())],
+                    dtype=np.int64)
 
 
 def weighted_prime_sums(tps: ThinPrimeSet, pt: PrimeTable, W: IntPolynomial,

@@ -59,9 +59,9 @@ def test_01_vaughan_exactness(pt20):
     report(1, f"50 splits, worst relative residual {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_02_weighted_sum_gap_decay(pt20, tf99, tps99):
+def test_02_weighted_sum_gap_decay(pt20, tps99):
     t0 = time.perf_counter()
-    prof = formlem_decay(tf99, pt20, W_LIN, 256, 1 << 20, tps=tps99)
+    prof = formlem_decay(pt20, W_LIN, 256, 1 << 20, tps=tps99)
     assert prof.fitted_exponent is not None
     assert prof.fitted_exponent < 1.0
     tail = [norm for _, _, norm in prof.entries[-4:]]
@@ -76,8 +76,7 @@ def test_02_weighted_sum_gap_decay(pt20, tf99, tps99):
 
 def test_03_identity_collapse(pt20, tf_identity, tps_identity):
     t0 = time.perf_counter()
-    prof = formlem_decay(tf_identity, pt20, W_LIN, 128, 1 << 18,
-                         tps=tps_identity)
+    prof = formlem_decay(pt20, W_LIN, 128, 1 << 18, tps=tps_identity)
     assert prof.exact_zero
     assert all(gap == 0.0 for _, gap, _ in prof.entries)
     for n in (2 ** 8, 2 ** 12, 2 ** 16):

@@ -323,9 +323,9 @@ def test_kernel_gap_trend(tps99, pt20):
     assert large < small
 
 
-def test_kernel_gap_matches_decay_profile(tps99, tf99, pt20):
+def test_kernel_gap_matches_decay_profile(tps99, pt20):
     n = 2 ** 12
-    prof = formlem_decay(tf99, pt20, W_LIN, 64, n, tps=tps99)
+    prof = formlem_decay(pt20, W_LIN, 64, n, tps=tps99)
     kg = kernel_gap_norm(tps99, pt20, W_LIN, n, 64)
     assert prof.entries[-1][0] == n
     assert n * kg == pytest.approx(prof.entries[-1][1], abs=1e-10)

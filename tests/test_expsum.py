@@ -483,36 +483,36 @@ def test_conjugation_symmetry(pt20, tf95):
         assert abs(a - b.conjugate()) < 1e-10
 
 
-def test_decay_profile_identity_exact_zero(pt20, tf_identity, tps_identity):
-    prof = formlem_decay(tf_identity, pt20, W_LIN, 64, 2 ** 16, tps=tps_identity)
+def test_decay_profile_identity_exact_zero(pt20, tps_identity):
+    prof = formlem_decay(pt20, W_LIN, 64, 2 ** 16, tps=tps_identity)
     assert prof.exact_zero
     assert prof.fitted_exponent is None
     assert all(gap == 0.0 for _, gap, _ in prof.entries)
 
 
-def test_decay_profile_gamma99(pt20, tf99, tps99):
-    prof = formlem_decay(tf99, pt20, W_LIN, 64, 2 ** 16, tps=tps99)
+def test_decay_profile_gamma99(pt20, tps99):
+    prof = formlem_decay(pt20, W_LIN, 64, 2 ** 16, tps=tps99)
     assert prof.fitted_exponent is not None
     assert prof.fitted_exponent < 1.0
 
 
-def test_decay_grid_refinement_monotone(pt20, tf99, tps99):
-    coarse = formlem_decay(tf99, pt20, W_LIN, 64, 2 ** 14, tps=tps99)
-    fine = formlem_decay(tf99, pt20, W_LIN, 128, 2 ** 14, tps=tps99)
+def test_decay_grid_refinement_monotone(pt20, tps99):
+    coarse = formlem_decay(pt20, W_LIN, 64, 2 ** 14, tps=tps99)
+    fine = formlem_decay(pt20, W_LIN, 128, 2 ** 14, tps=tps99)
     for (n1, g1, _), (n2, g2, _) in zip(coarse.entries, fine.entries):
         assert n1 == n2
         assert g2 >= g1 * 0.99    # nested grids: sup can only grow
 
 
-def test_decay_validation(pt20, tf99, tps99):
+def test_decay_validation(pt20, tps99):
     with pytest.raises(ParameterOutOfRange):
-        formlem_decay(tf99, pt20, W_LIN, 32, 2 ** 14, tps=tps99)
+        formlem_decay(pt20, W_LIN, 32, 2 ** 14, tps=tps99)
     with pytest.raises(ParameterOutOfRange):
-        formlem_decay(tf99, pt20, W_LIN, 64, 1000, tps=tps99)
+        formlem_decay(pt20, W_LIN, 64, 1000, tps=tps99)
     with pytest.raises(RangeBeyondTable):
-        formlem_decay(tf99, pt20, W_LIN, 64, 2 ** 21, tps=tps99)
+        formlem_decay(pt20, W_LIN, 64, 2 ** 21, tps=tps99)
     with pytest.raises(ParameterOutOfRange):
-        formlem_decay(tf99, pt20, W_LIN, 2 ** 31 + 1, 2 ** 14, tps=tps99)
+        formlem_decay(pt20, W_LIN, 2 ** 31 + 1, 2 ** 14, tps=tps99)
 
 
 def _decay_gaps_by_xi_loop(tps, pt, W, G, N_max):
@@ -546,10 +546,10 @@ def _decay_gaps_by_xi_loop(tps, pt, W, G, N_max):
     ([5, -3, 0, 2, 0, 0, 1, 1], 64),        # degree 7: W(p) beyond int64
     ([3, -2, 5], 128),
 ])
-def test_decay_gaps_match_xi_loop(pt20, tf99, tps99, coeffs, G):
+def test_decay_gaps_match_xi_loop(pt20, tps99, coeffs, G):
     W = IntPolynomial(coeffs)
     N_max = 2 ** 12
-    prof = formlem_decay(tf99, pt20, W, G, N_max, tps=tps99)
+    prof = formlem_decay(pt20, W, G, N_max, tps=tps99)
     want = _decay_gaps_by_xi_loop(tps99, pt20, W, G, N_max)
     assert [n for n, _, _ in prof.entries] == [16 * 2 ** i for i in range(len(want))]
     for (_, gap, _), ref in zip(prof.entries, want):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thinprimes import goldbach
+from thinprimes import cli, goldbach
 from thinprimes.cli import main
 from thinprimes.errors import (
     CutoffTooSmall,
@@ -28,7 +28,7 @@ from thinprimes.goldbach import (
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import singular_series
+from oracles import direct_counts, singular_series
 
 
 def brute_force_r(N: int, primes: list[int]) -> int:
@@ -262,9 +262,7 @@ def test_range_matches_per_target_loop(sets_by_gamma, gammas, half, width):
     assert list(zip(direct.tolist(), spectral.tolist())) == want
 
 
-@pytest.mark.parametrize("K", [1, 7, 120])
-def test_range_takes_at_most_four_transforms(tps_identity, tps95, K,
-                                             monkeypatch):
+def _record_transforms(monkeypatch):
     calls = []
     for name in ("rfft", "irfft"):
         real = getattr(np.fft, name)
@@ -273,10 +271,116 @@ def test_range_takes_at_most_four_transforms(tps_identity, tps95, K,
             calls.append(_real.__name__)
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("K", [1, 7, 120])
+def test_range_takes_at_most_four_transforms(tps_identity, tps95, K,
+                                             monkeypatch):
+    calls = _record_transforms(monkeypatch)
     N = 5001
     direct, spectral = rep_counts(tps_identity, tps95, tps95, N, N + 2 * (K - 1))
     assert len(direct) == len(spectral) == K
-    assert len(calls) <= 4
+    assert len(calls) == 3      # one rfft per distinct set, one irfft
+
+
+@pytest.mark.parametrize("names,transforms", [
+    ("iii", 2), ("iaa", 3), ("aia", 3), ("iab", 4)])
+def test_one_transform_per_distinct_set(tps_identity, tps95, tps99, names,
+                                        transforms, monkeypatch):
+    calls = _record_transforms(monkeypatch)
+    by_name = {"i": tps_identity, "a": tps95, "b": tps99}
+    direct, spectral = rep_counts(*(by_name[c] for c in names), 3001, 3041)
+    assert len(calls) == transforms
+    assert direct.tolist() == spectral.tolist()
+
+
+# 3*N_end - N + 1 is odd for odd N and N_end, so the grid is either one point
+# above it (2^k - 1) or nearly twice it (2^k + 1)
+@pytest.mark.parametrize("N,N_end,M", [
+    (4089, 4093, 1 << 13), (33, 2741, 1 << 13),
+    (4087, 4093, 1 << 14), (31, 2741, 1 << 14)])
+def test_grid_at_power_of_two_edges(tps_identity, tps95, tps99, N, N_end, M,
+                                    monkeypatch):
+    sizes = []
+    real = np.fft.irfft
+
+    def spy(a, n=None, *args, **kwargs):
+        sizes.append(n)
+        return real(a, n, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    sets = (tps_identity, tps99, tps95)
+    direct, spectral = rep_counts(*sets, N, N_end)
+    assert sizes == [M]
+    assert 3 * N_end - N + 1 in (M - 1, M // 2 + 1)
+    for j, n in ((0, N), (-1, N_end)):
+        assert (direct[j], spectral[j]) == per_target_rep_count(n, *sets)
+
+
+# -- the two pair-count tables against the per-point gather ----------------
+
+@st.composite
+def pair_count_cases(draw):
+    """Sets in [2, L] with L + 1 = 0, 1 or 63 mod 64 (an empty S2 drawn on
+    purpose) and a range of targets that may be a single one."""
+    L = 64 * draw(st.integers(1, 6)) + draw(st.sampled_from([-1, 0, 62]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = st.sampled_from([0.0, 0.02, 0.3, 1.0])
+
+    def subset(p):
+        return 2 + np.flatnonzero(rng.random(L - 1) < p)
+    s1, s2 = subset(draw(density)), subset(draw(density))
+    i3 = np.zeros(L + 1, dtype=bool)
+    i3[subset(draw(density))] = True
+    N_end = draw(st.sampled_from([L, L - 1, L // 2]))
+    N = N_end - 2 * draw(st.integers(0, N_end // 2 - 1))
+    return s1[s1 <= N_end], s2, i3, N, N_end
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_count_cases())
+@example((np.array([2, 3, 5]), np.array([], dtype=np.int64),
+          np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=bool), 7, 7))
+def test_pair_tables_match_per_point_gather(case):
+    p1s, p2s, i3, N, N_end = case
+    want = direct_counts(p1s, p2s, i3, np.arange(N, N_end + 1, 2))
+    ms = goldbach._needed_points(p1s, N, N_end, len(i3))
+    by_popcount = goldbach._pair_counts_by_popcount(p2s, i3, ms)
+    by_shifts = goldbach._pair_counts_by_shifts(p2s, i3)
+    assert by_popcount[ms].tolist() == by_shifts[ms].tolist()
+    for table in (by_popcount, by_shifts):
+        got = goldbach._sum_over_first(p1s, table, N, N_end)
+        assert got.tolist() == want.tolist()
+    assert goldbach._direct_counts(p1s, p2s, i3, N, N_end).tolist() == \
+        want.tolist()
+
+
+def _record_pair_table_sides(monkeypatch):
+    sides = []
+    for side in ("popcount", "shifts"):
+        real = getattr(goldbach, f"_pair_counts_by_{side}")
+
+        def spy(*args, _real=real, _side=side):
+            sides.append(_side)
+            return _real(*args)
+        monkeypatch.setattr(goldbach, f"_pair_counts_by_{side}", spy)
+    return sides
+
+
+def test_thin_wide_range_takes_shifted_adds(pt20, monkeypatch):
+    tps = enumerate_thin_primes(make_thin_function("power", gamma=0.7), pt20,
+                                1 << 18)
+    sides = _record_pair_table_sides(monkeypatch)
+    direct, _ = rep_counts(tps, tps, tps, 7, (1 << 18) - 1)
+    assert sides == ["shifts"]
+    zeros = np.flatnonzero(direct == 0)
+    assert zeros.size == 305 and 7 + 2 * zeros[-1] == 4155
+
+
+def test_dense_single_target_takes_popcounts(tps_identity, monkeypatch):
+    sides = _record_pair_table_sides(monkeypatch)
+    rep_counts(tps_identity, tps_identity, tps_identity, 200001, 200001)
+    assert sides == ["popcount"]
 
 
 def test_thin_margin_escalates_only_its_target(tps_identity, tps95,
@@ -384,3 +488,23 @@ def test_cli_range_body_is_the_single_bodies(tmp_path):
                for n in range(3001, 3042, 2)]
     assert sweep[0] == singles[0][0]
     assert sweep[1:] == [row for body in singles for row in body[1:]]
+
+
+def test_cli_enumerates_each_distinct_gamma_once(tmp_path, pt20, monkeypatch):
+    N, N_end = 2001, 2041
+    sets = [enumerate_thin_primes(make_thin_function("power", gamma=1.0),
+                                  pt20, N_end) for _ in range(3)]
+    want = [",".join(cli._fmt(v) for v in rep.csv_row())
+            for rep in goldbach_reports([s.tf for s in sets], sets, N, N_end,
+                                        pt20)]
+    calls = []
+    real = cli.enumerate_thin_primes
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "enumerate_thin_primes", spy)
+    body = _body(["goldbach", "--gammas", "1,1,1", "--N", str(N),
+                  "--N-end", str(N_end)], tmp_path)
+    assert len(calls) == 1
+    assert body[1:] == want
