@@ -12,11 +12,25 @@ import math
 
 import numpy as np
 
+from .errors import LimitTooLarge
+
 # Dekker splitter for binary64 (2^27 + 1).
 _SPLIT = 134217729.0
 
 # Above this magnitude a float64 can no longer hold every integer exactly.
 _EXACT_INT_LIMIT = 2 ** 52
+
+# bytes of the dense arrays one table, kernel or running sum may hold
+MAX_HULL_BYTES = 1 << 32
+
+
+def _check_hull(entries: int, dtype, what: str) -> None:
+    """Raise LimitTooLarge, before allocating, when `entries` values of
+    dtype would pass MAX_HULL_BYTES."""
+    nbytes = entries * np.dtype(dtype).itemsize
+    if nbytes > MAX_HULL_BYTES:
+        raise LimitTooLarge(f"{what} needs {nbytes} bytes over its hull, "
+                            f"above the {MAX_HULL_BYTES}-byte guard")
 
 
 def frac_mul_exact(xi: float, w: int) -> float:

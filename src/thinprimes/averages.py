@@ -7,9 +7,9 @@ Kernels place nonnegative mass at polynomial images W(p) of (thin) primes:
     K2 : weight log(p)/N at W(p), all primes p <= N
 
 Maximal functions take the pointwise sup over dyadic N of |K_N * f|.
-Signals and kernels are arrays over the hull of their support, so every
-convolution is one np.convolve over the full window where it can be
-nonzero; the dyadic sup is exact, with no tail approximation.
+Signals and kernels are arrays over the hull of their support, so each
+layer of new atoms is one np.convolve over the full window where it can
+be nonzero; the dyadic sup is exact, with no tail approximation.
 """
 
 from __future__ import annotations
@@ -20,22 +20,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._num import dyadic
+from ._num import _check_hull, dyadic
 from .errors import EmptySet, HypothesisViolated, LimitTooLarge, ParameterOutOfRange
-from .expsum import IntPolynomial, grid_sup_gaps
+from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
-
-# bytes of the dense arrays one kernel or running sum may hold over its hull
-MAX_HULL_BYTES = 1 << 32
-
-
-def _check_hull(entries: int, dtype, what: str) -> None:
-    """Raise LimitTooLarge, before allocating, when `entries` values of
-    dtype would pass MAX_HULL_BYTES."""
-    nbytes = entries * np.dtype(dtype).itemsize
-    if nbytes > MAX_HULL_BYTES:
-        raise LimitTooLarge(f"{what} needs {nbytes} bytes over its hull, "
-                            f"above the {MAX_HULL_BYTES}-byte guard")
 
 
 def _positions(W: IntPolynomial, ks: np.ndarray) -> np.ndarray:
@@ -58,19 +46,11 @@ def check_norm_exponent(r: float) -> None:
         raise ParameterOutOfRange("r must satisfy 1 <= r <= inf")
 
 
-def _nonzero_view(offset: int, values: np.ndarray) -> MappingProxyType:
-    """Read-only {offset + i: values[i]} over the nonzero entries, ascending."""
-    nz = np.flatnonzero(values)
-    return MappingProxyType(dict(zip((nz + offset).tolist(),
-                                     values[nz].tolist())))
-
-
 class SparseSignal:
     """Finitely supported complex function on the integers.
 
     Stored as values[i] = f(offset + i): a complex128 array over the support
     hull, trimmed of zeros at both ends, so memory grows with the hull.
-    ``data`` is a read-only {n: f(n)} view in ascending n, built per access.
     """
 
     def __init__(self, data: dict | None = None):
@@ -80,14 +60,6 @@ class SparseSignal:
         _check_hull(size, np.complex128, "signal")
         self.values = np.zeros(size, dtype=np.complex128)
         self.values[[k - self.offset for k in data]] = list(data.values())
-
-    @property
-    def data(self) -> MappingProxyType:
-        return _nonzero_view(self.offset, self.values)
-
-    @classmethod
-    def delta(cls, n: int, value=1.0) -> "SparseSignal":
-        return cls({n: value})
 
     @classmethod
     def from_dense(cls, arr: np.ndarray, offset: int = 0) -> "SparseSignal":
@@ -126,11 +98,6 @@ class SparseSignal:
         out.imag = c.real * v.imag + c.imag * v.real
         return SparseSignal.from_dense(out, self.offset)
 
-    def abs(self) -> "SparseSignal":
-        # libm hypot, as Python's abs(complex); np.abs may round differently
-        return SparseSignal.from_dense(np.hypot(self.values.real,
-                                              self.values.imag), self.offset)
-
     def is_nonnegative(self) -> bool:
         return bool(np.all((self.values.imag == 0) & (self.values.real >= 0)))
 
@@ -139,10 +106,6 @@ class SparseSignal:
         if not self.values.size:
             return np.zeros(1, dtype=np.complex128), 0
         return self.values.copy(), self.offset
-
-    def csv_rows(self):
-        for k, v in self.data.items():
-            yield k, v.real, v.imag
 
 
 @dataclass
@@ -158,7 +121,9 @@ class Kernel:
 
     @property
     def atoms(self) -> MappingProxyType:
-        return _nonzero_view(self.offset, self.weights)
+        nz = np.flatnonzero(self.weights)
+        return MappingProxyType(dict(zip((nz + self.offset).tolist(),
+                                         self.weights[nz].tolist())))
 
 
 def _variant_primes_weights(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
@@ -192,16 +157,6 @@ def build_kernel(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
     return Kernel(variant, N, lo, weights, math.fsum(weights))
 
 
-def convolve(kernel: Kernel, f: SparseSignal) -> SparseSignal:
-    """(K*f)(x) = sum_a w_a f(x - a), one np.convolve over both hulls."""
-    if not len(f):
-        return SparseSignal()
-    _check_hull(kernel.weights.size + f.values.size - 1, np.complex128,
-                "convolution")
-    return SparseSignal.from_dense(np.convolve(kernel.weights, f.values),
-                                   kernel.offset + f.offset)
-
-
 def _running_sums(fdense, positions, keys, weights, cutoffs):
     """Yield (N, k, accs) per cutoff N: k = #{keys <= N}, and accs[j](x) =
     sum_{i < k} weights[j][i] * f(x - positions[i]) over the full hull.
@@ -225,28 +180,27 @@ def _running_sums(fdense, positions, keys, weights, cutoffs):
         yield N, prev, accs
 
 
-def maximal_function(f: SparseSignal, variant: str, tps: ThinPrimeSet,
-                     pt: PrimeTable, W: IntPolynomial, N_max: int) -> SparseSignal:
-    """Pointwise sup over dyadic N <= N_max of |K_{variant,N} * f|.
+def maximal_function(f: SparseSignal, tps: ThinPrimeSet, W: IntPolynomial,
+                     N_max: int) -> SparseSignal:
+    """Pointwise sup over dyadic N <= N_max of |K_{Kh,N} * f|.
 
     Convolutions accumulate layer by layer over the dyadic levels (new
-    primes per level enter once); normalization is applied per level on the
-    running sum, so the result equals the exact per-N computation.
+    primes per level enter once); each level's running sum is divided by
+    its count of primes, so the result equals the exact per-N computation.
     """
     check_dyadic_limit(N_max)
-    ps, ws = _variant_primes_weights(variant, tps, pt, N_max)
+    ps, _ = tps.prefix(N_max)
     if len(ps) == 0:
-        raise EmptySet(f"no primes <= {N_max} for kernel {variant}")
+        raise EmptySet(f"no primes <= {N_max} for kernel Kh")
     if not len(f):
         return SparseSignal()
     fdense, flo = f.dense()
     positions = _positions(W, ps)
     best = 0.0
-    for N, k, (acc,) in _running_sums(fdense, positions, ps, [ws],
+    for _, k, (acc,) in _running_sums(fdense, positions, ps, [np.ones(len(ps))],
                                       dyadic(2, N_max)):
         if k:
-            norm = float(k) if variant == "Kh" else float(N)
-            best = np.maximum(best, np.abs(acc) / norm)
+            best = np.maximum(best, np.abs(acc) / float(k))
     return SparseSignal.from_dense(best, flo + int(positions.min()))
 
 
@@ -342,20 +296,3 @@ def weighted_maximal_compare(S, w1, w2, f: SparseSignal, Omega: IntPolynomial,
             f"domination failed: ratio_max={ratio_max:.12g} exceeds "
             f"1+2*C_sup={1 + 2 * c_sup:.12g}")
     return ratio_max, c_sup
-
-
-def kernel_gap_norm(tps: ThinPrimeSet, pt: PrimeTable, W: IntPolynomial,
-                    N: int, xi_grid: int) -> float:
-    """sup over xi = j/xi_grid of |K1^(xi) - K2^(xi)| (Fourier transforms).
-
-    The transforms are the weighted prime sums divided by N, so this is
-    grid_sup_gaps at the single cutoff N, divided by N: gap(N)/N of the
-    decay profile by construction.
-    """
-    thin_p, thin_w = tps.prefix(N)
-    if len(thin_p) == 0:
-        raise EmptySet(f"no primes <= {N} for kernel K1")
-    full_p = pt.primes_in(1, N)
-    gap, = grid_sup_gaps(thin_p, thin_w, full_p,
-                         np.log(full_p.astype(np.float64)), W, xi_grid, [N])
-    return float(gap) / N

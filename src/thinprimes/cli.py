@@ -30,10 +30,9 @@ import time
 import numpy as np
 
 from . import __version__
-from ._num import dyadic
+from ._num import _check_hull, dyadic
 from .averages import (
     SparseSignal,
-    _check_hull,
     abel_summation,
     check_abel_range,
     check_dyadic_limit,
@@ -354,6 +353,7 @@ def _observable(cfg: RunConfig):
     if system == "cycle":
         m = cfg.get_int("cycle-m")
         cycle = FiniteCycle(m)     # checks m before the table is allocated
+        _check_hull(m, np.complex128, "observable table")
         table = np.zeros(m, dtype=np.complex128)
         table[0] = 1.0
         if m > 1:
@@ -406,7 +406,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         prof = formlem_decay(pt, W, grid, n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
-        return ["N", "gap", "gap_over_N"], list(prof.csv_rows()), footer
+        return ["N", "gap", "gap_over_N"], prof.entries, footer
     if sub == "vdc":
         # F(t) = beta t^k has F^(k) = eta = k! beta, checked in logs before it
         # is formed; k is clamped to where the rule can accept it, so lgamma
@@ -456,7 +456,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 idx = rng.choice(support, size=max(1, support // 4),
                                  replace=False)
                 f = SparseSignal({int(i): 1.0 for i in idx})
-                mf = maximal_function(f, "Kh", tps, pt, W, n)
+                mf = maximal_function(f, tps, W, n)
                 rows.append((r, support, trial, lr_norm(mf, r) / lr_norm(f, r)))
         return ["r", "support_size", "seed", "ratio"], rows, None
     if sub == "abel":

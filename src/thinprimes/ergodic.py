@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import e2pi, frac_mul_int_vec, fsum_complex
+from ._num import e2pi, frac_mul_int_vec
 from .errors import (
     EmptySet,
     InvalidBreaks,
@@ -85,27 +85,13 @@ def _orbit_values(sys, f, x, ps: np.ndarray, W: IntPolynomial) -> np.ndarray:
     raise ParameterOutOfRange(f"unknown system {sys!r}")
 
 
-def ergodic_average(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
-                    W: IntPolynomial, N: int, weighted: bool = False) -> complex:
-    """Average of f along the orbit positions W(p), p thin prime <= N.
-
-    unweighted: (1/pi_h(N)) sum f(T^{W(p)} x)
-    weighted:   (1/N) sum log(p)/phi'(p) f(T^{W(p)} x)
-    """
-    if N > tps.limit or N > pt.limit:
-        raise RangeBeyondTable(f"N={N} beyond enumerated or sieved limit")
-    ps, ws = tps.prefix(N)
-    if ps.size == 0:
-        raise EmptySet(f"no thin primes <= {N}")
-    vals = _orbit_values(sys, f, x, ps, W)
-    if weighted:
-        return fsum_complex(ws * vals) / N
-    return fsum_complex(vals) / len(ps)
-
-
 def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
                    W: IntPolynomial, checkpoints, weighted: bool = False) -> AverageSeries:
-    """Sample the ergodic average at each checkpoint (shared term arrays)."""
+    """Sample the ergodic average at each checkpoint, from one running sum.
+
+    unweighted: (1/pi_h(N)) sum f(T^{W(p)} x) over thin primes p <= N
+    weighted:   (1/N) sum log(p)/phi'(p) f(T^{W(p)} x)
+    """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
         raise ParameterOutOfRange("need at least one checkpoint")
@@ -114,17 +100,13 @@ def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
         raise RangeBeyondTable("checkpoint beyond enumerated or sieved limit")
     ps, ws = tps.prefix(nmax)
     vals = _orbit_values(sys, f, x, ps, W)
-    cum_plain = np.cumsum(vals)
-    cum_weighted = np.cumsum(ws * vals)
+    cum = np.cumsum(ws * vals if weighted else vals)
     out = []
     for n in checkpoints:
         cnt = int(np.searchsorted(ps, n, side="right"))
         if cnt == 0:
             raise EmptySet(f"no thin primes <= {n}")
-        if weighted:
-            out.append(complex(cum_weighted[cnt - 1]) / n)
-        else:
-            out.append(complex(cum_plain[cnt - 1]) / cnt)
+        out.append(complex(cum[cnt - 1]) / (n if weighted else cnt))
     return AverageSeries(checkpoints, out, weighted)
 
 

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._num import (
+    _check_hull,
     dyadic,
     e2pi,
     frac_mul_int_vec,
@@ -325,6 +326,7 @@ def check_bilinear_sizes(K: int, L: int, m: int) -> None:
     """bilinear_sum_bound's rules for the block sizes and the frequency m."""
     if L < 2 or K < 2:
         raise ParameterOutOfRange("need L, K >= 2")
+    _check_hull(K + L, np.complex128, "bilinear weight pair")
     if m == 0:
         raise HypothesisViolated("m=0: the bilinear estimate needs m != 0")
 
@@ -388,10 +390,6 @@ class DecayProfile:
     def exact_zero(self) -> bool:
         return all(gap == 0.0 for _, gap, _ in self.entries)
 
-    def csv_rows(self):
-        for n, gap, norm in self.entries:
-            yield n, gap, norm
-
 
 DYADIC_START = 16
 MAX_XI_GRID = 2 ** 31      # W(p) mod G by int64 Horner is exact up to here
@@ -428,6 +426,8 @@ def check_decay_args(xi_grid_size: int, N_max: int) -> None:
     """formlem_decay's rules for its grid size and largest level."""
     if not 64 <= xi_grid_size <= MAX_XI_GRID:
         raise ParameterOutOfRange("xi grid must have between 64 and 2^31 points")
+    # the bucket vector (G floats) and its rfft (G/2 + 1 complex values)
+    _check_hull(xi_grid_size, np.complex128, "xi grid")
     if N_max < DYADIC_START or N_max & (N_max - 1):
         raise ParameterOutOfRange("N_max must be a power of two >= 16")
 

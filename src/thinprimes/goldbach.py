@@ -38,7 +38,6 @@ from .errors import (
     SpectralMismatch,
 )
 from .sieve import PrimeTable, ThinPrimeSet, _base_primes
-from .thinfn import ThinFunction
 
 
 def check_targets(N: int, N_end: int) -> None:
@@ -47,18 +46,6 @@ def check_targets(N: int, N_end: int) -> None:
         raise ParameterOutOfRange("N must be odd and >= 7")
     if N_end < N:
         raise ParameterOutOfRange(f"N_end={N_end} < N={N}")
-
-
-@dataclass(frozen=True)
-class GoldbachConfig:
-    """Problem instance: three generating functions, an odd target N."""
-    tf1: ThinFunction
-    tf2: ThinFunction
-    tf3: ThinFunction
-    N: int
-
-    def __post_init__(self):
-        check_targets(self.N, self.N)
 
 
 def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
@@ -218,17 +205,6 @@ def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
     return direct, spectral
 
 
-def rep_count(cfg: GoldbachConfig, tps1: ThinPrimeSet, tps2: ThinPrimeSet,
-              tps3: ThinPrimeSet) -> tuple[int, int]:
-    """(R_direct, R_spectral) at cfg.N: rep_counts over a range of one.
-
-    One pair-count table and one transform, with the same margin check,
-    escalation and exact agreement as every range.
-    """
-    direct, spectral = rep_counts(tps1, tps2, tps3, cfg.N, cfg.N)
-    return int(direct[0]), int(spectral[0])
-
-
 def check_cutoff(cutoff: int) -> None:
     """SingularSeries' rule for its cutoff."""
     if cutoff < 100:
@@ -287,7 +263,6 @@ class GoldbachReport:
     main_term: float
     ratio: float
     flags: str
-    vinogradov_ratio: float | None = None
 
     def csv_row(self):
         return (self.N, self.R, self.S_paper, self.S_classical,
@@ -319,11 +294,7 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
         phis = [t.phi(float(n)) for t in tfs]
         main = s_used * phis[0] * phis[1] * phis[2] / (n * math.log(n) ** 3)
         ratio = R / main if main > 0 else math.inf
-        vr = None
-        if all(t.is_identity for t in tfs):
-            vr = R * 2.0 * math.log(n) ** 3 / (s_classical * n * n)
-        reports.append(GoldbachReport(n, R, s_paper, s_classical, main, ratio,
-                                      flags, vr))
+        reports.append(GoldbachReport(n, R, s_paper, s_classical, main, ratio, flags))
     return reports
 
 

@@ -1,8 +1,8 @@
 """Segmented smallest-prime-factor sieve and thin prime set enumeration.
 
 The PrimeTable stores spf(n) for 2 <= n <= N, built segment by segment
-(2^20 entries per segment) so the marking loops stay cache resident.  All
-arithmetic queries (primality, Mobius, von Mangoldt) factor through spf in
+(2^20 entries per segment) so the marking loops stay cache resident.  The
+pointwise queries (factorization, von Mangoldt) factor through spf in
 O(log n).  Thin prime sets are enumerated from the defining floor values
 floor(h(n)); every floor decision here is a call of ThinFunction's
 certified floor route.
@@ -68,16 +68,6 @@ class PrimeTable:
                 e += 1
             out.append((p, e))
         return out
-
-    def mu(self, n: int) -> int:
-        if n == 1:
-            return 1
-        sign = 1
-        for _, e in self.factorize(n):
-            if e >= 2:
-                return 0
-            sign = -sign
-        return sign
 
     def lambda_(self, n: int) -> float:
         """von Mangoldt: log p when n = p^m, else 0."""
@@ -151,8 +141,8 @@ def _fill_segment(spf, lo, hi, base):
 def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
     """Sieve spf for 2..N in 2^20-entry segments.
 
-    Queries prime?(n), mu(n), lambda(n) then run in O(log n) through spf
-    factorization.  Segments are independent and may be filled in parallel.
+    Queries factorize(n) and lambda_(n) then run in O(log n) through spf.
+    Segments are independent and may be filled in parallel.
     """
     if N < 2:
         raise LimitTooLarge("N must be at least 2")

@@ -4,8 +4,9 @@ Each is an independent or slower route to a value a command computes:
 membership of one prime by scanning n or by the floor-difference
 criterion on the certified floor(-phi), the crossover of the two over a
 range, the singular series at one target by trial division, the two
-weighted prime sums at one xi, and the direct Goldbach counts by one
-gather per pair-count point.
+weighted prime sums at one xi, the direct Goldbach counts by one
+gather per pair-count point, and the Moebius function at one n by
+factoring through the prime table.
 """
 
 from __future__ import annotations
@@ -110,6 +111,19 @@ def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
     if n > 1:
         divisors.append(n)
     return series(divisors)
+
+
+def mobius(pt: PrimeTable, n: int) -> int:
+    """Moebius mu(n) from n's factorization in pt: the scalar oracle of
+    PrimeTable.mu_array."""
+    if n == 1:
+        return 1
+    sign = 1
+    for _, e in pt.factorize(n):
+        if e >= 2:
+            return 0
+        sign = -sign
+    return sign
 
 
 def direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,

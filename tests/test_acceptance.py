@@ -18,7 +18,7 @@ from thinprimes.averages import (
     maximal_function,
     weighted_maximal_compare,
 )
-from thinprimes.ergodic import CircleRotation, FiniteCycle, ergodic_average
+from thinprimes.ergodic import CircleRotation, FiniteCycle, average_series
 from thinprimes.expsum import (
     IntPolynomial,
     PhaseSpec,
@@ -28,7 +28,7 @@ from thinprimes.expsum import (
     vaughan_split,
     vdc_bound_check,
 )
-from thinprimes.goldbach import GoldbachConfig, parseval_check, rep_count
+from thinprimes.goldbach import parseval_check, rep_counts
 from thinprimes.sieve import build_prime_table, density_profile, enumerate_thin_primes
 from thinprimes.thinfn import derivative_ratio_report, make_thin_function
 
@@ -74,7 +74,7 @@ def test_02_weighted_sum_gap_decay(pt20, tps99):
               f"tail {['%.5f' % t for t in tail]}, {elapsed:.1f}s")
 
 
-def test_03_identity_collapse(pt20, tf_identity, tps_identity):
+def test_03_identity_collapse(pt20, tps_identity):
     t0 = time.perf_counter()
     prof = formlem_decay(pt20, W_LIN, 128, 1 << 18, tps=tps_identity)
     assert prof.exact_zero
@@ -94,10 +94,9 @@ def test_03_identity_collapse(pt20, tf_identity, tps_identity):
             rem = n - int(p1) - ps
             ok = rem >= 2
             brute += int(np.count_nonzero(ind[rem[ok]]))
-        cfg = GoldbachConfig(tf_identity, tf_identity, tf_identity, n)
-        direct, spectral = rep_count(cfg, tps_identity, tps_identity,
-                                     tps_identity)
-        assert direct == spectral == brute
+        direct, spectral = rep_counts(tps_identity, tps_identity,
+                                      tps_identity, n, n)
+        assert direct[0] == spectral[0] == brute
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0
     report(3, f"gap identically 0, K1=K2, R=r on odd N<=2000, {elapsed:.1f}s")
@@ -121,25 +120,21 @@ def test_04_parseval_exactness(pt20, tps_identity, tps95, tps99):
               f"{elapsed:.1f}s")
 
 
-def test_05_goldbach_cross_method(pt20, tf_identity, tf95, tf99,
-                                  tps_identity, tps95, tps99):
+def test_05_goldbach_cross_method(pt20, tps_identity, tps95, tps99):
     t0 = time.perf_counter()
-    cfg9 = GoldbachConfig(tf_identity, tf_identity, tf_identity, 9)
-    assert rep_count(cfg9, tps_identity, tps_identity, tps_identity) == (4, 4)
-    cfg7 = GoldbachConfig(tf_identity, tf_identity, tf_identity, 7)
-    assert rep_count(cfg7, tps_identity, tps_identity, tps_identity) == (3, 3)
+    direct, spectral = rep_counts(tps_identity, tps_identity, tps_identity, 9, 9)
+    assert (direct[0], spectral[0]) == (4, 4)
+    direct, spectral = rep_counts(tps_identity, tps_identity, tps_identity, 7, 7)
+    assert (direct[0], spectral[0]) == (3, 3)
     triples = [
-        ((tf_identity, tps_identity),) * 3,
-        ((tf_identity, tps_identity), (tf_identity, tps_identity),
-         (tf95, tps95)),
-        ((tf99, tps99),) * 3,
+        (tps_identity,) * 3,
+        (tps_identity, tps_identity, tps95),
+        (tps99,) * 3,
     ]
-    for triple in triples:
-        tfs = [t[0] for t in triple]
-        sets = [t[1] for t in triple]
+    for sets in triples:
         for n in range(7, 2001, 2):
-            direct, spectral = rep_count(GoldbachConfig(*tfs, n), *sets)
-            assert direct == spectral
+            direct, spectral = rep_counts(*sets, n, n)
+            assert direct[0] == spectral[0]
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0
     report(5, f"direct == spectral on odd N<=2000 for 3 gamma triples, "
@@ -159,7 +154,7 @@ def test_06_density_sanity(pt20, tps95):
               f"at 1e4, {elapsed:.1f}s")
 
 
-def test_07_maximal_diagnostics(pt20, tps95):
+def test_07_maximal_diagnostics(tps95):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     # invariants on 100 random signals
@@ -169,13 +164,13 @@ def test_07_maximal_diagnostics(pt20, tps95):
                           zip(idx[:32], rng.random(32))})
         g = SparseSignal({int(i): float(v) for i, v in
                           zip(idx[16:], rng.random(32))})
-        mf = maximal_function(f, "Kh", tps95, pt20, W_LIN, 2 ** 10)
-        mg = maximal_function(g, "Kh", tps95, pt20, W_LIN, 2 ** 10)
-        mfg = maximal_function(f + g, "Kh", tps95, pt20, W_LIN, 2 ** 10)
+        mf = maximal_function(f, tps95, W_LIN, 2 ** 10)
+        mg = maximal_function(g, tps95, W_LIN, 2 ** 10)
+        mfg = maximal_function(f + g, tps95, W_LIN, 2 ** 10)
         for x in mfg.support():
             assert mfg[x].real <= mf[x].real + mg[x].real + 1e-10
         c = -2.5
-        mcf = maximal_function(f.scale(c), "Kh", tps95, pt20, W_LIN, 2 ** 10)
+        mcf = maximal_function(f.scale(c), tps95, W_LIN, 2 ** 10)
         for x in mcf.support():
             assert mcf[x].real == pytest.approx(abs(c) * mf[x].real, rel=1e-12)
         for x in mf.support():
@@ -188,7 +183,7 @@ def test_07_maximal_diagnostics(pt20, tps95):
             r2 = np.random.default_rng(1000 * logs + seed)
             idx = r2.choice(1 << logs, size=(1 << logs) // 4, replace=False)
             f = SparseSignal({int(i): 1.0 for i in idx})
-            mf = maximal_function(f, "Kh", tps95, pt20, W_LIN, 2 ** 14)
+            mf = maximal_function(f, tps95, W_LIN, 2 ** 14)
             best = max(best, lr_norm(mf, 2) / lr_norm(f, 2))
         sups.append(best)
     for a, b in zip(sups, sups[1:]):
@@ -222,22 +217,22 @@ def test_09_ergodic_checks(tf_identity, tf95, pt20, tps95):
     t0 = time.perf_counter()
     pt22 = build_prime_table(1 << 22, threads=4)
     tps22 = enumerate_thin_primes(tf_identity, pt22, 1 << 22)
-    v = ergodic_average(FiniteCycle(2), [1.0, -1.0], 0, tps22, pt22, W_LIN,
-                        1 << 22)
+    v = average_series(FiniteCycle(2), [1.0, -1.0], 0, tps22, pt22, W_LIN,
+                       [1 << 22]).values[0]
     assert abs(v - (-1.0)) < 1e-2
     # oracle equality at gamma=1: direct loop over the sieve
     m, x, n = 6, 2, 4096
     rng = np.random.default_rng(9)
     f = rng.random(m)
-    va = ergodic_average(FiniteCycle(m), f, x, tps22, pt22, W_LIN, n)
+    va = average_series(FiniteCycle(m), f, x, tps22, pt22, W_LIN, [n]).values[0]
     ps = pt22.primes_in(1, n)
     direct = sum(f[(x + int(p)) % m] for p in ps) / len(ps)
     assert va.real == pytest.approx(direct, abs=1e-12)
     alpha = math.sqrt(2) - 1
-    a12 = ergodic_average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
-                          pt20, W_LIN, 1 << 12)
-    a20 = ergodic_average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
-                          pt20, W_LIN, 1 << 20)
+    a12 = average_series(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
+                         pt20, W_LIN, [1 << 12]).values[0]
+    a20 = average_series(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
+                         pt20, W_LIN, [1 << 20]).values[0]
     assert abs(a20) < abs(a12)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 300.0

@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinprimes import averages
 from thinprimes.averages import (
-    Kernel,
     SparseSignal,
     _running_sums,
     abel_summation,
     build_kernel,
-    convolve,
-    kernel_gap_norm,
     lr_norm,
     maximal_function,
     weighted_maximal_compare,
@@ -31,6 +27,11 @@ from thinprimes.sieve import enumerate_thin_primes
 
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])
+
+
+def values(f):
+    """{n: f(n)} over the support of f, in ascending n."""
+    return {n: f[n] for n in f.support()}
 
 
 def random_signal(rng, size, span, nonneg=True):
@@ -92,7 +93,7 @@ def test_hull_guard_raises_before_allocating(tps95, pt20):
     with pytest.raises(LimitTooLarge, match="kernel K1"):
         build_kernel("K1", tps95, pt20, cube, 1 << 20)
     with pytest.raises(LimitTooLarge, match="running sum"):
-        maximal_function(SparseSignal.delta(0), "Kh", tps95, pt20, cube, 1 << 20)
+        maximal_function(SparseSignal({0: 1.0}), tps95, cube, 1 << 20)
 
 
 def test_positions_beyond_int64_raise_limit_too_large(tps95, pt20):
@@ -101,53 +102,55 @@ def test_positions_beyond_int64_raise_limit_too_large(tps95, pt20):
     with pytest.raises(LimitTooLarge, match="int64"):
         build_kernel("Kh", tps95, pt20, w7, 1024)
     with pytest.raises(LimitTooLarge, match="int64"):
-        maximal_function(SparseSignal.delta(0), "Kh", tps95, pt20, w7, 1024)
+        maximal_function(SparseSignal({0: 1.0}), tps95, w7, 1024)
     with pytest.raises(LimitTooLarge, match="int64"):
         weighted_maximal_compare(tps95.primes, lambda x: 1.0, lambda x: 1.0,
-                                 SparseSignal.delta(0), w7, [1024])
+                                 SparseSignal({0: 1.0}), w7, [1024])
 
 
-def test_signal_hulls_checked_before_allocating(monkeypatch):
+def test_signal_hulls_checked_before_allocating():
     with pytest.raises(LimitTooLarge, match="signal needs"):
         SparseSignal({0: 1.0, 2 ** 40: 1.0})
     with pytest.raises(LimitTooLarge, match="signal sum"):
-        SparseSignal.delta(0) + SparseSignal.delta(2 ** 40)
-    monkeypatch.setattr(averages, "MAX_HULL_BYTES", 1000)
-    f = SparseSignal({i: 1.0 for i in range(40)})      # 640 bytes
-    k = Kernel("Kh", 40, 0, np.ones(40), 40.0)         # 79-entry output
-    with pytest.raises(LimitTooLarge, match="convolution"):
-        convolve(k, f)
+        SparseSignal({0: 1.0}) + SparseSignal({2 ** 40: 1.0})
+
+
+def kh_convolve(tps, N, f):
+    """K_{Kh,N} * f at linear W as {x: value}, from the running sum that
+    maximal_function reads at its level N."""
+    ps, _ = tps.prefix(N)
+    fdense, flo = f.dense()
+    weights = [np.ones(len(ps)) / len(ps)]
+    *_, (_, _, (acc,)) = _running_sums(fdense, ps, ps, weights, [N])
+    return values(SparseSignal.from_dense(acc, flo + int(ps.min())))
 
 
 def test_convolution_identity(tps_identity, pt20):
     k = build_kernel("Kh", tps_identity, pt20, W_LIN, 10)
-    out = convolve(k, SparseSignal.delta(0))
-    assert out.data == {a: complex(w) for a, w in k.atoms.items()}
+    out = kh_convolve(tps_identity, 10, SparseSignal({0: 1.0}))
+    assert out == {a: complex(w) for a, w in k.atoms.items()}
 
 
-def test_convolution_linearity(tps_identity, pt20):
-    k = build_kernel("Kh", tps_identity, pt20, W_LIN, 10)
-    f = SparseSignal({0: 1.0, 1: 1.0})
-    out = convolve(k, f)
-    shifted = convolve(k, SparseSignal.delta(1))
-    base = convolve(k, SparseSignal.delta(0))
-    assert out.data == (base + shifted).data
+def test_convolution_linearity(tps_identity):
+    out = kh_convolve(tps_identity, 10, SparseSignal({0: 1.0, 1: 1.0}))
+    shifted = kh_convolve(tps_identity, 10, SparseSignal({1: 1.0}))
+    base = kh_convolve(tps_identity, 10, SparseSignal({0: 1.0}))
+    assert out == values(SparseSignal(base) + SparseSignal(shifted))
 
 
-def test_convolution_shift(tps_identity, pt20):
-    k = build_kernel("Kh", tps_identity, pt20, W_LIN, 10)
-    out = convolve(k, SparseSignal.delta(2))
-    assert sorted(out.data) == [4, 5, 7, 9]
-    assert all(v == pytest.approx(0.25) for v in out.data.values())
+def test_convolution_shift(tps_identity):
+    out = kh_convolve(tps_identity, 10, SparseSignal({2: 1.0}))
+    assert sorted(out) == [4, 5, 7, 9]
+    assert all(v == pytest.approx(0.25) for v in out.values())
 
 
 def test_lr_norm_trivia():
-    assert lr_norm(SparseSignal.delta(0), 1) == 1.0
-    assert lr_norm(SparseSignal.delta(0), 2) == 1.0
-    assert lr_norm(SparseSignal.delta(0), math.inf) == 1.0
+    assert lr_norm(SparseSignal({0: 1.0}), 1) == 1.0
+    assert lr_norm(SparseSignal({0: 1.0}), 2) == 1.0
+    assert lr_norm(SparseSignal({0: 1.0}), math.inf) == 1.0
     assert lr_norm(SparseSignal({0: 1, 1: 1}), 2) == pytest.approx(math.sqrt(2))
     with pytest.raises(ParameterOutOfRange):
-        lr_norm(SparseSignal.delta(0), 0.5)
+        lr_norm(SparseSignal({0: 1.0}), 0.5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -162,33 +165,32 @@ def test_lr_norm_nesting(d):
 def test_maximal_dominates_each_level(tps95, pt20):
     rng = np.random.default_rng(0)
     f = random_signal(rng, 64, 512)
-    mf = maximal_function(f, "Kh", tps95, pt20, W_LIN, 2 ** 12)
+    mf = maximal_function(f, tps95, W_LIN, 2 ** 12)
     for n in (2 ** 10, 2 ** 12):
         k = build_kernel("Kh", tps95, pt20, W_LIN, n)
-        cv = convolve(k, f)
-        assert all(mf[x].real >= abs(cv[x]) - 1e-12 for x in cv.support())
+        cv = dict_convolve(k.atoms, DictSignal(values(f)))
+        assert all(mf[x].real >= abs(v) - 1e-12 for x, v in cv.data.items())
 
 
-def test_maximal_delta(tps_identity, pt20):
-    mf = maximal_function(SparseSignal.delta(0), "Kh", tps_identity, pt20,
-                          W_LIN, 16)
+def test_maximal_delta(tps_identity):
+    mf = maximal_function(SparseSignal({0: 1.0}), tps_identity, W_LIN, 16)
     # max over dyadic N of the kernel weight at each atom
     assert mf[2].real == pytest.approx(1.0)          # N=2: single atom
     assert mf[13].real == pytest.approx(1.0 / 6.0)   # only present at N=16
 
 
-def test_maximal_invariants(tps95, pt20):
+def test_maximal_invariants(tps95):
     rng = np.random.default_rng(5)
     for _ in range(25):
         f = random_signal(rng, 40, 256)
         g = random_signal(rng, 40, 256)
-        mf = maximal_function(f, "Kh", tps95, pt20, W_LIN, 2 ** 10)
-        mg = maximal_function(g, "Kh", tps95, pt20, W_LIN, 2 ** 10)
-        mfg = maximal_function(f + g, "Kh", tps95, pt20, W_LIN, 2 ** 10)
+        mf = maximal_function(f, tps95, W_LIN, 2 ** 10)
+        mg = maximal_function(g, tps95, W_LIN, 2 ** 10)
+        mfg = maximal_function(f + g, tps95, W_LIN, 2 ** 10)
         for x in mfg.support():
             assert mfg[x].real <= mf[x].real + mg[x].real + 1e-10
         c = 2.5
-        mcf = maximal_function(f.scale(c), "Kh", tps95, pt20, W_LIN, 2 ** 10)
+        mcf = maximal_function(f.scale(c), tps95, W_LIN, 2 ** 10)
         for x in mcf.support():
             assert mcf[x].real == pytest.approx(c * mf[x].real, rel=1e-12)
         # monotonicity: f <= f + g pointwise for nonnegative g
@@ -196,15 +198,15 @@ def test_maximal_invariants(tps95, pt20):
             assert mf[x].real <= mfg[x].real + 1e-10
 
 
-def test_maximal_l2_ratio(tps95, pt20):
+def test_maximal_l2_ratio(tps95):
     rng = np.random.default_rng(9)
     f = SparseSignal({int(i): 1.0 for i in rng.choice(2 ** 10, 256,
                                                       replace=False)})
-    mf = maximal_function(f, "Kh", tps95, pt20, W_LIN, 2 ** 14)
+    mf = maximal_function(f, tps95, W_LIN, 2 ** 14)
     assert lr_norm(mf, 2) / lr_norm(f, 2) <= 10.0
 
 
-def test_lr_ratio_stability_under_support_doubling(tps95, pt20):
+def test_lr_ratio_stability_under_support_doubling(tps95):
     """Measured operator ratios grow by < 2x when support doubles;
     r = 1 is reported only (no boundedness claim at the endpoint)."""
     rng = np.random.default_rng(31)
@@ -214,7 +216,7 @@ def test_lr_ratio_stability_under_support_doubling(tps95, pt20):
         for _ in range(20):
             idx = rng.choice(1 << logs, size=(1 << logs) // 4, replace=False)
             f = SparseSignal({int(i): 1.0 for i in idx})
-            mf = maximal_function(f, "Kh", tps95, pt20, W_LIN, 2 ** 12)
+            mf = maximal_function(f, tps95, W_LIN, 2 ** 12)
             best = max(best, lr_norm(mf, r) / lr_norm(f, r))
         return best
 
@@ -312,23 +314,22 @@ def test_weighted_compare_rejects_signed_signal(tps_identity, pt20):
                                  W_LIN, [16])
 
 
+def kernel_gaps(tps, pt, N):
+    """sup over xi = j/64 of |K1^(xi) - K2^(xi)| at dyadic n <= N: the
+    gap_over_N column of the decay profile."""
+    prof = formlem_decay(pt, W_LIN, 64, N, tps=tps)
+    return {n: norm for n, _, norm in prof.entries}
+
+
 def test_kernel_gap_identity_zero(tps_identity, pt20):
-    assert kernel_gap_norm(tps_identity, pt20, W_LIN, 2 ** 12, 64) == 0.0
+    assert kernel_gaps(tps_identity, pt20, 2 ** 12)[2 ** 12] == 0.0
 
 
 def test_kernel_gap_trend(tps99, pt20):
-    small = kernel_gap_norm(tps99, pt20, W_LIN, 2 ** 12, 64)
-    large = kernel_gap_norm(tps99, pt20, W_LIN, 2 ** 16, 64)
+    gaps = kernel_gaps(tps99, pt20, 2 ** 16)
+    small, large = gaps[2 ** 12], gaps[2 ** 16]
     assert large < 1.0
     assert large < small
-
-
-def test_kernel_gap_matches_decay_profile(tps99, pt20):
-    n = 2 ** 12
-    prof = formlem_decay(pt20, W_LIN, 64, n, tps=tps99)
-    kg = kernel_gap_norm(tps99, pt20, W_LIN, n, 64)
-    assert prof.entries[-1][0] == n
-    assert n * kg == pytest.approx(prof.entries[-1][1], abs=1e-10)
 
 
 # -- differential tests: the dense storage against the former dict code ----
@@ -358,9 +359,6 @@ class DictSignal:
     def scale(self, c):
         return DictSignal({k: c * v for k, v in self.data.items()})
 
-    def abs(self):
-        return DictSignal({k: abs(v) for k, v in self.data.items()})
-
     def is_nonnegative(self):
         return all(v.imag == 0 and v.real >= 0 for v in self.data.values())
 
@@ -372,11 +370,6 @@ class DictSignal:
         for k, v in self.data.items():
             arr[k - lo] = v
         return arr, lo
-
-    def csv_rows(self):
-        for k in self.support():
-            v = self.data[k]
-            yield k, v.real, v.imag
 
 
 def dict_lr_norm(f, r):
@@ -423,16 +416,15 @@ def add_at_running_sums(fdense, positions, keys, weights, cutoffs):
         yield N, prev, accs, bests, alo
 
 
-def dict_maximal(f, ps, ws, W, N_max, kh=True):
+def dict_maximal(f, ps, ws, W, N_max):
     """The former maximal_function, ending in the dict of from_dense."""
     fdense, flo = f.dense()
     positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
     cutoffs = [2 ** j for j in range(1, N_max.bit_length())]
-    for N, k, (acc,), (best,), alo in add_at_running_sums(
+    for _, k, (acc,), (best,), alo in add_at_running_sums(
             fdense, positions, ps, [ws], cutoffs):
         if k:
-            np.maximum(best, np.abs(acc) / (float(k) if kh else float(N)),
-                       out=best)
+            np.maximum(best, np.abs(acc) / float(k), out=best)
     return DictSignal.from_dense(best, flo + alo)
 
 
@@ -449,29 +441,26 @@ def dict_signals(max_size=20):
 def test_signal_matches_dict_oracle(d1, d2, a, c):
     f, g = SparseSignal(d1), SparseSignal(d2)
     fo, go = DictSignal(d1), DictSignal(d2)
-    assert list(f.data.items()) == sorted(fo.data.items(),
-                                          key=lambda kv: kv[0])
+    assert list(values(f).items()) == sorted(fo.data.items(),
+                                             key=lambda kv: kv[0])
     assert f.support() == fo.support() and len(f) == len(fo.data)
     assert [f[n] for n in range(-70, 71)] == \
         [fo.data.get(n, 0j) for n in range(-70, 71)]
-    assert (f + g).data == (fo + go).data
-    assert (g + f).data == (go + fo).data
-    assert f.scale(a).data == fo.scale(a).data
-    assert f.scale(c).data == fo.scale(c).data
-    assert f.abs().data == fo.abs().data
+    assert values(f + g) == (fo + go).data
+    assert values(g + f) == (go + fo).data
+    assert values(f.scale(a)) == fo.scale(a).data
+    assert values(f.scale(c)) == fo.scale(c).data
     assert f.is_nonnegative() == fo.is_nonnegative()
-    assert f.abs().is_nonnegative()
     (arr, lo), (arr_o, lo_o) = f.dense(), fo.dense()
     assert lo == lo_o and np.array_equal(arr, arr_o)
-    assert list(f.csv_rows()) == list(fo.csv_rows())
 
 
-def test_data_is_a_read_only_view():
-    f = SparseSignal({5: 1.0, -2: 2j})
-    assert list(f.data) == [-2, 5]
+def test_atoms_are_a_read_only_view(tps_identity, pt20):
+    k = build_kernel("Kh", tps_identity, pt20, IntPolynomial([10, -1]), 10)
+    assert list(k.atoms) == [3, 5, 7, 8]
     with pytest.raises(TypeError):
-        f.data[0] = 1.0
-    assert SparseSignal().data == {} and SparseSignal({3: 0.0}).support() == []
+        k.atoms[0] = 1.0
+    assert SparseSignal().support() == [] and SparseSignal({3: 0.0}).support() == []
     assert SparseSignal.from_dense(np.array([0.0, 0.0])).support() == []
 
 
@@ -510,21 +499,8 @@ def test_kernel_atoms_and_mass_bit_equal(tps95, pt20, variant, coeffs):
         assert k.mass == mass
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.integers(-40, 40), st.floats(0.01, 5),
-                       min_size=1, max_size=20),
-       st.sampled_from([10, 30, 64]), st.sampled_from([[0, 1], [3, -2], [0, 0, 1]]))
-def test_convolve_close_to_dict_oracle(tps_identity, pt20, d, n, coeffs):
-    k = build_kernel("K2", tps_identity, pt20, IntPolynomial(coeffs), n)
-    out = convolve(k, SparseSignal(d))
-    want = dict_convolve(k.atoms, DictSignal(d))
-    assert out.support() == want.support()
-    for x, v in want.data.items():
-        assert abs(out[x] - v) <= 1e-15 * abs(v)
-
-
 @pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [0, 1, 1]])
-def test_maximal_ratio_matches_dict_pipeline(tps95, pt20, coeffs):
+def test_maximal_ratio_matches_dict_pipeline(tps95, coeffs):
     W = IntPolynomial(coeffs)
     n = 2 ** 10 if len(coeffs) == 2 else 2 ** 7
     ps, _ = tps95.prefix(n)
@@ -536,9 +512,9 @@ def test_maximal_ratio_matches_dict_pipeline(tps95, pt20, coeffs):
         if seed % 2:
             d = {i: float(v) for i, v in zip(d, rng.random(64))}
         f, fo = SparseSignal(d), DictSignal(d)
-        mf = maximal_function(f, "Kh", tps95, pt20, W, n)
+        mf = maximal_function(f, tps95, W, n)
         mo = dict_maximal(fo, ps, ws, W, n)
-        assert list(mf.data.items()) == list(mo.data.items())
+        assert list(values(mf).items()) == list(mo.data.items())
         for r in (1.0, 1.5, 2.0, 4.0, math.inf):
             if seed % 2 == 0:
                 assert lr_norm(mf, r) / lr_norm(f, r) == \

@@ -1,8 +1,12 @@
-"""The benchmark's output oracles, run on tiny command-line reports.
+"""The benchmark's output oracles and its traced mode, run on tiny
+command-line reports.
 
 perfbench/checks.py never imports thinprimes: it recounts each report from
 its own sieve and exact integer phases.  Running those oracles here keeps
 a report that the benchmark would reject from passing the unit tests.
+perfbench/tracing.py wraps the package's functions by name and reads some
+of their results' attributes, so a rename or deletion that breaks the
+traced mode fails here too.
 """
 
 import importlib.util
@@ -10,12 +14,21 @@ from pathlib import Path
 
 import pytest
 
-from thinprimes.cli import main
+import thinprimes.cli as cli
 
-_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load("checks")
+tracing = _load("tracing")
 
 XI = 370_001 / 2 ** 20      # on the 2^-20 grid the vaughan oracle requires
 
@@ -59,7 +72,27 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bench_oracle_accepts_report_and_flags_corruption(name, capsys):
     argv, check, column, kind = CASES[name]
-    assert main(argv) == 0
+    assert cli.main(argv) == 0
     text = capsys.readouterr().out
     assert check(text) is None
     assert check(checks.corrupt(text, column, kind)) is not None
+
+
+def test_traced_replay_records_each_layer(tmp_path):
+    tracer = tracing.Tracer()
+    plain_run = cli.run
+    tracer.install()
+    try:
+        for argv in (["formlem-decay", "--gamma", "0.99", "--N", "4096",
+                      "--xi-grid", "64"],
+                     ["density", "--gamma", "0.95", "--N", "20000"]):
+            assert cli.main(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert cli.run is plain_run
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "cli.run", "sieve.build_prime_table",
+            "sieve.enumerate_thin_primes", "expsum.formlem_decay"} <= names
+    assert tracer.counts["expsum.xi_points"] == 64
+    for key in ("cli.rows", "sieve.table_mb", "sieve.thin_primes"):
+        assert tracer.counts[key] > 0, key

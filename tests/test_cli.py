@@ -368,6 +368,9 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["bilinear", "--K", "1", "--L", "16"],
     ["bilinear", "--gamma", "0.95", "--K", "16", "--L", "16", "--mfreq", "0"],
     ["maximal", "--N", "16", "--support", "1125899906842624", "--trials", "1"],
+    ["ergodic", "--cycle-m", "2147483648", "--N", "64", "--dry-run"],
+    ["formlem-decay", "--N", "64", "--xi-grid", "2147483648"],
+    ["bilinear", "--K", "1099511627776", "--L", "16"],
     ["density", "--family", "h1", "--c", "1.25", "--A", "0.1", "--gamma", "0.9",
      "--N", "100"],
     ["density", "--gamma", "0.95", "--A", "5", "--N", "100"],
@@ -406,8 +409,9 @@ def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,
 # Value pools for the contract test: valid values, boundaries and invalid
 # ones.  Sizes stay small (N <= 2^12, threads <= 4, small P, K*L, xi grid,
 # support and trials), because a large value of one of those is allocated
-# before any guard; the one huge N lies above sieve.MAX_LIMIT, which the
-# prime table and vdc refuse before allocating.
+# or looped over before any guard, or below the 4 GiB hull guard; the one
+# huge N lies above sieve.MAX_LIMIT, which the prime table and vdc refuse
+# before allocating.
 HUGE_N = str(MAX_LIMIT + 1)
 POOLS = {
     "N": ["2", "7", "16", "64", "101", "1024", "4095", "4096", "0", "-3",

@@ -10,7 +10,6 @@ from thinprimes.ergodic import (
     CircleRotation,
     FiniteCycle,
     average_series,
-    ergodic_average,
     oscillation_sum,
     zeps_grid,
 )
@@ -28,16 +27,21 @@ W_SQ = IntPolynomial([0, 0, 1])
 F2 = [1.0, -1.0]   # delta_0 - delta_1 on Z_2
 
 
+def average(sys, f, x, tps, pt, W, n, weighted=False):
+    """The ergodic average at one cutoff n: a series of one checkpoint."""
+    return average_series(sys, f, x, tps, pt, W, [n], weighted).values[0]
+
+
 def test_one_point_space(tps_identity, pt20):
-    v = ergodic_average(FiniteCycle(1), [3.5 + 0j], 0, tps_identity, pt20,
-                        W_LIN, 1000)
+    v = average(FiniteCycle(1), [3.5 + 0j], 0, tps_identity, pt20,
+                W_LIN, 1000)
     assert v == pytest.approx(3.5)
 
 
 def test_finite_cycle_two_hand_count(tps_identity, pt20):
     # only p = 2 lands on the even residue: value (2 - pi(N))/pi(N)
     for n in (100, 4096):
-        v = ergodic_average(FiniteCycle(2), F2, 0, tps_identity, pt20, W_LIN, n)
+        v = average(FiniteCycle(2), F2, 0, tps_identity, pt20, W_LIN, n)
         piN = pt20.pi(n)
         assert v.real == pytest.approx((2 - piN) / piN, rel=1e-12)
         assert v.imag == 0.0
@@ -58,10 +62,10 @@ def test_linearity(tps95, pt20):
     f = rng.random(m) + 1j * rng.random(m)
     g = rng.random(m)
     a, b = 2.0, -1.5
-    va = ergodic_average(FiniteCycle(m), f, 3, tps95, pt20, W_SQ, 4096)
-    vb = ergodic_average(FiniteCycle(m), g, 3, tps95, pt20, W_SQ, 4096)
-    vab = ergodic_average(FiniteCycle(m), a * f + b * g, 3, tps95, pt20,
-                          W_SQ, 4096)
+    va = average(FiniteCycle(m), f, 3, tps95, pt20, W_SQ, 4096)
+    vb = average(FiniteCycle(m), g, 3, tps95, pt20, W_SQ, 4096)
+    vab = average(FiniteCycle(m), a * f + b * g, 3, tps95, pt20,
+                  W_SQ, 4096)
     assert vab == pytest.approx(a * va + b * vb, abs=1e-12)
 
 
@@ -70,7 +74,7 @@ def test_identity_matches_direct_prime_average(tps_identity, pt20):
     m, x, n = 6, 2, 5000
     rng = np.random.default_rng(2)
     f = rng.random(m)
-    v = ergodic_average(FiniteCycle(m), f, x, tps_identity, pt20, W_LIN, n)
+    v = average(FiniteCycle(m), f, x, tps_identity, pt20, W_LIN, n)
     ps = pt20.primes_in(1, n)
     direct = sum(f[(x + int(p)) % m] for p in ps) / len(ps)
     assert v.real == pytest.approx(direct, abs=1e-12)
@@ -78,8 +82,8 @@ def test_identity_matches_direct_prime_average(tps_identity, pt20):
 
 def test_weighted_average(tps_identity, pt20):
     n = 4096
-    v = ergodic_average(FiniteCycle(1), [1.0], 0, tps_identity, pt20, W_LIN,
-                        n, weighted=True)
+    v = average(FiniteCycle(1), [1.0], 0, tps_identity, pt20, W_LIN,
+                n, weighted=True)
     # one-point space: weighted average is the kernel mass theta(N)/N
     ps, ws = tps_identity.prefix(n)
     assert v.real == pytest.approx(float(np.sum(ws)) / n, rel=1e-12)
@@ -89,8 +93,8 @@ def test_circle_rotation_exact_modular(tps_identity, pt20):
     # frequency-1 character: the average is the normalized exponential sum
     alpha = math.sqrt(2) - 1
     n = 2048
-    v = ergodic_average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps_identity,
-                        pt20, W_LIN, n)
+    v = average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps_identity,
+                pt20, W_LIN, n)
     ps = pt20.primes_in(1, n)
     expect = np.mean(np.exp(2j * np.pi * ((ps * alpha) % 1.0)))
     assert v == pytest.approx(expect, abs=1e-9)
@@ -98,10 +102,10 @@ def test_circle_rotation_exact_modular(tps_identity, pt20):
 
 def test_circle_rotation_equidistribution_trend(tps95, pt20):
     alpha = math.sqrt(2) - 1
-    v_small = ergodic_average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
-                              pt20, W_LIN, 2 ** 12)
-    v_large = ergodic_average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
-                              pt20, W_LIN, 2 ** 20)
+    v_small = average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
+                      pt20, W_LIN, 2 ** 12)
+    v_large = average(CircleRotation(alpha), [(1, 1.0)], 0.0, tps95,
+                      pt20, W_LIN, 2 ** 20)
     assert abs(v_large) < abs(v_small)
 
 
@@ -121,8 +125,8 @@ def test_constant_series_gaps_zero():
 
 def test_range_guard(tps_identity, pt20):
     with pytest.raises(RangeBeyondTable):
-        ergodic_average(FiniteCycle(2), F2, 0, tps_identity, pt20, W_LIN,
-                        (1 << 20) + 2)
+        average(FiniteCycle(2), F2, 0, tps_identity, pt20, W_LIN,
+                (1 << 20) + 2)
 
 
 def test_empty_average(pt20):
@@ -131,7 +135,7 @@ def test_empty_average(pt20):
     tf = make_thin_function("h3", Cc=1.0)
     tps = enumerate_thin_primes(tf, pt20, 100)
     with pytest.raises(EmptySet):
-        ergodic_average(FiniteCycle(2), F2, 0, tps, pt20, W_LIN, 2)
+        average(FiniteCycle(2), F2, 0, tps, pt20, W_LIN, 2)
 
 
 def test_zeps_grid_enumeration():
@@ -195,8 +199,8 @@ def test_weighted_unweighted_consistency(tps95, pt20):
     sysm = FiniteCycle(m)
     diffs = []
     for n in checkpoints:
-        a = ergodic_average(sysm, f, 1, tps95, pt20, W_LIN, n)
-        a1 = ergodic_average(sysm, f, 1, tps95, pt20, W_LIN, n, weighted=True)
+        a = average(sysm, f, 1, tps95, pt20, W_LIN, n)
+        a1 = average(sysm, f, 1, tps95, pt20, W_LIN, n, weighted=True)
         ps, ws = tps95.prefix(n)
         mass = float(np.sum(ws))
         diffs.append(abs(a - a1 * (n / mass)))

@@ -42,7 +42,7 @@ from thinprimes.expsum import (
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import weighted_prime_sums
+from oracles import mobius, weighted_prime_sums
 
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])
@@ -177,7 +177,7 @@ def test_pi_v_pointwise_oracle(pt20):
         total = 0.0
         for r in range(1, 8):
             if l % r == 0 and l // r <= 7:
-                total += pt20.lambda_(r) * pt20.mu(l // r)
+                total += pt20.lambda_(r) * mobius(pt20, l // r)
         assert arr[l] == pytest.approx(total, abs=1e-12)
 
 
@@ -185,7 +185,7 @@ def test_xi_v_pointwise_oracle(pt20):
     v = 3.0
     arr = xi_v_array(pt20, v, 60)
     for l in range(1, 61):
-        total = sum(pt20.mu(d) for d in range(4, l + 1) if l % d == 0)
+        total = sum(mobius(pt20, d) for d in range(4, l + 1) if l % d == 0)
         assert arr[l] == total
 
 

@@ -16,13 +16,11 @@ from thinprimes.errors import (
     SpectralMismatch,
 )
 from thinprimes.goldbach import (
-    GoldbachConfig,
     SingularSeries,
     _exact_triple_coeff,
     admissibility_check,
     goldbach_reports,
     parseval_check,
-    rep_count,
     rep_counts,
 )
 from thinprimes.sieve import enumerate_thin_primes
@@ -44,44 +42,38 @@ def brute_force_r(N: int, primes: list[int]) -> int:
     return count
 
 
-def test_config_validation(tf_identity):
-    with pytest.raises(ParameterOutOfRange):
-        GoldbachConfig(tf_identity, tf_identity, tf_identity, 8)
-    with pytest.raises(ParameterOutOfRange):
-        GoldbachConfig(tf_identity, tf_identity, tf_identity, 5)
+def test_config_validation(tps_identity):
+    for n in (8, 5):
+        with pytest.raises(ParameterOutOfRange):
+            rep_counts(tps_identity, tps_identity, tps_identity, n, n)
 
 
-def test_r9_and_r7(tps_identity, pt20, tf_identity):
-    cfg = GoldbachConfig(tf_identity, tf_identity, tf_identity, 9)
-    assert rep_count(cfg, tps_identity, tps_identity, tps_identity) == (4, 4)
-    cfg = GoldbachConfig(tf_identity, tf_identity, tf_identity, 7)
-    assert rep_count(cfg, tps_identity, tps_identity, tps_identity) == (3, 3)
+def test_r9_and_r7(tps_identity, pt20):
+    for n, want in ((9, 4), (7, 3)):
+        direct, spectral = rep_counts(tps_identity, tps_identity,
+                                      tps_identity, n, n)
+        assert (direct[0], spectral[0]) == (want, want)
 
 
-def test_identity_counts_match_brute_force(tps_identity, pt20, tf_identity):
+def test_identity_counts_match_brute_force(tps_identity, pt20):
     primes = [int(p) for p in pt20.primes_in(1, 401)]
     for n in range(7, 402, 2):
-        cfg = GoldbachConfig(tf_identity, tf_identity, tf_identity, n)
-        direct, spectral = rep_count(cfg, tps_identity, tps_identity,
-                                     tps_identity)
-        assert direct == spectral == brute_force_r(n, primes)
+        direct, spectral = rep_counts(tps_identity, tps_identity,
+                                      tps_identity, n, n)
+        assert direct[0] == spectral[0] == brute_force_r(n, primes)
 
 
-def test_mixed_cross_method(tps_identity, tps95, pt20, tf_identity, tf95):
-    cfg = GoldbachConfig(tf_identity, tf_identity, tf95, 10 ** 4 + 1)
-    direct, spectral = rep_count(cfg, tps_identity, tps_identity, tps95)
-    assert direct == spectral
+def test_mixed_cross_method(tps_identity, tps95, pt20):
+    direct, spectral = rep_counts(tps_identity, tps_identity, tps95,
+                                  10 ** 4 + 1, 10 ** 4 + 1)
+    assert direct[0] == spectral[0]
 
 
-def test_permutation_symmetry(tps_identity, tps95, tps99, pt20, tf_identity,
-                              tf95, tf99):
+def test_permutation_symmetry(tps_identity, tps95, tps99, pt20):
     sets = {"i": tps_identity, "a": tps95, "b": tps99}
-    tfs = {"i": tf_identity, "a": tf95, "b": tf99}
     orders = [("i", "a", "b"), ("b", "a", "i"), ("a", "i", "b")]
-    counts = []
-    for o in orders:
-        cfg = GoldbachConfig(tfs[o[0]], tfs[o[1]], tfs[o[2]], 2001)
-        counts.append(rep_count(cfg, sets[o[0]], sets[o[1]], sets[o[2]])[0])
+    counts = [rep_counts(*(sets[k] for k in o), 2001, 2001)[0][0]
+              for o in orders]
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -128,7 +120,6 @@ def test_report_identity(tps_identity, pt20, tf_identity):
     assert rep.S_paper == 0.0
     assert "degenerate" in rep.flags
     assert rep.ratio > 0
-    assert rep.vinogradov_ratio is not None
     # phi = id: main term reduces to S N^2 / log^3 N
     assert rep.main_term == pytest.approx(
         rep.S_classical * rep.N ** 2 / math.log(rep.N) ** 3)
@@ -136,16 +127,15 @@ def test_report_identity(tps_identity, pt20, tf_identity):
 
 def test_report_thin(tps95, pt20, tf95):
     rep, = goldbach_reports([tf95] * 3, [tps95] * 3, 2001, 2001, pt=pt20)
-    assert rep.vinogradov_ratio is None
     assert rep.ratio > 0 or rep.R == 0
 
 
-def test_zero_count_threshold_recorded(pt20, tf99, tps99):
+def test_zero_count_threshold_recorded(pt20, tps99):
     """Largest odd N <= 1e5 with no representation, for gamma = 0.99.
 
     One full convolution of the indicator vector with itself (three-fold)
     gives every count at once; spot values are cross-checked against
-    rep_count and the rounding margin is verified for the whole vector.
+    rep_counts and the rounding margin is verified for the whole vector.
     """
     n_max = 10 ** 5
     ind = tps99.indicator(n_max).astype(np.float64)
@@ -162,9 +152,8 @@ def test_zero_count_threshold_recorded(pt20, tf99, tps99):
     print(f"gamma=0.99: largest odd N <= 1e5 with R(N) = 0: {largest} "
           f"({zeros.size} zero-count values)")
     for n in (7, 9, 5001, 99999):
-        cfg = GoldbachConfig(tf99, tf99, tf99, n)
-        direct, _ = rep_count(cfg, tps99, tps99, tps99)
-        assert direct == int(rounded[n])
+        direct, _ = rep_counts(tps99, tps99, tps99, n, n)
+        assert direct[0] == int(rounded[n])
     if largest is not None:
         assert np.all(rounded[odd[odd > largest]] > 0)
 
@@ -215,7 +204,7 @@ def test_parseval_random_configs(pt20, tps_identity, tps95, tps99):
 # -- one pass over a range of targets ---------------------------------------
 
 def per_target_rep_count(N, tps1, tps2, tps3):
-    """The per-target count rep_count made before ranges (oracle).
+    """The per-target count made before ranges (oracle).
 
     A pair loop over p1 and four FFTs of size next_pow2(4N) per target.
     """

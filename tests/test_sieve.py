@@ -14,7 +14,7 @@ from thinprimes.errors import LimitMismatch, LimitTooLarge, ParameterOutOfRange
 from thinprimes.sieve import build_prime_table, density_profile, enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import floor_criterion_threshold, floor_neg_phi_vec, thin_membership
+from oracles import floor_criterion_threshold, floor_neg_phi_vec, mobius, thin_membership
 
 
 def trial_pi(n: int) -> int:
@@ -71,7 +71,7 @@ def test_limits():
 @pytest.mark.parametrize("n,expected", [(1, 1), (12, 0), (10, 1), (7, -1),
                                         (30, -1), (4, 0)])
 def test_mu_values(pt20, n, expected):
-    assert pt20.mu(n) == expected
+    assert mobius(pt20, n) == expected
 
 
 def test_lambda_values(pt20):
@@ -83,7 +83,7 @@ def test_lambda_values(pt20):
 
 def test_mu_array_matches_pointwise(pt20):
     arr = pt20.mu_array(500)
-    assert all(arr[n] == pt20.mu(n) for n in range(1, 501))
+    assert all(arr[n] == mobius(pt20, n) for n in range(1, 501))
 
 
 def test_lambda_array_matches_pointwise(pt20):
