@@ -1,9 +1,12 @@
-"""Low-level numeric helpers: exact mod-1 phase reduction and careful sums.
+"""Low-level numeric helpers: exact mod-1 phase reduction and exact sums.
 
 Phases of the form xi*W(k) with an exact integer W(k) are reduced mod 1
 either through binary-rational arithmetic (exact) or through a Dekker
 two-product (error ~2^-53), depending on the size of W(k).  Sums that feed
-residual checks go through math.fsum, which rounds once at the end.
+residual checks go through exact_sum: numpy bins the terms' integer
+mantissas by binary exponent, exactly, the bins fold into one Python int
+and that rounds once.  The exactly rounded sum is unique, so the result
+is the float math.fsum gives, without a Python step per term.
 """
 
 from __future__ import annotations
@@ -86,10 +89,73 @@ def frac_mul_int_vec(xi: float, wvals) -> np.ndarray:
     return out
 
 
-def fsum_complex(terms: np.ndarray) -> complex:
-    """Exactly rounded sum of a complex array (fsum on both parts)."""
-    t = np.ascontiguousarray(terms)
-    return complex(math.fsum(t.real), math.fsum(t.imag))
+# Every finite binary64 is M * 2^(e - 53) with frexp's exponent e in
+# [-1073, 1024] and an integer mantissa |M| < 2^53, so an integer multiple
+# of 2^-_UNIT_BITS.  M is split as hi * 2^26 + lo with |hi| < 2^27 and
+# |lo| < 2^26, and each half is binned by e, hi 26 bins above lo.
+_EMIN = -1073
+_UNIT_BITS = 1126
+_HALF_BITS = 26
+_NBINS = 1024 - _EMIN + 1 + _HALF_BITS
+# Rows binned in one pass.  A bin then takes at most _PASS halves, so its
+# float64 partial stays an integer below 2^53, exact, for any _PASS up to
+# 2^26; 2^14 rows keep the pass's temporaries small, which measured fastest.
+_PASS = 2 ** 14
+
+
+def _pass_bins(rows: np.ndarray) -> np.ndarray:
+    """Exact column sums of a finite (n, c) float64 block, n <= _PASS, as c
+    rows of int64 bins: column j sums to sum_b bins[j, b] * 2^(b - 1126)."""
+    c = rows.shape[1]
+    m, e = np.frexp(rows)
+    m *= 2.0 ** 53
+    hi = m * 2.0 ** -_HALF_BITS
+    np.trunc(hi, out=hi)
+    m -= hi * 2.0 ** _HALF_BITS
+    e += np.arange(-_EMIN, c * _NBINS, _NBINS, dtype=e.dtype)
+    idx = e.ravel().astype(np.intp)
+    bins = np.bincount(idx, m.ravel(), c * _NBINS).astype(np.int64)
+    hi_bins = np.bincount(idx, hi.ravel(), c * _NBINS).astype(np.int64)
+    bins[_HALF_BITS:] += hi_bins[:-_HALF_BITS]
+    return bins.reshape(c, _NBINS)
+
+
+def _fold(bins: np.ndarray) -> int:
+    """sum_b bins[b] * 2^b as one Python int."""
+    nz = np.flatnonzero(bins)
+    return sum(v << b for v, b in zip(bins[nz].tolist(), nz.tolist()))
+
+
+def exact_sum(blocks) -> complex:
+    """Exactly rounded sum of a stream of real or complex arrays.
+
+    The real and the imaginary parts are each summed exactly, as an integer
+    multiple of 2^-1126 built from every block's binned terms, and rounded
+    once, by Python's correctly rounded int division.  An exactly rounded
+    sum is unique, so each part is the float math.fsum returns for that
+    part's terms (0.0 for no terms, or for real blocks' imaginary part).
+    A part with a non-finite term is what math.fsum gives on its
+    non-finite terms: nan, +-inf, or ValueError for inf - inf.  A finite
+    sum that rounds past the float range raises OverflowError; fsum raises
+    that also when only a partial sum overflows, which this does not.
+    """
+    acc = [0, 0]
+    special = [[], []]
+    for b in blocks:
+        b = np.asarray(b)
+        b = np.ascontiguousarray(b, np.complex128 if np.iscomplexobj(b) else np.float64)
+        rows = b.reshape(-1).view(np.float64).reshape(-1, 2 if b.dtype.kind == "c" else 1)
+        for a in range(0, len(rows), _PASS):
+            part = rows[a:a + _PASS]
+            bad = ~np.isfinite(part)
+            if bad.any():
+                for j in range(part.shape[1]):
+                    special[j].extend(part[bad[:, j], j].tolist())
+                part = np.where(bad, 0.0, part)
+            for j, bins in enumerate(_pass_bins(part)):
+                acc[j] += _fold(bins)
+    return complex(*(math.fsum(s) if s else t / (1 << _UNIT_BITS)
+                     for t, s in zip(acc, special)))
 
 
 def e2pi(t: np.ndarray) -> np.ndarray:

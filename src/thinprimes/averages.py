@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._num import _check_hull, dyadic
+from ._num import _check_hull, dyadic, exact_sum
 from .errors import EmptySet, HypothesisViolated, LimitTooLarge, ParameterOutOfRange
 from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
@@ -154,7 +154,7 @@ def build_kernel(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
     lo = int(positions.min())
     _check_hull(int(positions.max()) - lo + 1, np.float64, f"kernel {variant}")
     weights = np.bincount(positions - lo, weights=ws)
-    return Kernel(variant, N, lo, weights, math.fsum(weights))
+    return Kernel(variant, N, lo, weights, exact_sum((weights,)).real)
 
 
 def _running_sums(fdense, positions, keys, weights, cutoffs):
@@ -236,10 +236,10 @@ def abel_summation(u, g, a: float, b: float) -> tuple[float, float, float]:
     ns = np.arange(n_lo, n_hi + 1)
     uv = np.array([float(u(int(n))) for n in ns])
     gv = np.array([float(g(int(n))) for n in ns])
-    lhs = math.fsum(uv * gv)
+    lhs = exact_sum((uv * gv,)).real
     U = np.cumsum(uv)
     g_ends = np.append(gv[1:], float(g(b)))
-    rhs = float(U[-1]) * float(g(b)) - math.fsum(U * (g_ends - gv))
+    rhs = float(U[-1]) * float(g(b)) - exact_sum((U * (g_ends - gv),)).real
     return lhs, rhs, abs(lhs - rhs)
 
 

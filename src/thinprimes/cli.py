@@ -347,6 +347,14 @@ def _gammas(cfg: RunConfig, default=None) -> list[float]:
     return gammas
 
 
+def _seed(cfg: RunConfig) -> int:
+    """--seed, which numpy's generator takes only as an integer >= 0."""
+    seed = cfg.get_int("seed")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _observable(cfg: RunConfig):
     """(system, observable, start point) of ergodic and oscillation."""
     system = cfg.get("system")
@@ -426,7 +434,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         delta = cfg.get("delta")
         if delta not in ("ones", "random"):
             raise ValidationError(f"delta must be ones or random, got {delta!r}")
-        seed = cfg.get_int("seed") if delta == "random" else None
+        seed = _seed(cfg) if delta == "random" else None
         _begin(cfg)
         if seed is None:
             d1, d2 = np.ones(L, dtype=complex), np.ones(K, dtype=complex)
@@ -447,7 +455,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         if support < 1:
             raise ValidationError("support must be >= 1")
         _check_hull(support, np.complex128, "signal")
-        seed = cfg.get_int("seed")
+        seed = _seed(cfg)
         pt, (tps,) = _tables(cfg, n, [tf])
         rng = np.random.default_rng(seed)
         rows = []

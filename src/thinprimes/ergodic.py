@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import e2pi, frac_mul_int_vec
+from ._num import e2pi, exact_sum, frac_mul_int_vec
 from .errors import (
     EmptySet,
     InvalidBreaks,
@@ -166,4 +166,4 @@ def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
             if nj < n <= nj1:
                 sup = max(sup, abs(a1(n) - base))
         total.append(sup)
-    return math.fsum(total)
+    return exact_sum((total,)).real

@@ -4,19 +4,19 @@ All sums carry phases exp(2*pi*i*(xi*W(k) + m*phi(k))) with an integer
 polynomial W.  The xi*W(k) part is reduced mod 1 exactly (integer W(k),
 binary-rational xi); the m*phi(k) part goes through a two-product and is
 taken at 40 digits by ThinFunction.frac_m_phi_mp once |m*phi(k)| crosses
-2^40.  Sums are accumulated with math.fsum so that split/recombine
-residuals measure the identity, not the accumulator.  A Vaughan split
-evaluates each phase once, in one table over (P, P1]; split and bilinear
-sums stream their (l, k) pairs through fsum in blocks of at most
-PAIR_BLOCK.  Sweeps over the grid xi = j/G take one exact DFT per cutoff
-(grid_sup_gaps).
+2^40.  Sums are exactly rounded (_num.exact_sum: terms binned by binary
+exponent into one exact integer, rounded once), so split/recombine
+residuals measure the identity, not the accumulator, and each sum is the
+float math.fsum would give.  A Vaughan split evaluates each phase once,
+in one table over (P, P1]; split and bilinear sums stream their (l, k)
+pairs through exact_sum in blocks of at most PAIR_BLOCK.  Sweeps over
+the grid xi = j/G take one exact DFT per cutoff (grid_sup_gaps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,8 +25,8 @@ from ._num import (
     _check_hull,
     dyadic,
     e2pi,
+    exact_sum,
     frac_mul_int_vec,
-    fsum_complex,
     two_prod,
 )
 from .errors import (
@@ -146,7 +146,7 @@ def lambda_exp_sum(pt: PrimeTable, spec: PhaseSpec) -> complex:
     ks, lams = pt.prime_powers_in(spec.P, spec.P1)
     if ks.size == 0:
         return 0j
-    return fsum_complex(lams * phase_terms(spec, ks))
+    return exact_sum((lams * phase_terms(spec, ks),))
 
 
 def pi_v_array(pt: PrimeTable, v: float, upto: int) -> np.ndarray:
@@ -193,19 +193,6 @@ def _pair_blocks(ls: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         yield ls[j], hi[j] + 1 + i - ends[j]
 
 
-def _fsum_blocks(blocks) -> complex:
-    """Exactly rounded sum of a stream of complex arrays: fsum takes the real
-    parts as they arrive and only the imaginary parts are kept."""
-    imag = []
-
-    def reals():
-        for b in blocks:
-            imag.append(np.ascontiguousarray(b.imag))
-            yield from b.real.tolist()
-    re = math.fsum(reals())
-    return complex(re, math.fsum(chain.from_iterable(a.tolist() for a in imag)))
-
-
 class VaughanSplit(NamedTuple):
     S1: complex
     S21: complex
@@ -224,10 +211,10 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
     c(l, k) e(phase(kl)) with P < kl <= P1: S1 has c = mu(l) log k (l <= v),
     S21 and S22 c = Pi_v(l) (l <= v, v < l <= v^2), S3 c = Xi_v(l) Lambda(k)
     (l, k > v).  The phases are one table over (P, P1] that every summand
-    reads, and the pairs stream through fsum in blocks.  direct, the Lambda
-    sum read from the same table, equals lambda_exp_sum(pt, spec); residual
-    is |direct - (S1 - S21 - S22 + S3)| and must sit at accumulation noise,
-    <= 1e-8 * (1 + |direct|).
+    reads, and the pairs stream through exact_sum in blocks.  direct, the
+    Lambda sum read from the same table, equals lambda_exp_sum(pt, spec);
+    residual is |direct - (S1 - S21 - S22 + S3)| and must sit at
+    accumulation noise, <= 1e-8 * (1 + |direct|).
     """
     P, P1 = spec.P, spec.P1
     if P1 > pt.limit:
@@ -253,15 +240,15 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
             c = coeff(l, k)
             nz = c != 0
             return c[nz] * base[(k * l)[nz] - (P + 1)]
-        return _fsum_blocks(terms(l, k) for l, k in
-                            _pair_blocks(ls, np.maximum(P // ls, k_lo), P1 // ls))
+        return exact_sum(terms(l, k) for l, k in
+                         _pair_blocks(ls, np.maximum(P // ls, k_lo), P1 // ls))
 
     S1 = split_sum(mu, 0, vi, lambda l, k: mu[l] * np.log(k.astype(np.float64)))
     S21 = split_sum(piv, 0, vi, lambda l, k: piv[l])
     S22 = split_sum(piv, vi, min(vi * vi, P1), lambda l, k: piv[l])
     S3 = split_sum(xiv, vi, int(P1 / v), lambda l, k: xiv[l] * lam[k], k_lo=vi)
     ks, lams = pt.prime_powers_in(P, P1)
-    direct = fsum_complex(lams * base[ks - (P + 1)]) if ks.size else 0j
+    direct = exact_sum((lams * base[ks - (P + 1)],))
     residual = abs(direct - (S1 - S21 - S22 + S3))
     return VaughanSplit(S1, S21, S22, S3, residual, direct)
 
@@ -309,7 +296,7 @@ def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcChe
     check_vdc_args(N, k, math.log(eta) if eta > 0 else -math.inf, r)
     ns = np.arange(1, N + 1, dtype=np.float64)
     vals = np.asarray(F(ns), dtype=np.float64)
-    s = fsum_complex(e2pi(vals % 1.0))
+    s = exact_sum((e2pi(vals % 1.0),))
     sum_abs = abs(s)
     bound = r * N * (eta ** (1.0 / (2 ** k - 2)) + N ** (-2.0 / 2 ** k)
                      + (float(N) ** k * eta) ** (-2.0 / 2 ** k))
@@ -339,7 +326,7 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
     k = K+1..2K.  The two size hypotheses and the moment conditions of the
     bilinear estimate are checked numerically before summation and a
     HypothesisViolated names the failing one with both sides.  The pairs
-    stream through fsum in blocks, with one phase_fracs call per block.
+    stream through exact_sum in blocks, with one phase_fracs call per block.
     """
     delta1 = np.asarray(delta1, dtype=np.complex128)
     delta2 = np.asarray(delta2, dtype=np.complex128)
@@ -368,7 +355,7 @@ def bilinear_sum_bound(delta1: np.ndarray, delta2: np.ndarray,
         raise HypothesisViolated(f"sum|Delta2|^2={mom2:.6g} > 100 K log^3 K={cap2:.6g}")
 
     ls = np.arange(L + 1, 2 * L + 1, dtype=np.int64)
-    value = _fsum_blocks(
+    value = exact_sum(
         delta1[l - L - 1] * delta2[k - K - 1]
         * e2pi(phase_fracs(spec.xi, spec.W, m, tf, k * l))
         for l, k in _pair_blocks(ls, np.maximum(K, spec.P // ls),

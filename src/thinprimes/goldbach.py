@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import next_pow2
+from ._num import exact_sum, next_pow2
 from .errors import (
     CutoffTooSmall,
     LimitMismatch,
@@ -334,6 +334,6 @@ def parseval_check(source, N: int, weighted: bool = False) -> tuple[float, float
     # so the last bin is the unpaired Nyquist bin (or bin 0 when M = 1)
     mags = np.abs(spec) ** 2
     full = np.concatenate([mags, mags[-2:0:-1]])
-    lhs = math.fsum(full) / M
-    rhs = math.fsum(weights * weights)
+    lhs = exact_sum((full,)).real / M
+    rhs = exact_sum((weights * weights,)).real
     return lhs, rhs

@@ -14,10 +14,11 @@ Six families are supported:
 Each family is written once, as Ch * x^c * L(log x) over truncated Taylor
 jets, and gives h and its derivatives up to order 4 at a point.  The jet
 coefficients are float64 arrays for the bulk route and decimals at MP_DPS
-digits for the escalated one (h_mp, phi_mp, frac_m_phi_mp), so both routes
-evaluate the same function, with the binary64 parameters entering as their
-exact values; decimal contexts are per thread, so they need no lock.  The
-inverse phi is closed-form for the power family, else a bracketed Newton.
+digits for the escalated one (h_mp, phi_mp, frac_m_phi_mp), where a power
+u^a is exp(a ln u) for speed (_decimal_pow).  Both routes evaluate the same
+function, with the binary64 parameters entering as their exact values;
+decimal contexts are per thread, so they need no lock.  The inverse phi is
+closed-form for the power family, else a bracketed Newton.
 
 Every floor(h(n)) decision is made by _certified_floor, through
 floor_h_vec; the scalar floor_h is a one-element call of it, so scalar and
@@ -31,6 +32,7 @@ value and all floor decisions are exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -69,14 +71,24 @@ MP_NEWTON_STEPS = 60
 
 class _Ops(NamedTuple):
     """Coefficient type of a jet: exact conversion of a binary64 parameter,
-    log and exp.  Powers use the ** operator for both types."""
+    log, exp and the power u^a."""
     num: Callable
     log: Callable
     exp: Callable
+    pow: Callable
 
 
-_NP = _Ops(float, np.log, np.exp)      # float64 scalars and arrays
-_MP = _Ops(Decimal, Decimal.ln, Decimal.exp)   # decimal, in _MP_CONTEXT
+def _decimal_pow(u: Decimal, a: Decimal) -> Decimal:
+    """u^a as exp(a ln u), in about half the time of Decimal.__pow__.
+
+    The relative error is about |a ln u| units of the MP_DPS-th digit, not
+    Decimal.__pow__'s correct rounding: below 1e-27 absolute on values up to
+    2^34, far inside MP_GUARD."""
+    return (a * u.ln()).exp()
+
+
+_NP = _Ops(float, np.log, np.exp, operator.pow)     # float64 scalars and arrays
+_MP = _Ops(Decimal, Decimal.ln, Decimal.exp, _decimal_pow)   # decimal, in _MP_CONTEXT
 
 
 # Truncated Taylor jets [f, f', f''/2!, ...] at one point, as lists of
@@ -87,8 +99,8 @@ def _jet_mul(a, b):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
-def _jet_pow(u, a):
-    p = [u[0] ** a]
+def _jet_pow(ops: _Ops, u, a):
+    p = [ops.pow(u[0], a)]
     for k in range(1, len(u)):
         p.append(sum((a * j - (k - j)) * u[j] * p[k - j]
                      for j in range(1, k + 1)) / (k * u[0]))
@@ -177,10 +189,10 @@ class ThinFunction:
     def _slowly_varying(self, ops: _Ops, t):
         """Jet of L(log x) from the jet t of log x (not for the power family)."""
         if self.family in ("h1", "h3"):
-            return _jet_pow(t, ops.num(self.A if self.family == "h1" else self.Cc))
+            return _jet_pow(ops, t, ops.num(self.A if self.family == "h1" else self.Cc))
         if self.family in ("h2", "h4"):
             k = ops.num(self.A if self.family == "h2" else self.Cc)
-            return _jet_exp(ops, [k * v for v in _jet_pow(t, ops.num(self.B))])
+            return _jet_exp(ops, [k * v for v in _jet_pow(ops, t, ops.num(self.B))])
         for _ in range(self.m - 1):     # h5: iterated log
             t = _jet_log(ops, t)
         return t
@@ -189,10 +201,11 @@ class ThinFunction:
         """[h(x), h'(x), ..., h^(order)(x)] for h = Ch * x^c * L(log x).
 
         The parameters enter as their exact binary64 values, and h itself is
-        the product Ch * x**c * L, never exp of a sum of logs.
+        the product Ch * x**c * L, never exp of a sum of logs (only the
+        decimal route's x**c is exp(c ln x), by ops.pow).
         """
         X = [x, 1, 0, 0, 0][:order + 1]
-        d = [ops.num(self.Ch) * v for v in _jet_pow(X, ops.num(self.c))]
+        d = [ops.num(self.Ch) * v for v in _jet_pow(ops, X, ops.num(self.c))]
         if self.family != "power":
             d = _jet_mul(d, self._slowly_varying(ops, _jet_log(ops, X)))
         return [v if k < 2 else math.factorial(k) * v for k, v in enumerate(d)]

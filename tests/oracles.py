@@ -3,7 +3,8 @@
 Each is an independent or slower route to a value a command computes:
 membership of one prime by scanning n or by the floor-difference
 criterion on the certified floor(-phi), the crossover of the two over a
-range, the singular series at one target by trial division, the two
+range, the singular series at one target by trial division, the exactly
+rounded complex sum by the standard library's math.fsum, the two
 weighted prime sums at one xi, the direct Goldbach counts by one
 gather per pair-count point, and the Moebius function at one n by
 factoring through the prime table.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from thinprimes._num import e2pi, frac_mul_int_vec, fsum_complex
+from thinprimes._num import e2pi, frac_mul_int_vec
 from thinprimes.errors import DomainError, ParameterOutOfRange, RangeBeyondTable
 from thinprimes.expsum import IntPolynomial
 from thinprimes.goldbach import SingularSeries
@@ -146,6 +147,12 @@ def direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
     return np.array([c23[n - p1s[:k]].sum()
                      for n, k in zip(targets.tolist(), k1.tolist())],
                     dtype=np.int64)
+
+
+def fsum_complex(terms) -> complex:
+    """Exactly rounded sum of a complex array: math.fsum on each part."""
+    t = np.asarray(terms, dtype=np.complex128)
+    return complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
 
 
 def weighted_prime_sums(tps: ThinPrimeSet, pt: PrimeTable, W: IntPolynomial,

@@ -388,6 +388,8 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["sieve", "--N", "100", "--seed", "3"],
     ["sieve", "--N", "100", "--format", "xml"],
     ["bilinear", "--K", "16", "--L", "16", "--delta", "bogus"],
+    ["bilinear", "--K", "16", "--L", "16", "--delta", "random", "--seed", "-1"],
+    ["maximal", "--N", "16", "--seed", "-1"],
     ["sieve", "--N", "100", "--config", "dry-run=maybe"],
 ], ids=" ".join)
 def test_bad_arguments_exit_2_before_any_table(argv, tmp_path, monkeypatch,

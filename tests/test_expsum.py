@@ -17,7 +17,6 @@ from thinprimes._num import (
     frac_mul_exact,
     frac_mul_int_vec,
     frac_mul_vec,
-    fsum_complex,
 )
 from thinprimes.errors import (
     HypothesisViolated,
@@ -42,7 +41,7 @@ from thinprimes.expsum import (
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import mobius, weighted_prime_sums
+from oracles import fsum_complex, mobius, weighted_prime_sums
 
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])

@@ -438,6 +438,20 @@ def test_mp_routes_match_50_digits(tf, x, m):
         assert min(abs(got - want), 1 - abs(got - want)) <= tol
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 2.0 ** 60), st.floats(-3.0, 3.0))
+@example(2.0 ** 34, 1 / 0.95)
+@example(4.0, 1.5)
+def test_decimal_pow_matches_50_digits(u, a):
+    # the escalated route's u^a is exp(a ln u); its relative error grows
+    # with |a ln u| <= 125 here, so 1e-36 leaves a factor of ten
+    with localcontext(Context(prec=thinfn.MP_DPS)):
+        got = thinfn._MP.pow(Decimal(u), Decimal(a))
+    with mp.workdps(50):
+        want = mp.mpf(u) ** mp.mpf(a)
+        assert abs(mp.mpf(str(got)) / want - 1) <= mp.mpf(10) ** -36
+
+
 def test_scalar_floor_is_the_one_element_vector_floor(tf95):
     # binary64 h and h_vec round differently at some of these n (1140 of
     # the 20000 with numpy 2.4 on x86-64); a one-element h_vec is the bulk
