@@ -154,14 +154,19 @@ def exact_sum(blocks) -> complex:
                 part = np.where(bad, 0.0, part)
             for j, bins in enumerate(_pass_bins(part)):
                 acc[j] += _fold(bins)
+        b = rows = part = None     # drop the block before the stream makes the next
     return complex(*(math.fsum(s) if s else t / (1 << _UNIT_BITS)
                      for t, s in zip(acc, special)))
 
 
 def e2pi(t: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i*t) for t already reduced to [0, 1)."""
+    """exp(2*pi*i*t) for t already reduced to [0, 1).  The parts are written
+    into one complex array, with no complex temporaries."""
     arg = 2.0 * np.pi * np.asarray(t, dtype=np.float64)
-    return np.cos(arg) + 1j * np.sin(arg)
+    out = np.empty(arg.shape, np.complex128)
+    out.real = np.cos(arg)
+    out.imag = np.sin(arg)
+    return out
 
 
 def next_pow2(n: int) -> int:

@@ -21,6 +21,13 @@ parse failure (no output written); 3 one after it, a computational failure
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads: its bundled OpenBLAS starts a worker thread per extra
+# CPU at import, and no command makes a BLAS call that a pool would speed up
+# (the one is a polyfit over at most 34 points).  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math

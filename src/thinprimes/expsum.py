@@ -286,17 +286,27 @@ def check_vdc_args(N: int, k: int, log_eta: float, r: float) -> None:
         raise ParameterOutOfRange(f"N^k eta overflows a float (N={N}, k={k})")
 
 
+# Most n in one block of a vdc_bound_check sum.
+VDC_BLOCK = 2 ** 20
+
+
 def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcCheck:
     """Measured |sum_{1<=n<=N} e(F(n))| against the k-th derivative bound.
 
-    The caller certifies eta <= |F^(k)| <= r*eta on [1, N].  bound is
+    The caller certifies eta <= |F^(k)| <= r*eta on [1, N].  F is applied
+    elementwise to float64 arrays of n, block by block (at most VDC_BLOCK
+    n at a time), and the terms stream through exact_sum, so memory stays
+    bounded in N and the sum does not depend on the blocking.  bound is
     r*N*(eta^(1/(2^k-2)) + N^(-2/2^k) + (N^k eta)^(-2/2^k)) with implied
     constant 1; constant = sum_abs / bound is the empirical constant.
     """
     check_vdc_args(N, k, math.log(eta) if eta > 0 else -math.inf, r)
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    vals = np.asarray(F(ns), dtype=np.float64)
-    s = exact_sum((e2pi(vals % 1.0),))
+
+    def terms():
+        for a in range(1, N + 1, VDC_BLOCK):
+            vals = F(np.arange(a, min(a + VDC_BLOCK, N + 1), dtype=np.float64))
+            yield e2pi(np.asarray(vals, dtype=np.float64) % 1.0)
+    s = exact_sum(terms())
     sum_abs = abs(s)
     bound = r * N * (eta ** (1.0 / (2 ** k - 2)) + N ** (-2.0 / 2 ** k)
                      + (float(N) ** k * eta) ** (-2.0 / 2 ** k))

@@ -9,13 +9,17 @@ script from the repository root:
     PYTHONPATH=src python tests/test_cli_golden.py
 
 Regenerate it only when a report is meant to change, and say so in the
-change that does.  The replay goes through `main` in-process.
+change that does.  The replay goes through `main` in-process; a few lines
+also run through the real entry, `python -m thinprimes.cli` in a fresh
+interpreter, where the command line sets up numpy's environment itself.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -90,6 +94,18 @@ def record(argv: list[str]) -> dict:
             "stderr": err.getvalue()}
 
 
+def record_subprocess(argv: list[str]) -> dict:
+    """record(argv), but from `python -m thinprimes.cli` as a subprocess
+    with PYTHONPATH=src."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "thinprimes.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    return {"argv": list(argv), "exit": res.returncode,
+            "stdout": _WALL.sub(r"\1*", res.stdout), "stderr": res.stderr}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -105,6 +121,20 @@ def test_golden_covers_every_subcommand(golden):
                          ids=[" ".join(argv) for argv in COMMANDS])
 def test_golden_report(golden, i):
     assert record(COMMANDS[i]) == golden[i]
+
+
+# the polyfit caller at one and two threads, and a density run
+ENTRY_COMMANDS = [
+    ["formlem-decay", "--gamma", "0.99", "--N", "4096", "--xi-grid", "64"],
+    ["formlem-decay", "--gamma", "0.99", "--N", "4096", "--xi-grid", "64",
+     "--threads", "2"],
+    ["density", "--gamma", "0.95", "--N", "4096"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_COMMANDS, ids=" ".join)
+def test_golden_report_through_the_entry(golden, argv):
+    assert record_subprocess(argv) == golden[COMMANDS.index(argv)]
 
 
 if __name__ == "__main__":

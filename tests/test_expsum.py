@@ -407,6 +407,25 @@ def test_vdc_cubic():
     assert res.constant <= 100
 
 
+@pytest.mark.parametrize("F, k, eta", [(lambda n: 1e-4 * n * n, 2, 2e-4),
+                                       (lambda n: 1e-6 * n ** 3, 3, 6e-6)],
+                         ids=["quadratic", "cubic"])
+def test_vdc_sum_does_not_depend_on_the_blocking(monkeypatch, F, k, eta):
+    whole = vdc_bound_check(F, 10 ** 4, k, eta, 1.0)
+    monkeypatch.setattr(expsum, "VDC_BLOCK", 7)
+    assert vdc_bound_check(F, 10 ** 4, k, eta, 1.0) == whole
+
+
+def test_vdc_peak_memory():
+    tracemalloc.start()
+    try:
+        vdc_bound_check(lambda n: 1e-12 * n * n, 2 ** 22, 2, 2e-12, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_bilinear_zero_sequence(tf95):
     spec = PhaseSpec(0.3, W_LIN, 1, tf95, 32 * 32, 2 * 32 * 32)
     res = bilinear_sum_bound(np.zeros(32), np.ones(32), spec)
