@@ -1,11 +1,15 @@
 """Segmented smallest-prime-factor sieve and thin prime set enumeration.
 
-The PrimeTable stores spf(n) for 2 <= n <= N, built segment by segment
-(2^20 entries per segment) so the marking loops stay cache resident.  The
-pointwise queries (factorization, von Mangoldt) factor through spf in
-O(log n).  Thin prime sets are enumerated from the defining floor values
-floor(h(n)); every floor decision here is a call of ThinFunction's
-certified floor route.
+The PrimeTable stores spf(n) for composite n <= N and 0 for primes (and for
+0 and 1), built segment by segment (2^20 entries per segment) so the marking
+loops stay cache resident.  A composite n <= N has a prime factor at most
+isqrt(N), so below N = 2^32 the table is uint16, 2(N+1) bytes, and uint32,
+4(N+1) bytes, above.  The pointwise queries (factorization, von Mangoldt)
+factor through spf in O(log n).  Thin prime sets are enumerated from the
+defining floor values floor(h(n)), in units of SEGMENT values of n that are
+each evaluated THIN_BLOCK values at a time, so the vector passes stay in
+cache; every floor decision here is a call of ThinFunction's certified floor
+route.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import DomainError, LimitMismatch, LimitTooLarge
 from .thinfn import ThinFunction
 
 SEGMENT = 1 << 20
+THIN_BLOCK = 1 << 16
 MAX_LIMIT = 1 << 34
 
 
@@ -36,7 +41,11 @@ def _base_primes(n: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Smallest-prime-factor table for 2..limit with arithmetic queries."""
+    """Smallest-prime-factor table for 2..limit with arithmetic queries.
+
+    spf[n] is the smallest prime factor of a composite n and 0 for a prime
+    n (and for n < 2); see build_prime_table for its dtype and size.
+    """
 
     def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
         self.limit = int(limit)
@@ -61,7 +70,7 @@ class PrimeTable:
             raise LimitMismatch(f"{n} outside table range")
         out = []
         while n > 1:
-            p = int(self.spf[n])
+            p = int(self.spf[n]) or n
             e = 0
             while n % p == 0:
                 n //= p
@@ -75,7 +84,7 @@ class PrimeTable:
             return 0.0
         if n > self.limit:
             raise LimitMismatch(f"{n} outside table range")
-        p = int(self.spf[n])
+        p = int(self.spf[n]) or n
         while n % p == 0:
             n //= p
         return math.log(p) if n == 1 else 0.0
@@ -129,33 +138,41 @@ def _in_order(fn, items, threads: int) -> list:
     return [fn(x) for x in items]
 
 
-def _fill_segment(spf, lo, hi, base):
-    """Mark spf for indices [lo, hi); base primes descending, so the
-    smallest prime factor writes last."""
+def _fill_segment(spf, lo, hi, base) -> np.ndarray:
+    """Mark spf for indices [lo, hi) and return the primes among them, the
+    entries left 0; base primes descending, so the smallest prime factor
+    writes last."""
     for p in base[::-1].tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             spf[start:hi:p] = p
+    return np.flatnonzero(spf[lo:hi] == 0) + lo
 
 
 def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
     """Sieve spf for 2..N in 2^20-entry segments.
 
+    The table is uint16 below N = 2^32 and uint32 up to MAX_LIMIT; a table
+    that cannot be allocated raises LimitTooLarge with its byte count.
     Queries factorize(n) and lambda_(n) then run in O(log n) through spf.
-    Segments are independent and may be filled in parallel.
+    Segments are independent and may be filled in parallel; each returns
+    its primes, concatenated in segment order.
     """
     if N < 2:
         raise LimitTooLarge("N must be at least 2")
     if N > MAX_LIMIT:
         raise LimitTooLarge(f"N={N} exceeds the 2^34 memory guard")
-    dtype = np.uint32 if N < (1 << 32) else np.int64
-    spf = np.zeros(N + 1, dtype=dtype)
+    dtype = np.dtype(np.uint16 if N < (1 << 32) else np.uint32)
+    try:
+        spf = np.zeros(N + 1, dtype=dtype)
+    except MemoryError:
+        raise LimitTooLarge(f"N={N}: the spf table of {(N + 1) * dtype.itemsize} "
+                            "bytes could not be allocated") from None
     base = _base_primes(math.isqrt(N))
-    _in_order(lambda lo: _fill_segment(spf, lo, min(lo + SEGMENT, N + 1), base),
-              range(2, N + 1, SEGMENT), threads)
-    primes = np.flatnonzero(spf[2:] == 0) + 2    # unmarked means prime
-    spf[primes] = primes
-    return PrimeTable(N, spf, primes)
+    parts = _in_order(
+        lambda lo: _fill_segment(spf, lo, min(lo + SEGMENT, N + 1), base),
+        range(2, N + 1, SEGMENT), threads)
+    return PrimeTable(N, spf, np.concatenate(parts))
 
 
 @dataclass
@@ -188,14 +205,18 @@ class ThinPrimeSet:
 
 
 def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
-    """(primes, witnesses) among floor(h(n)) for n in [lo, hi), in n order."""
-    ns = np.arange(lo, hi, dtype=np.int64)
-    ps = tf.floor_h_vec(ns)
-    keep = (ps >= 2) & (ps <= N)
-    ps, ns = ps[keep], ns[keep]
-    # spf lookup needs int indexing; ps fits the table by construction
-    prime_mask = pt.spf[ps] == ps.astype(pt.spf.dtype)
-    return ps[prime_mask], ns[prime_mask]
+    """(primes, witnesses) among floor(h(n)) for n in [lo, hi), in n order,
+    evaluated THIN_BLOCK values of n at a time."""
+    ps_parts, ns_parts = [], []
+    for b in range(lo, hi, THIN_BLOCK):
+        ns = np.arange(b, min(b + THIN_BLOCK, hi), dtype=np.int64)
+        ps = tf.floor_h_vec(ns)
+        keep = (ps >= 2) & (ps <= N)
+        ps, ns = ps[keep], ns[keep]
+        prime = pt.spf[ps] == 0         # ps fits the table by construction
+        ps_parts.append(ps[prime])
+        ns_parts.append(ns[prime])
+    return np.concatenate(ps_parts), np.concatenate(ns_parts)
 
 
 def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
@@ -205,9 +226,9 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     Iterates n from ceil(x0) to floor(phi(N+1)) + 1, deduplicates colliding
     floor values (consecutive n share floor(h(n)) wherever h' < 1, as for
     Ch < 1) and keeps the smallest witness n per prime.  n is taken in
-    chunks of SEGMENT values, mapped serially or over `threads` workers; the
-    chunks are merged in index order, so the set and its witnesses do not
-    depend on thread count.
+    chunks of SEGMENT values, mapped serially or over `threads` workers and
+    each evaluated in blocks of THIN_BLOCK values; the chunks are merged in
+    index order, so the set and its witnesses do not depend on thread count.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")

@@ -60,7 +60,10 @@ FAMILIES = {
 
 # Distance to the nearest integer below which a binary64 floor decision is
 # escalated to MP_DPS digits, and below which even those refuse to decide.
+# The binary64 guard widens to GUARD_ULPS spacings of the value where that is
+# more: h is within 0.61 ulp (power) or 2.41 ulp (h1-h5) of its exact value.
 NEAR_INT_GUARD = 1e-9
+GUARD_ULPS = 4
 MP_GUARD = 1e-25
 MP_DPS = 40
 _MP_CONTEXT = Context(prec=MP_DPS)     # entered by every escalated evaluation
@@ -135,11 +138,12 @@ def _domain_floor(family: str, m) -> float:
 
 
 def _certified_floor(v, exact, args, name: str) -> np.ndarray:
-    """floor(v) as int64.  An entry within NEAR_INT_GUARD of an integer is
-    decided from exact(args[i]) at MP_DPS digits, and raises
-    PrecisionExhausted if that is within MP_GUARD."""
+    """floor(v) as int64.  An entry within max(NEAR_INT_GUARD, GUARD_ULPS
+    spacings of v) of an integer is decided from exact(args[i]) at MP_DPS
+    digits, and raises PrecisionExhausted if that is within MP_GUARD."""
     fl = np.floor(v)
-    near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < NEAR_INT_GUARD)
+    guard = np.maximum(NEAR_INT_GUARD, GUARD_ULPS * np.spacing(np.abs(v)))
+    near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < guard)
     out = fl.astype(np.int64)
     if near.size:
         with localcontext(_MP_CONTEXT):

@@ -6,6 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,6 +329,22 @@ def test_hull_too_large_exits_3(tmp_path, capsys):
     assert rc == 3
     assert json.loads(out.read_text())["error"] == "LimitTooLarge"
     assert capsys.readouterr().err.startswith("LimitTooLarge: running sum")
+
+
+def test_unallocatable_table_exits_3(tmp_path, capsys, monkeypatch):
+    # only the spf allocation fails, as a MemoryError would at a large N
+    zeros = np.zeros
+
+    def refuse_table(shape, dtype=float, **kw):
+        if shape == 4097 and np.dtype(dtype) == np.uint16:
+            raise MemoryError
+        return zeros(shape, dtype, **kw)
+    monkeypatch.setattr(np, "zeros", refuse_table)
+    out = tmp_path / "err.json"
+    rc = main(["density", "--gamma", "0.95", "--N", "4096", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(out.read_text())["error"] == "LimitTooLarge"
+    assert "8194 bytes" in capsys.readouterr().err
 
 
 def test_position_overflow_exits_3(tmp_path, capsys):

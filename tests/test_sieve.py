@@ -32,15 +32,18 @@ def trial_pi(n: int) -> int:
 def test_spf_against_trial_division():
     pt = build_prime_table(10 ** 4)
     assert pt.pi(10 ** 4) == trial_pi(10 ** 4)
-    for n in (2, 4, 9, 91, 97, 9991):
+    for n in (4, 9, 91, 9991):
         p = int(pt.spf[n])
         assert n % p == 0
         assert all(n % d for d in range(2, p))
+    for n in (2, 97):                 # primes are marked 0
+        assert pt.spf[n] == 0
 
 
 def smallest_factors(N: int) -> np.ndarray:
     """spf(n) for 0 <= n <= N by trial division, ascending over every d,
-    vectorised over the n that are still unresolved (0 for n < 2)."""
+    vectorised over the n that are still unresolved (0 for n < 2, n for a
+    prime n)."""
     out = np.arange(N + 1, dtype=np.int64)
     out[:2] = 0
     rest = np.arange(4, N + 1, dtype=np.int64)
@@ -53,9 +56,11 @@ def smallest_factors(N: int) -> np.ndarray:
 
 
 def test_spf_table_matches_trial_division():
-    # three segments, so two segment boundaries, serially and on 3 workers
+    # three segments, so two segment boundaries, serially and on 3 workers;
+    # the table marks a prime with 0
     N = (1 << 21) + 5
     want = smallest_factors(N)
+    want[want == np.arange(N + 1)] = 0
     for threads in (1, 3):
         pt = build_prime_table(N, threads=threads)
         assert np.array_equal(pt.spf.astype(np.int64), want), threads
@@ -265,7 +270,8 @@ def test_enumeration_keeps_smallest_witness(pt20, monkeypatch, threads):
     first = {}
     for n in range(math.ceil(tf.x0), math.floor(tf.phi(N + 1.0)) + 2):
         first.setdefault(tf.floor_h(n), n)
-    expect = [p for p in sorted(first) if 2 <= p <= N and int(pt20.spf[p]) == p]
+    prime = set(pt20.primes.tolist())
+    expect = [p for p in sorted(first) if 2 <= p <= N and p in prime]
     assert tps.primes.tolist() == expect
     assert tps.witnesses.tolist() == [first[p] for p in expect]
 
@@ -308,7 +314,7 @@ def unchunked_enumeration(tf, pt, N):
     ps = tf.floor_h_vec(ns)
     keep = (ps >= 2) & (ps <= N)
     ps, wit = ps[keep], ns[keep]
-    prime_mask = pt.spf[ps] == ps.astype(pt.spf.dtype)
+    prime_mask = np.isin(ps, pt.primes)
     ps, wit = ps[prime_mask], wit[prime_mask]
     uniq, first = np.unique(ps, return_index=True)
     return uniq, tf.weight_vec(uniq.astype(np.float64)), wit[first]
@@ -318,10 +324,13 @@ def unchunked_enumeration(tf, pt, N):
                                        ("power", {"gamma": 1.0}),
                                        ("h3", {"Cc": 1.0})])
 def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw):
+    # units of 997 values of n, each evaluated in blocks of 101, so both the
+    # merge boundaries and the inner block edges are crossed
     tf = make_thin_function(family, **kw)
     N = 2 * 10 ** 5
     want = unchunked_enumeration(tf, pt20, N)
     monkeypatch.setattr(sieve, "SEGMENT", 997)
+    monkeypatch.setattr(sieve, "THIN_BLOCK", 101)
     for threads in (1, 2):
         got = enumerate_thin_primes(tf, pt20, N, threads=threads)
         for a, b in zip((got.primes, got.weights, got.witnesses), want):
@@ -336,25 +345,51 @@ def test_enumeration_with_no_candidates(pt20):
 
 @pytest.mark.parametrize("N", [2, 3, 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 + 5])
 def test_table_primes_match_spf_fixed_points(N):
+    # the primes gathered segment by segment are those of a dense sieve and
+    # the zeros of spf past 1; every other entry past 1 is a proper divisor
     pt = build_prime_table(N)
-    idx = np.arange(N + 1, dtype=pt.spf.dtype)
-    mask = pt.spf == idx
-    mask[:2] = False
-    want = np.flatnonzero(mask).astype(np.int64)
+    want = sieve._base_primes(N)
     assert pt.primes.dtype == np.int64 and np.array_equal(pt.primes, want)
-    assert np.all(pt.spf[2:] != 0) and np.all(pt.spf[:2] == 0)
+    assert np.array_equal(np.flatnonzero(pt.spf[2:] == 0) + 2, want)
+    assert np.all(pt.spf[:2] == 0)
+    ns = np.arange(N + 1)
+    comp = pt.spf != 0
+    assert np.all(ns[comp] % pt.spf[comp] == 0) and np.all(pt.spf[comp] < ns[comp])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_enumeration_peak_memory(tf95):
     N = 1 << 23
     pt = build_prime_table(N)
-    tracemalloc.start()
-    try:
-        enumerate_thin_primes(tf95, pt, N)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 100 * 2 ** 20
+    assert traced_peak(enumerate_thin_primes, tf95, pt, N) <= 40 * 2 ** 20
+
+
+def test_table_peak_memory():
+    # the 16 MiB uint16 table and the segment-wise primes, with no
+    # full-length temporary beside them
+    assert traced_peak(build_prime_table, 1 << 23) <= 28 * 2 ** 20
+
+
+def test_table_is_uint16_of_two_bytes_per_entry():
+    N = 2 ** 20 + 1
+    pt = build_prime_table(N)
+    assert pt.spf.dtype == np.uint16 and pt.spf.nbytes == 2 * (N + 1)
+
+
+def test_largest_sieving_prime_below_2_32_fits_uint16():
+    # every composite n < 2^32 has a prime factor at most isqrt(2^32 - 1)
+    base = sieve._base_primes(math.isqrt(2 ** 32 - 1))
+    assert base[-1] == 65521 <= np.iinfo(np.uint16).max
 
 
 def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):

@@ -515,3 +515,13 @@ def test_cli_import_starts_no_blas_pool():
     # OpenBLAS caps its pool at the CPUs this process may run on
     if len(os.sched_getaffinity(0)) >= 2:
         assert threads(OPENBLAS_NUM_THREADS="2") >= 2
+
+
+def test_floor_guard_scales_with_magnitude():
+    # one spacing above k near 2^24 is 3.7e-9 from k, outside the 1e-9
+    # absolute guard but inside four spacings, so the exact value decides
+    k = 2 ** 24 + 3
+    v = np.array([np.nextafter(float(k), np.inf)])
+    below = lambda a: Decimal(k) - Decimal("1e-20")
+    got = thinfn._certified_floor(v, below, np.array([7]), "h")
+    assert got.tolist() == [k - 1]
