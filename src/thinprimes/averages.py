@@ -217,29 +217,26 @@ def lr_norm(f: SparseSignal, r: float) -> float:
 
 
 def check_abel_range(a: float, b: float) -> None:
-    """abel_summation's rule for its range (a, b]."""
+    """The rule for a range (a, b] of abel_summation's integers."""
     if not 0 <= a < b:
         raise ParameterOutOfRange(f"need 0 <= a < b, got a={a}, b={b}")
 
 
-def abel_summation(u, g, a: float, b: float) -> tuple[float, float, float]:
-    """Summation by parts with the step integral evaluated in closed form.
+def abel_summation(u: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
+    """Summation by parts over the integers a < n <= b, with the step
+    integral evaluated in closed form.
 
-    lhs = sum_{a<n<=b} u(n) g(n); rhs = U(b) g(b) - int_a^b U(t) g'(t) dt,
-    where U is the running sum of u.  U is a step function, so the integral
-    is a finite sum of U * (g at segment ends) and needs no quadrature.
+    u and g hold u(n) and g(n) at those n, in ascending order.  lhs =
+    sum u(n) g(n); rhs = U(b) g(b) - int_a^b U(t) g'(t) dt, where U is the
+    running sum of u.  U is a step function, so the integral is a finite sum
+    of U * (g at segment ends) and needs no quadrature.
     """
-    check_abel_range(a, b)
-    n_lo, n_hi = math.floor(a) + 1, math.floor(b)
-    if n_hi < n_lo:
+    if not len(u):
         return 0.0, 0.0, 0.0
-    ns = np.arange(n_lo, n_hi + 1)
-    uv = np.array([float(u(int(n))) for n in ns])
-    gv = np.array([float(g(int(n))) for n in ns])
-    lhs = exact_sum((uv * gv,)).real
-    U = np.cumsum(uv)
-    g_ends = np.append(gv[1:], float(g(b)))
-    rhs = float(U[-1]) * float(g(b)) - exact_sum((U * (g_ends - gv),)).real
+    lhs = exact_sum((u * g,)).real
+    U = np.cumsum(u)
+    g_ends = np.append(g[1:], g[-1])
+    rhs = float(U[-1]) * float(g[-1]) - exact_sum((U * (g_ends - g),)).real
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -23,10 +23,14 @@ from __future__ import annotations
 
 import os
 
-# Before numpy loads: its bundled OpenBLAS starts a worker thread per extra
-# CPU at import, and no command makes a BLAS call that a pool would speed up
-# (the one is a polyfit over at most 34 points).  A value the user set wins.
+# Before numpy loads, and a value the user set wins.  Its bundled OpenBLAS
+# starts a worker thread per extra CPU at import, and no command makes a
+# BLAS call that a pool would speed up (the one is a polyfit over at most 34
+# points).  Its AVX-512 kernels for float64 power, log and exp are not
+# libm; without them every x86-64 host takes the AVX2 dispatch, where those
+# vector calls give libm's bits, the same as Python's ** and math.log.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
 
 import argparse
 import json
@@ -477,8 +481,9 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     if sub == "abel":
         check_abel_range(ABEL_FROM, n)
         pt, _ = _tables(cfg, n)
-        lhs, rhs, resid = abel_summation(pt.lambda_, lambda x: 1.0 / math.log(x),
-                                         ABEL_FROM, n)
+        ns = np.arange(ABEL_FROM + 1, n + 1)
+        lhs, rhs, resid = abel_summation(pt.lambda_array(n)[ABEL_FROM + 1:],
+                                         1.0 / np.log(ns))
         return ["lhs", "rhs", "residual"], [(lhs, rhs, resid)], None
     if sub == "ergodic":
         system, table, x = _observable(cfg)

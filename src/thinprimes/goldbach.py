@@ -275,24 +275,27 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
     counts against the predicted main term S(N) phi1 phi2 phi3/(N log^3 N).
 
     tfs and sets are the three generating functions and their thin sets.
-    The singular series is sieved once; each target is factored through pt,
-    a table up to at least N_end.  The printed singular-series product
+    The phi columns and log^3 N are evaluated once over the targets.  The
+    singular series is sieved once; each target is factored through pt, a
+    table up to at least N_end.  The printed singular-series product
     degenerates to 0 (its p=2 factor); the classical Vinogradov form is
     used for the main term and the report is flagged accordingly, with both
     values always present.
     """
     series = SingularSeries(cutoff)
     direct, _ = rep_counts(*sets, N, N_end)
+    x = np.arange(N, N_end + 1, 2, dtype=np.float64)
+    columns = [t.phi_vec(x).tolist() for t in tfs] + [(np.log(x) ** 3).tolist()]
     reports = []
-    for n, R in zip(range(N, N_end + 1, 2), direct.tolist()):
+    for n, R, phi1, phi2, phi3, log3 in zip(range(N, N_end + 1, 2),
+                                            direct.tolist(), *columns):
         s_paper, s_classical, _ = series([p for p, _ in pt.factorize(n)])
         flags = ""
         s_used = s_paper
         if s_paper == 0.0:
             s_used = s_classical
             flags = "paper-form degenerate; classical form used for main term"
-        phis = [t.phi(float(n)) for t in tfs]
-        main = s_used * phis[0] * phis[1] * phis[2] / (n * math.log(n) ** 3)
+        main = s_used * phi1 * phi2 * phi3 / (n * log3)
         ratio = R / main if main > 0 else math.inf
         reports.append(GoldbachReport(n, R, s_paper, s_classical, main, ratio, flags))
     return reports

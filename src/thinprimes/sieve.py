@@ -78,17 +78,6 @@ class PrimeTable:
             out.append((p, e))
         return out
 
-    def lambda_(self, n: int) -> float:
-        """von Mangoldt: log p when n = p^m, else 0."""
-        if n < 2:
-            return 0.0
-        if n > self.limit:
-            raise LimitMismatch(f"{n} outside table range")
-        p = int(self.spf[n]) or n
-        while n % p == 0:
-            n //= p
-        return math.log(p) if n == 1 else 0.0
-
     def prime_powers_in(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """All k with a < k <= b and Lambda(k) != 0, with their log p values."""
         if b > self.limit:
@@ -154,7 +143,7 @@ def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
 
     The table is uint16 below N = 2^32 and uint32 up to MAX_LIMIT; a table
     that cannot be allocated raises LimitTooLarge with its byte count.
-    Queries factorize(n) and lambda_(n) then run in O(log n) through spf.
+    Queries factorize(n) then run in O(log n) through spf.
     Segments are independent and may be filled in parallel; each returns
     its primes, concatenated in segment order.
     """
@@ -245,6 +234,7 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
         lambda lo: _thin_chunk(tf, pt, N, lo, min(lo + SEGMENT, n_hi + 1)),
         range(n_lo, n_hi + 1, SEGMENT), threads)
     ps, wit = (np.concatenate(col) for col in zip(*parts))
+    del parts       # the per-unit copies, before the dedup and the weights
     uniq, first = np.unique(ps, return_index=True)
     wit = wit[first]
     weights = tf.weight_vec(uniq.astype(np.float64))

@@ -18,11 +18,11 @@ digits for the escalated one (h_mp, phi_mp, frac_m_phi_mp), where a power
 u^a is exp(a ln u) for speed (_decimal_pow).  Both routes evaluate the same
 function, with the binary64 parameters entering as their exact values;
 decimal contexts are per thread, so they need no lock.  The inverse phi is
-closed-form for the power family, else a bracketed Newton.
+closed-form for the power family, else a bracketed Newton run per entry.
 
 Every floor(h(n)) decision is made by _certified_floor, through
-floor_h_vec; the scalar floor_h is a one-element call of it, so scalar and
-bulk agree.
+floor_h_vec, and every float phi by phi_vec; the scalar floor_h and phi are
+one-element calls of them, so scalar and bulk agree.
 
 The degenerate member power(gamma=1) is the identity h(x) = x.  It is kept
 as exact ground truth: every derived quantity short-circuits to its exact
@@ -68,7 +68,9 @@ MP_GUARD = 1e-25
 MP_DPS = 40
 _MP_CONTEXT = Context(prec=MP_DPS)     # entered by every escalated evaluation
 
-# Largest number of Newton steps phi_mp takes before it gives up.
+# Largest number of bracket doublings, and of Newton steps, phi_vec takes
+# for one entry, and of Newton steps phi_mp takes, before giving up.
+PHI_STEPS = 200
 MP_NEWTON_STEPS = 60
 
 
@@ -316,60 +318,58 @@ class ThinFunction:
     # -- inverse side ------------------------------------------------------
 
     def phi(self, x: float) -> float:
-        """Inverse of h: closed form for the power family, else bracketed Newton."""
+        """Inverse of h at one point: a one-element call of phi_vec."""
         if x < self.h_x0 * (1 - 1e-12):
             raise DomainError(f"x={x} below h(x0)={self.h_x0}")
-        if self.is_identity:
-            return float(x)
-        if self.family == "power":
-            return (x / self.Ch) ** self.gamma
-        x = float(x)
-        lo = self.x0
-        hi = max(2.0 * lo, (x / self.Ch) ** self.gamma * 2.0)
-        grow = 0
-        while float(self._derivs(hi)[0]) < x:
-            hi *= 2.0
-            grow += 1
-            if grow > 200:
-                raise NoConvergence(f"no bracket for phi({x})")
-        y = min(max((x / self.Ch) ** self.gamma, lo), hi)
-        for _ in range(200):
-            h0, h1 = self._derivs(y, 1)
-            fy = float(h0) - x
-            if abs(fy) <= 1e-14 * x:
-                return y
-            if fy > 0:
-                hi = y
-            else:
-                lo = y
-            step = fy / float(h1)
-            ynew = y - step
-            if not (lo < ynew < hi):
-                ynew = 0.5 * (lo + hi)
-            y = ynew
-        raise NoConvergence(f"phi({x}) did not reach tolerance in 200 iterations")
+        return float(self.phi_vec(np.array([x], dtype=np.float64))[0])
 
     def phi_vec(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of h: closed form for the power family, else a bracketed
+        Newton iteration run per entry over the array.
+
+        Entry i starts from the power guess (x_i/Ch)^gamma in the bracket
+        [x0, hi_i], hi_i doubled until h(hi_i) >= x_i.  A Newton step that
+        leaves the bracket is replaced by bisection, and the entry stops once
+        |h(y) - x_i| <= 1e-14 x_i.  An entry's steps read only that entry,
+        so an array gives the bits of its one-element calls.
+        """
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < self.h_x0 * (1 - 1e-12)):
             raise DomainError("argument below h(x0)")
         if self.is_identity:
             return x.copy()
+        guess = (x / self.Ch) ** self.gamma
         if self.family == "power":
-            return (x / self.Ch) ** self.gamma
-        y = np.maximum((x / self.Ch) ** self.gamma, self.x0)
-        for _ in range(80):
-            with np.errstate(all="ignore"):
-                h0, h1 = self._derivs(y, 1)
-                res = h0 - x
-                y = np.maximum(y - res / h1, self.x0)
-            if np.all(np.abs(res) <= 1e-13 * x):
+            return guess
+        shape, x, guess = x.shape, x.reshape(-1), guess.reshape(-1)
+        hi = np.maximum(2.0 * self.x0, guess * 2.0)
+        grow = np.flatnonzero(self._derivs(hi)[0] < x)
+        for _ in range(PHI_STEPS):
+            if not grow.size:
                 break
-        res = np.abs(self._derivs(y)[0] - x)
-        bad = np.flatnonzero(res > 1e-13 * x)
-        for i in bad:
-            y[i] = self.phi(float(x[i]))
-        return y
+            hi[grow] *= 2.0
+            grow = grow[self._derivs(hi[grow])[0] < x[grow]]
+        if grow.size:
+            raise NoConvergence(f"no bracket for phi({x[grow[0]]})")
+        lo = np.full_like(x, self.x0)
+        y = np.minimum(np.maximum(guess, self.x0), hi)
+        live = np.arange(x.size)
+        for _ in range(PHI_STEPS):
+            ya, xa = y[live], x[live]
+            h0, h1 = self._derivs(ya, 1)
+            fy = h0 - xa
+            more = ~(np.abs(fy) <= 1e-14 * xa)      # a nan goes on
+            live, ya, fy, h1 = live[more], ya[more], fy[more], h1[more]
+            if not live.size:
+                return y.reshape(shape)
+            above = fy > 0
+            hi[live] = np.where(above, ya, hi[live])
+            lo[live] = np.where(above, lo[live], ya)
+            ynew = ya - fy / h1
+            la, ha = lo[live], hi[live]
+            y[live] = np.where((la < ynew) & (ynew < ha), ynew, 0.5 * (la + ha))
+        raise NoConvergence(
+            f"phi({x[live[0]]}) did not reach tolerance in {PHI_STEPS} steps")
 
     def phi_deriv(self, x: float, n: int = 1) -> float:
         if not 1 <= n <= 3:

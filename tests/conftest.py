@@ -1,5 +1,11 @@
 """Session-scoped tables shared across test modules (sieves are cheap but
-not free, and the enumerated sets are reused everywhere)."""
+not free, and the enumerated sets are reused everywhere).
+
+thinprimes.cli is imported first: it pins numpy's environment before numpy
+loads, so the tests run under the same SIMD dispatch as the command line.
+"""
+
+import thinprimes.cli  # noqa: F401  (first: numpy's environment)
 
 import pytest
 

@@ -3,11 +3,13 @@
 Each is an independent or slower route to a value a command computes:
 membership of one prime by scanning n or by the floor-difference
 criterion on the certified floor(-phi), the crossover of the two over a
-range, the singular series at one target by trial division, the exactly
+range, the singular series at one target by trial division, the Goldbach
+main term at one target from scalar phi and math.log, the exactly
 rounded complex sum by the standard library's math.fsum, the two
 weighted prime sums at one xi, the direct Goldbach counts by one
-gather per pair-count point, and the Moebius function at one n by
-factoring through the prime table.
+gather per pair-count point, the Moebius and von Mangoldt functions at
+one n by factoring through the prime table, and Abel summation with one
+call of u and g per n.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ import math
 
 import numpy as np
 
-from thinprimes._num import e2pi, frac_mul_int_vec
-from thinprimes.errors import DomainError, ParameterOutOfRange, RangeBeyondTable
+from thinprimes._num import e2pi, exact_sum, frac_mul_int_vec
+from thinprimes.errors import (
+    DomainError,
+    LimitMismatch,
+    ParameterOutOfRange,
+    RangeBeyondTable,
+)
 from thinprimes.expsum import IntPolynomial
 from thinprimes.goldbach import SingularSeries
 from thinprimes.sieve import PrimeTable, ThinPrimeSet, enumerate_thin_primes
@@ -114,6 +121,15 @@ def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
     return series(divisors)
 
 
+def goldbach_main_term(tfs, n: int, s_used: float, R: int) -> tuple[float, float]:
+    """(main_term, ratio) of goldbach_reports at one target n, from the
+    scalar phi of each function and math.log: S(n) phi1 phi2 phi3 /
+    (n log^3 n), and R over it."""
+    phis = [t.phi(float(n)) for t in tfs]
+    main = s_used * phis[0] * phis[1] * phis[2] / (n * math.log(n) ** 3)
+    return main, (R / main if main > 0 else math.inf)
+
+
 def mobius(pt: PrimeTable, n: int) -> int:
     """Moebius mu(n) from n's factorization in pt: the scalar oracle of
     PrimeTable.mu_array."""
@@ -125,6 +141,35 @@ def mobius(pt: PrimeTable, n: int) -> int:
             return 0
         sign = -sign
     return sign
+
+
+def von_mangoldt(pt: PrimeTable, n: int) -> float:
+    """von Mangoldt Lambda(n), log p when n = p^m and else 0, from n's
+    smallest prime factor in pt: the scalar oracle of PrimeTable.lambda_array."""
+    if n < 2:
+        return 0.0
+    if n > pt.limit:
+        raise LimitMismatch(f"{n} outside table range")
+    p = int(pt.spf[n]) or n
+    while n % p == 0:
+        n //= p
+    return math.log(p) if n == 1 else 0.0
+
+
+def abel_summation_per_n(u, g, a: float, b: float) -> tuple[float, float, float]:
+    """averages.abel_summation over a < n <= b, with u and g callables
+    evaluated one n at a time and g(b) taken at b itself."""
+    n_lo, n_hi = math.floor(a) + 1, math.floor(b)
+    if n_hi < n_lo:
+        return 0.0, 0.0, 0.0
+    ns = np.arange(n_lo, n_hi + 1)
+    uv = np.array([float(u(int(n))) for n in ns])
+    gv = np.array([float(g(int(n))) for n in ns])
+    lhs = exact_sum((uv * gv,)).real
+    U = np.cumsum(uv)
+    g_ends = np.append(gv[1:], float(g(b)))
+    rhs = float(U[-1]) * float(g(b)) - exact_sum((U * (g_ends - gv),)).real
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,

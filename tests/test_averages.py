@@ -25,6 +25,8 @@ from thinprimes.errors import (
 from thinprimes.expsum import IntPolynomial, formlem_decay
 from thinprimes.sieve import enumerate_thin_primes
 
+from oracles import abel_summation_per_n, von_mangoldt
+
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])
 
@@ -229,17 +231,30 @@ def test_lr_ratio_stability_under_support_doubling(tps95):
 
 
 def test_abel_trivial():
-    lhs, rhs, resid = abel_summation(lambda n: 0.0, lambda x: x * x, 0, 10)
+    ns = np.arange(1, 11, dtype=np.float64)
+    lhs, rhs, resid = abel_summation(np.zeros(10), ns * ns)
     assert lhs == rhs == 0.0
-    lhs, rhs, resid = abel_summation(lambda n: 1.0, lambda x: float(x), 0, 10)
+    lhs, rhs, resid = abel_summation(np.ones(10), ns)
     assert lhs == pytest.approx(55.0)
     assert resid <= 1e-10
+    assert abel_summation(np.empty(0), np.empty(0)) == (0.0, 0.0, 0.0)
 
 
 def test_abel_lambda_over_log(pt20):
-    lhs, rhs, resid = abel_summation(pt20.lambda_,
-                                     lambda x: 1.0 / math.log(x), 2, 10 ** 4)
+    N = 10 ** 4
+    lhs, rhs, resid = abel_summation(pt20.lambda_array(N)[3:],
+                                     1.0 / np.log(np.arange(3, N + 1)))
     assert resid <= 1e-8 * abs(lhs)
+
+
+@pytest.mark.parametrize("N", [3, 4, 1000, 1 << 14])
+def test_abel_arrays_are_the_per_n_route(pt20, N):
+    """The abel command's arrays give the bits of one call of Lambda and
+    1/log per n."""
+    got = abel_summation(pt20.lambda_array(N)[3:],
+                         1.0 / np.log(np.arange(3, N + 1)))
+    assert got == abel_summation_per_n(lambda n: von_mangoldt(pt20, n),
+                                       lambda x: 1.0 / math.log(x), 2, N)
 
 
 def test_weighted_compare_equal_weights(tps95, pt20):

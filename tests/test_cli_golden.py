@@ -94,11 +94,17 @@ def record(argv: list[str]) -> dict:
             "stderr": err.getvalue()}
 
 
-def record_subprocess(argv: list[str]) -> dict:
+# numpy's environment as the command line pins it; the child starts without
+# it, since this process's pin would otherwise stand in for the CLI's own
+PINNED = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_NUM_THREADS")
+
+
+def record_subprocess(argv: list[str], extra_env=None) -> dict:
     """record(argv), but from `python -m thinprimes.cli` as a subprocess
-    with PYTHONPATH=src."""
+    with PYTHONPATH=src, the PINNED variables unset and extra_env set."""
     src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k not in PINNED}
+    env.update(extra_env or {}, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-m", "thinprimes.cli", *argv], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -135,6 +141,27 @@ ENTRY_COMMANDS = [
 @pytest.mark.parametrize("argv", ENTRY_COMMANDS, ids=" ".join)
 def test_golden_report_through_the_entry(golden, argv):
     assert record_subprocess(argv) == golden[COMMANDS.index(argv)]
+
+
+@pytest.mark.parametrize("argv", ENTRY_COMMANDS, ids=" ".join)
+def test_golden_report_with_the_pin_preset(golden, argv):
+    """A child that is given the CLI's own dispatch pin writes the same body."""
+    preset = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    assert record_subprocess(argv, preset) == golden[COMMANDS.index(argv)]
+
+
+def test_a_user_set_dispatch_is_kept():
+    """The CLI pins numpy's dispatch with setdefault: a value the user set
+    reaches numpy as given."""
+    code = ("import os, thinprimes.cli; "
+            "from numpy._core._multiarray_umath import __cpu_features__ as f; "
+            "print(os.environ['NPY_DISABLE_CPU_FEATURES'], f['AVX512_SPR'])")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in PINNED}
+    env.update(NPY_DISABLE_CPU_FEATURES="AVX512_SPR", PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.stdout.split() == ["AVX512_SPR", "False"]
 
 
 if __name__ == "__main__":

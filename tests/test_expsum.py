@@ -41,7 +41,7 @@ from thinprimes.expsum import (
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import fsum_complex, mobius, weighted_prime_sums
+from oracles import fsum_complex, mobius, von_mangoldt, weighted_prime_sums
 
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])
@@ -176,7 +176,7 @@ def test_pi_v_pointwise_oracle(pt20):
         total = 0.0
         for r in range(1, 8):
             if l % r == 0 and l // r <= 7:
-                total += pt20.lambda_(r) * mobius(pt20, l // r)
+                total += von_mangoldt(pt20, r) * mobius(pt20, l // r)
         assert arr[l] == pytest.approx(total, abs=1e-12)
 
 

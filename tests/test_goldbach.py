@@ -26,7 +26,7 @@ from thinprimes.goldbach import (
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import direct_counts, singular_series
+from oracles import direct_counts, goldbach_main_term, singular_series
 
 
 def brute_force_r(N: int, primes: list[int]) -> int:
@@ -128,6 +128,17 @@ def test_report_identity(tps_identity, pt20, tf_identity):
 def test_report_thin(tps95, pt20, tf95):
     rep, = goldbach_reports([tf95] * 3, [tps95] * 3, 2001, 2001, pt=pt20)
     assert rep.ratio > 0 or rep.R == 0
+
+
+@pytest.mark.parametrize("gammas", [(1.0, 0.99, 0.95), (0.95, 0.95, 0.99)])
+def test_report_main_terms_are_the_per_target_formula(sets_by_gamma, pt20,
+                                                      gammas):
+    sets = [sets_by_gamma[g] for g in gammas]
+    tfs = [s.tf for s in sets]
+    for rep in goldbach_reports(tfs, sets, 1001, 3001, pt20):
+        s_used = rep.S_classical if rep.S_paper == 0.0 else rep.S_paper
+        assert (rep.main_term, rep.ratio) == goldbach_main_term(
+            tfs, rep.N, s_used, rep.R)
 
 
 def test_zero_count_threshold_recorded(pt20, tps99):

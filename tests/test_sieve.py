@@ -14,7 +14,13 @@ from thinprimes.errors import LimitMismatch, LimitTooLarge, ParameterOutOfRange
 from thinprimes.sieve import build_prime_table, density_profile, enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import floor_criterion_threshold, floor_neg_phi_vec, mobius, thin_membership
+from oracles import (
+    floor_criterion_threshold,
+    floor_neg_phi_vec,
+    mobius,
+    thin_membership,
+    von_mangoldt,
+)
 
 
 def trial_pi(n: int) -> int:
@@ -80,10 +86,10 @@ def test_mu_values(pt20, n, expected):
 
 
 def test_lambda_values(pt20):
-    assert pt20.lambda_(16) == pytest.approx(math.log(2))
-    assert pt20.lambda_(15) == 0.0
-    assert pt20.lambda_(13) == pytest.approx(math.log(13))
-    assert pt20.lambda_(1) == 0.0
+    assert von_mangoldt(pt20, 16) == pytest.approx(math.log(2))
+    assert von_mangoldt(pt20, 15) == 0.0
+    assert von_mangoldt(pt20, 13) == pytest.approx(math.log(13))
+    assert von_mangoldt(pt20, 1) == 0.0
 
 
 def test_mu_array_matches_pointwise(pt20):
@@ -93,7 +99,7 @@ def test_mu_array_matches_pointwise(pt20):
 
 def test_lambda_array_matches_pointwise(pt20):
     arr = pt20.lambda_array(300)
-    assert all(arr[n] == pytest.approx(pt20.lambda_(n)) for n in range(1, 301))
+    assert all(arr[n] == pytest.approx(von_mangoldt(pt20, n)) for n in range(1, 301))
 
 
 def test_pi_1e6(pt20):
