@@ -17,6 +17,14 @@ themselves.  Every report or diagnostic is written by _write.
 Exit codes: 0 success; 2 a ThinPrimesError before _begin, a validation or
 parse failure (no output written); 3 one after it, a computational failure
 (diagnostic JSON written instead of the report).
+
+A command pays start-up only for the modules its subcommand runs: errors,
+_num, thinfn and sieve are imported here, and expsum, averages, ergodic and
+goldbach are registered lazily (_lazy), to be compiled and run on their
+first attribute access.  That first access must come from the main thread;
+the --threads workers run only sieve and thinfn code.  json, like
+fractions in thinfn and concurrent.futures in sieve, is imported where it
+is first used.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
 
 import argparse
-import json
+import importlib.util
 import math
 import sys
 import time
@@ -42,43 +50,7 @@ import numpy as np
 
 from . import __version__
 from ._num import _check_hull, dyadic
-from .averages import (
-    SparseSignal,
-    abel_summation,
-    check_abel_range,
-    check_dyadic_limit,
-    check_norm_exponent,
-    lr_norm,
-    maximal_function,
-)
-from .ergodic import (
-    CircleRotation,
-    FiniteCycle,
-    average_series,
-    check_eps,
-    oscillation_sum,
-)
 from .errors import ParseError, ThinPrimesError, ValidationError
-from .expsum import (
-    IntPolynomial,
-    PhaseSpec,
-    bilinear_sum_bound,
-    check_bilinear_sizes,
-    check_decay_args,
-    check_split_point,
-    check_vdc_args,
-    formlem_decay,
-    vaughan_split,
-    vdc_bound_check,
-    default_v,
-)
-from .goldbach import (
-    admissibility_check,
-    check_cutoff,
-    check_targets,
-    goldbach_reports,
-    parseval_check,
-)
 from .sieve import (
     build_prime_table,
     check_checkpoints,
@@ -86,6 +58,33 @@ from .sieve import (
     enumerate_thin_primes,
 )
 from .thinfn import admissible_params, make_thin_function
+
+
+def _lazy(name: str):
+    """The package's module `name`, executed on its first attribute access
+    (the importlib.util.LazyLoader recipe); one already imported is returned
+    as it is.
+
+    Python 3.11's lazy module is not safe to load from two threads at once,
+    so its first access must come from the main thread.  Worker threads run
+    only sieve and thinfn code, which this module imports eagerly."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+averages = _lazy("averages")
+ergodic = _lazy("ergodic")
+expsum = _lazy("expsum")
+goldbach = _lazy("goldbach")
 
 # keys every subcommand understands
 COMMON_KEYS = {"out", "format", "threads", "seed", "dry-run"}
@@ -217,8 +216,8 @@ class RunConfig:
         self._tf = tf
         return tf
 
-    def polynomial(self) -> IntPolynomial:
-        return IntPolynomial(self.get_int_list("W"))
+    def polynomial(self) -> expsum.IntPolynomial:
+        return expsum.IntPolynomial(self.get_int_list("W"))
 
     def resolved(self) -> dict:
         out = dict(DEFAULTS)
@@ -282,6 +281,7 @@ def _report(cfg: RunConfig, columns, rows, footer, wall: float, fmt: str) -> str
 
     admissible's JSON is one flat object of its single row's values."""
     if fmt == "json":
+        import json
         doc = {"schema": 1, "tool": TOOL}
         if cfg.subcommand == "admissible":
             doc.update(zip(columns, rows[0]))
@@ -371,7 +371,7 @@ def _observable(cfg: RunConfig):
     system = cfg.get("system")
     if system == "cycle":
         m = cfg.get_int("cycle-m")
-        cycle = FiniteCycle(m)     # checks m before the table is allocated
+        cycle = ergodic.FiniteCycle(m)     # checks m before the table is allocated
         _check_hull(m, np.complex128, "observable table")
         table = np.zeros(m, dtype=np.complex128)
         table[0] = 1.0
@@ -383,7 +383,8 @@ def _observable(cfg: RunConfig):
     x = cfg.get_float("x")
     if not math.isfinite(x):
         raise ValidationError(f"x must be finite, got {x!r}")
-    return CircleRotation(cfg.get_float("alpha")), [(cfg.get_int("freq"), 1.0)], x
+    system = ergodic.CircleRotation(cfg.get_float("alpha"))
+    return system, [(cfg.get_int("freq"), 1.0)], x
 
 
 def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
@@ -405,12 +406,13 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     if sub == "vaughan":
         P = cfg.get_int("P")
         P1 = cfg.get_int("P1") if cfg.given("P1") else 2 * P
-        spec = PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf, P, P1)
+        spec = expsum.PhaseSpec(cfg.get_float("xi"), W, cfg.get_int("mfreq"), tf,
+                                P, P1)
         v = (cfg.get_float("v") if cfg.given("v")
-             else default_v(spec.P1, spec.W.degree))
-        check_split_point(spec.P, v)
+             else expsum.default_v(spec.P1, spec.W.degree))
+        expsum.check_split_point(spec.P, v)
         pt, _ = _tables(cfg, spec.P1)
-        res = vaughan_split(pt, spec, v)
+        res = expsum.vaughan_split(pt, spec, v)
         row = (spec.P, spec.P1, v, spec.xi, spec.m,
                res.S1.real, res.S1.imag, res.S21.real, res.S21.imag,
                res.S22.real, res.S22.imag, res.S3.real, res.S3.imag,
@@ -420,9 +422,9 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                 "residual_rel"], [row], None
     if sub == "formlem-decay":
         grid = cfg.get_int("xi-grid")
-        check_decay_args(grid, n)
+        expsum.check_decay_args(grid, n)
         pt, (tps,) = _tables(cfg, n, [tf])
-        prof = formlem_decay(pt, W, grid, n, tps=tps)
+        prof = expsum.formlem_decay(pt, W, grid, n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
         return ["N", "gap", "gap_over_N"], prof.entries, footer
@@ -431,17 +433,17 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         # is formed; k is clamped to where the rule can accept it, so lgamma
         # is defined and finite
         k, beta = cfg.get_int("k"), cfg.get_float("beta")
-        check_vdc_args(n, k, math.lgamma(min(max(k, 2), 1024) + 1)
+        expsum.check_vdc_args(n, k, math.lgamma(min(max(k, 2), 1024) + 1)
                        + (math.log(beta) if beta > 0 else -math.inf), 1.0)
         _begin(cfg)
-        res = vdc_bound_check(lambda t: beta * t ** k, n, k,
-                              math.factorial(k) * beta, 1.0)
+        res = expsum.vdc_bound_check(lambda t: beta * t ** k, n, k,
+                                     math.factorial(k) * beta, 1.0)
         return (["N", "k", "beta", "sum_abs", "bound", "constant"],
                 [(n, k, beta, res.sum_abs, res.bound, res.constant)], None)
     if sub == "bilinear":
         K, L, m = cfg.get_int("K"), cfg.get_int("L"), cfg.get_int("mfreq")
-        check_bilinear_sizes(K, L, m)
-        spec = PhaseSpec(cfg.get_float("xi"), W, m, tf, K * L, 2 * K * L)
+        expsum.check_bilinear_sizes(K, L, m)
+        spec = expsum.PhaseSpec(cfg.get_float("xi"), W, m, tf, K * L, 2 * K * L)
         delta = cfg.get("delta")
         if delta not in ("ones", "random"):
             raise ValidationError(f"delta must be ones or random, got {delta!r}")
@@ -453,15 +455,15 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
             rng = np.random.default_rng(seed)
             d1 = np.exp(2j * np.pi * rng.random(L))
             d2 = np.exp(2j * np.pi * rng.random(K))
-        res = bilinear_sum_bound(d1, d2, spec)
+        res = expsum.bilinear_sum_bound(d1, d2, spec)
         return (["K", "L", "value_re", "value_im", "bound", "constant"],
                 [(K, L, res.value.real, res.value.imag, res.bound,
                   res.constant)], None)
     if sub == "maximal":
-        check_dyadic_limit(n)
+        averages.check_dyadic_limit(n)
         rs = cfg.get_float_list("r-list")
         for r in rs:
-            check_norm_exponent(r)
+            averages.check_norm_exponent(r)
         support, trials = cfg.get_int("support"), cfg.get_int("trials")
         if support < 1:
             raise ValidationError("support must be >= 1")
@@ -474,50 +476,51 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
             for trial in range(trials):
                 idx = rng.choice(support, size=max(1, support // 4),
                                  replace=False)
-                f = SparseSignal({int(i): 1.0 for i in idx})
-                mf = maximal_function(f, tps, W, n)
-                rows.append((r, support, trial, lr_norm(mf, r) / lr_norm(f, r)))
+                f = averages.SparseSignal({int(i): 1.0 for i in idx})
+                mf = averages.maximal_function(f, tps, W, n)
+                rows.append((r, support, trial,
+                             averages.lr_norm(mf, r) / averages.lr_norm(f, r)))
         return ["r", "support_size", "seed", "ratio"], rows, None
     if sub == "abel":
-        check_abel_range(ABEL_FROM, n)
+        averages.check_abel_range(ABEL_FROM, n)
         pt, _ = _tables(cfg, n)
         ns = np.arange(ABEL_FROM + 1, n + 1)
-        lhs, rhs, resid = abel_summation(pt.lambda_array(n)[ABEL_FROM + 1:],
-                                         1.0 / np.log(ns))
+        lhs, rhs, resid = averages.abel_summation(
+            pt.lambda_array(n)[ABEL_FROM + 1:], 1.0 / np.log(ns))
         return ["lhs", "rhs", "residual"], [(lhs, rhs, resid)], None
     if sub == "ergodic":
         system, table, x = _observable(cfg)
         weighted = cfg.get_bool("weighted")
         pt, (tps,) = _tables(cfg, n, [tf])
         first = min(16, 1 << (n.bit_length() - 1))
-        series = average_series(system, table, x, tps, pt, W,
-                                dyadic(first, n), weighted)
+        series = ergodic.average_series(system, table, x, tps, pt, W,
+                                        dyadic(first, n), weighted)
         return ["N", "re", "im", "gap"], list(series.csv_rows()), None
     if sub == "oscillation":
         system, table, x = _observable(cfg)
         eps = cfg.get_float("eps")
-        check_eps(eps)
+        ergodic.check_eps(eps)
         breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
         if len(breaks) < 2:
             raise ValidationError("N too small for oscillation breaks")
         pt, (tps,) = _tables(cfg, n, [tf])
-        val = oscillation_sum(system, table, x, tps, pt, W, breaks, eps)
+        val = ergodic.oscillation_sum(system, table, x, tps, pt, W, breaks, eps)
         J = len(breaks) - 1
         return ["J", "eps", "value", "value_over_J"], [(J, eps, val, val / J)], None
     if sub == "goldbach":
         n_end = cfg.get_int("N-end") if cfg.given("N-end") else n
         if n % 2 == 0 or n_end < n:
             raise ValidationError("N must be odd and N-end >= N")
-        check_targets(n, n_end)
+        goldbach.check_targets(n, n_end)
         cutoff = cfg.get_int("cutoff")
-        check_cutoff(cutoff)
+        goldbach.check_cutoff(cutoff)
         gammas = _gammas(cfg, "1,1,1")
         tf_of = {g: make_thin_function("power", gamma=g) for g in gammas}
         pt, sets = _tables(cfg, n_end, tf_of.values(), sieve_to=max(n_end, 100))
         set_of = dict(zip(tf_of, sets))   # each distinct gamma enumerated once
-        reports = goldbach_reports([tf_of[g] for g in gammas],
-                                   [set_of[g] for g in gammas], n, n_end, pt,
-                                   cutoff)
+        reports = goldbach.goldbach_reports([tf_of[g] for g in gammas],
+                                            [set_of[g] for g in gammas], n,
+                                            n_end, pt, cutoff)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
                 "flags"], [r.csv_row() for r in reports], None
     if sub == "parseval":
@@ -526,7 +529,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
             raise ValidationError(f"side must be thin or full, got {side!r}")
         weighted = cfg.get_bool("weighted")
         pt, sets = _tables(cfg, n, [tf] if tf else [])
-        lhs, rhs = parseval_check(sets[0] if tf else pt, n, weighted)
+        lhs, rhs = goldbach.parseval_check(sets[0] if tf else pt, n, weighted)
         rel = abs(lhs - rhs) / rhs if rhs else 0.0
         return ["N", "lhs", "rhs", "rel_err"], [(n, lhs, rhs, rel)], None
     # admissible
@@ -536,7 +539,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     _begin(cfg)
     footer = None
     if gammas:
-        ok, lhs = admissibility_check(*gammas)
+        ok, lhs = goldbach.admissibility_check(*gammas)
         footer = {"ternary_admissible": ok,
                   "ternary_lhs": ",".join(f"{v:.6g}" for v in lhs)}
     return (["q", "gamma", "chi_max", "c_q"],
@@ -583,6 +586,7 @@ def main(argv=None) -> int:
         fmt, out_path = _format(cfg), cfg.get("out")
         columns, rows, footer = run(cfg)
     except _Planned:
+        import json
         print(json.dumps({"plan": cfg.resolved(), "format": fmt, "out": out_path},
                          indent=2))
         return 0
@@ -591,6 +595,7 @@ def main(argv=None) -> int:
             kind = ParseError if isinstance(exc, ParseError) else ValidationError
             print(f"{kind.__name__}: {exc}", file=sys.stderr)
             return 2
+        import json
         _write(json.dumps({"schema": 1, "tool": TOOL,
                            "error": type(exc).__name__, "message": str(exc),
                            "config": cfg.resolved()}, indent=2) + "\n", out_path)

@@ -15,7 +15,6 @@ route.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +119,12 @@ class PrimeTable:
 
 
 def _in_order(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on `threads` workers if there are several."""
+    """[fn(x) for x in items], on `threads` workers if there are several.
+
+    fn must stay inside sieve and thinfn: the command line loads its other
+    modules lazily, and a lazy module's first load is not thread-safe."""
     if threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor   # pulls in logging
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

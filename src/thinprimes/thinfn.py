@@ -35,7 +35,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -188,7 +187,7 @@ class ThinFunction:
             x0 = float(x0)
             self._verify_x0(x0)
         self.x0 = x0
-        self.h_x0 = float(self._derivs(x0)[0]) if not self.is_identity else x0
+        self.h_x0 = self.h(x0)
 
     # -- the family, once for both coefficient types ----------------------
 
@@ -275,18 +274,15 @@ class ThinFunction:
         if not bool(self._grid_ok(grid).all()):
             raise MonotonicityUnattainable(
                 f"given x0={x0} violates the growth checks for {self.family}")
-        h_x0 = float(self._derivs(x0)[0])
+        h_x0 = float(self.h_vec([x0])[0])
         if h_x0 < 1.0 - 1e-12:
             raise ParameterOutOfRange(f"h(x0)={h_x0} < 1")
 
     # -- forward side -----------------------------------------------------
 
     def h(self, x: float) -> float:
-        if x < self.x0:
-            raise DomainError(f"x={x} below x0={self.x0}")
-        if self.is_identity:
-            return float(x)
-        return float(self._derivs(x)[0])
+        """h at one point: a one-element call of the array route."""
+        return self.h_deriv(x, 0)
 
     def h_vec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -295,13 +291,16 @@ class ThinFunction:
         return self._derivs(x)[0]
 
     def h_deriv(self, x: float, n: int = 1) -> float:
+        """h^(n)(x) as a one-element call of the array route, so its bits are
+        h_vec's and h1_vec's (numpy's array ** 0.5 is sqrt, a float ** 0.5
+        is libm's pow)."""
         if not 0 <= n <= 4:
             raise ParameterOutOfRange("h derivatives supported to order 4")
         if x < self.x0:
             raise DomainError(f"x={x} below x0={self.x0}")
         if self.is_identity:
             return float(x) if n == 0 else (1.0 if n == 1 else 0.0)
-        return float(self._derivs(x, n)[n])
+        return float(self._derivs(np.array([x], dtype=np.float64), n)[n][0])
 
     def h1_vec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -589,5 +588,6 @@ def admissible_params(q: int, gamma: float) -> AdmissibleParams:
     a = 2 ** (2 * q + 2) + 2 ** q - 2
     b = 2 ** q * (2 ** (q + 3) - 2)
     chi = (1.0 - a * (1.0 - gamma)) / b
+    from fractions import Fraction
     c_q = Fraction(a, a - 1)
     return AdmissibleParams(q, gamma, max(chi, 0.0), c_q)

@@ -10,6 +10,9 @@ traced mode fails here too.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,34 @@ def test_traced_replay_records_each_layer(tmp_path):
     assert tracer.counts["expsum.xi_points"] == 64
     for key in ("cli.rows", "sieve.table_mb", "sieve.thin_primes"):
         assert tracer.counts[key] > 0, key
+
+
+# A fresh process that has imported only thinprimes.cli, so the modules cli
+# loads lazily have not run when the tracer wraps them.  argv: tracing.py's
+# path, then the report's.
+BARE_TRACE = """import importlib.util, sys
+import thinprimes.cli as cli
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+plain_run = cli.run
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    rc = cli.main(["formlem-decay", "--gamma", "0.99", "--N", "4096",
+                   "--xi-grid", "64", "--out", sys.argv[2]])
+finally:
+    tracer.uninstall()
+names = {span[0] for span in tracer.spans}
+print(rc, "expsum.formlem_decay" in names, cli.run is plain_run)
+"""
+
+
+def test_traced_replay_from_a_bare_import(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", BARE_TRACE,
+                          str(_PERFBENCH / "tracing.py"), str(tmp_path / "r.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "True", "True"]

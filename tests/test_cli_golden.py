@@ -11,7 +11,9 @@ script from the repository root:
 Regenerate it only when a report is meant to change, and say so in the
 change that does.  The replay goes through `main` in-process; a few lines
 also run through the real entry, `python -m thinprimes.cli` in a fresh
-interpreter, where the command line sets up numpy's environment itself.
+interpreter, where the command line sets up numpy's environment itself, and
+one line per subcommand runs from a bare `import thinprimes.cli`, where the
+modules that `cli` loads lazily have not run yet.
 """
 
 import contextlib
@@ -99,14 +101,15 @@ def record(argv: list[str]) -> dict:
 PINNED = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_NUM_THREADS")
 
 
-def record_subprocess(argv: list[str], extra_env=None) -> dict:
-    """record(argv), but from `python -m thinprimes.cli` as a subprocess
+def record_subprocess(argv: list[str], extra_env=None,
+                      program=("-m", "thinprimes.cli")) -> dict:
+    """record(argv), but from `python <program> <argv>` as a subprocess
     with PYTHONPATH=src, the PINNED variables unset and extra_env set."""
     src = str(Path(__file__).parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k not in PINNED}
     env.update(extra_env or {}, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-m", "thinprimes.cli", *argv], env=env,
+    res = subprocess.run([sys.executable, *program, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     return {"argv": list(argv), "exit": res.returncode,
             "stdout": _WALL.sub(r"\1*", res.stdout), "stderr": res.stderr}
@@ -121,6 +124,7 @@ def test_golden_covers_every_subcommand(golden):
     from thinprimes.cli import ALLOWED_KEYS
     assert {argv[0] for argv in COMMANDS} == set(ALLOWED_KEYS)
     assert [g["argv"] for g in golden] == COMMANDS
+    assert [argv[0] for argv in FRESH] == list(ALLOWED_KEYS)
 
 
 @pytest.mark.parametrize("i", range(len(COMMANDS)),
@@ -148,6 +152,68 @@ def test_golden_report_with_the_pin_preset(golden, argv):
     """A child that is given the CLI's own dispatch pin writes the same body."""
     preset = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
     assert record_subprocess(argv, preset) == golden[COMMANDS.index(argv)]
+
+
+# A fresh process as the console script starts it.  After main() it writes
+# to the file named first which package modules have run and which of the
+# standard-library modules the package imports at first use are loaded.
+# type() reads a lazy module's class without loading it.
+BARE_IMPORT = """import sys, types
+from thinprimes.cli import main
+rc = main(sys.argv[2:])
+ran = [n for n, m in list(sys.modules.items())
+       if n.startswith("thinprimes.") and type(m) is types.ModuleType]
+loaded = [n for n in ("concurrent.futures", "fractions", "json") if n in sys.modules]
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join(sorted(ran)) + "\\n" + " ".join(loaded))
+sys.exit(rc)
+"""
+
+# one CSV line at --threads 1 per subcommand, and the lazy modules it runs
+# besides the eager ones (averages and ergodic read expsum's IntPolynomial)
+EAGER = {"cli", "_num", "errors", "sieve", "thinfn"}
+FRESH = {
+    ("sieve", "--N", "1000"): set(),
+    ("density", "--gamma", "0.95", "--N", "4096"): set(),
+    ("vaughan", "--gamma", "0.95", "--P", "1000", "--xi", "0.17"): {"expsum"},
+    ("formlem-decay", "--gamma", "0.99", "--N", "4096", "--xi-grid", "64"):
+        {"expsum"},
+    ("vdc", "--N", "1000"): {"expsum"},
+    ("bilinear", "--gamma", "0.95", "--K", "16", "--L", "16"): {"expsum"},
+    ("maximal", "--gamma", "0.95", "--N", "1024", "--support", "128",
+     "--trials", "2", "--seed", "11"): {"averages", "expsum"},
+    ("abel", "--N", "1000"): {"averages", "expsum"},
+    ("ergodic", "--gamma", "1", "--N", "4096"): {"ergodic", "expsum"},
+    ("oscillation", "--gamma", "1", "--N", "4096"): {"ergodic", "expsum"},
+    ("goldbach", "--gammas", "1,1,1", "--N", "9"): {"goldbach"},
+    ("parseval", "--gamma", "0.95", "--N", "1000"): {"goldbach"},
+    ("admissible", "--q", "2", "--gamma", "1", "--format", "csv"): set(),
+}
+
+
+@pytest.mark.parametrize("argv", FRESH, ids=" ".join)
+def test_fresh_interpreter_runs_only_its_modules(golden, argv, tmp_path):
+    report = tmp_path / "modules.txt"
+    got = record_subprocess(list(argv), program=("-c", BARE_IMPORT, str(report)))
+    assert got == golden[COMMANDS.index(list(argv))]
+    ran, loaded = report.read_text().split("\n")
+    assert set(ran.split()) == {f"thinprimes.{m}" for m in EAGER | FRESH[argv]}
+    # admissible_params returns c_q as a Fraction
+    assert loaded.split() == (["fractions"] if argv[0] == "admissible" else [])
+
+
+def test_lazy_modules_are_the_package_modules():
+    """A module imported before cli is the one cli calls, and one that cli
+    registered lazily is the package's attribute and runs when imported."""
+    code = ("import types, thinprimes, thinprimes.expsum as e, thinprimes.cli as cli; "
+            "assert cli.expsum is e and cli.expsum.__name__ == 'thinprimes.expsum'; "
+            "assert thinprimes.goldbach is cli.goldbach; "
+            "assert type(cli.goldbach) is not types.ModuleType; "
+            "from thinprimes.goldbach import check_cutoff; "
+            "assert type(cli.goldbach) is types.ModuleType")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_a_user_set_dispatch_is_kept():

@@ -474,6 +474,26 @@ def test_scalar_floor_is_the_one_element_vector_floor(tf95, monkeypatch):
     assert [tf95.floor_h(n) for n in ns.tolist()] == floors.tolist()
 
 
+def test_scalar_h_is_the_one_element_array_h():
+    # numpy takes an array's ** 0.5 as sqrt and a float's ** 0.5 as libm's
+    # pow.  They round log n apart at these n, where a scalar route of h2
+    # and h4 (B = 0.5) split from h_vec at 41 and 25 of them
+    ns = np.arange(1000, 101000, dtype=np.float64)
+    logs = np.log(ns)
+    split = ns[logs ** 0.5 != np.array([v ** 0.5 for v in logs.tolist()])]
+    assert split.size >= 25
+    for tf in (make_thin_function("power", gamma=0.95),
+               make_thin_function("h1", **H1),
+               make_thin_function("h2", c=1.25, A=0.1, B=0.5),
+               make_thin_function("h3", Cc=1.0),
+               make_thin_function("h4", **H4),
+               make_thin_function("h5", m=2)):
+        bulk, bulk1 = tf.h_vec(split).tolist(), tf.h1_vec(split).tolist()
+        for x, v, v1 in zip(split.tolist(), bulk, bulk1):
+            assert tf.h(x) == tf.h_vec(np.array([x]))[0] == v, (tf, x)
+            assert tf.h_deriv(x, 1) == v1, (tf, x)
+
+
 def test_phi_mp_raises_at_the_newton_cap(monkeypatch):
     tf = make_thin_function("h3", Cc=1.0)
     x = 1e6 + 0.5
