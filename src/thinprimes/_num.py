@@ -60,10 +60,10 @@ def two_prod(a, b):
 
 
 def frac_mul_vec(xi: float, w: np.ndarray) -> np.ndarray:
-    """Fractional parts of xi*w for an array of exactly representable w.
+    """Fractional parts of xi*w for a float64 array w.
 
-    Every entry of w must be an integer of magnitude < 2^52 stored in
-    float64; the result then carries at most two rounding errors.
+    xi, or else every entry of w, must be an integer of magnitude < 2^52;
+    the result then carries at most two rounding errors.
     """
     p, e = two_prod(np.float64(xi), w)
     return ((p % 1.0) + (e % 1.0)) % 1.0

@@ -499,10 +499,10 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     if sub == "oscillation":
         system, table, x = _observable(cfg)
         eps = cfg.get_float("eps")
-        ergodic.check_eps(eps)
         breaks = [4 ** j for j in range(2, 40) if 4 ** j <= n]
         if len(breaks) < 2:
             raise ValidationError("N too small for oscillation breaks")
+        ergodic.check_eps(eps, breaks[-1])
         pt, (tps,) = _tables(cfg, n, [tf])
         val = ergodic.oscillation_sum(system, table, x, tps, pt, W, breaks, eps)
         J = len(breaks) - 1

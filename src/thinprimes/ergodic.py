@@ -26,6 +26,9 @@ from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
 
 MAX_CYCLE = 1 << 31
+# Most steps zeps_grid may take, about log(upper)/log(1+eps): at about
+# 0.23 us a step, 2^24 of them take about 4 s.
+MAX_ZEPS_STEPS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,21 @@ def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
     return AverageSeries(checkpoints, out, weighted)
 
 
-def check_eps(eps: float) -> None:
-    """zeps_grid's rule for eps."""
+def check_eps(eps: float, upper: int) -> None:
+    """zeps_grid's rule for eps: 1 + eps must exceed 1 in binary64, and
+    reach upper within MAX_ZEPS_STEPS powers."""
     if not 0 < eps < math.inf:
         raise ParameterOutOfRange("eps must be positive and finite")
+    if 1.0 + eps == 1.0:
+        raise ParameterOutOfRange(f"eps={eps!r} vanishes beside 1 in binary64")
+    if math.log(max(upper, 1)) / math.log1p(eps) > MAX_ZEPS_STEPS:
+        raise ParameterOutOfRange(
+            f"eps={eps!r} needs more than {MAX_ZEPS_STEPS} steps to reach {upper}")
 
 
 def zeps_grid(eps: float, upper: int) -> list[int]:
     """Members floor((1+eps)^n) <= upper, deduplicated ascending."""
-    check_eps(eps)
+    check_eps(eps, upper)
     out, n = set(), 1
     while True:
         v = math.floor((1.0 + eps) ** n)

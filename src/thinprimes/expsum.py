@@ -27,7 +27,7 @@ from ._num import (
     e2pi,
     exact_sum,
     frac_mul_int_vec,
-    two_prod,
+    frac_mul_vec,
 )
 from .errors import (
     HypothesisViolated,
@@ -113,9 +113,8 @@ class PhaseSpec:
 def _frac_m_phi(tf: ThinFunction, m: int, ks: np.ndarray) -> np.ndarray:
     """Fractional parts of m*phi(k), escalating big products to 40 digits."""
     phis = tf.phi_vec(ks.astype(np.float64))
-    p, e = two_prod(np.float64(m), phis)
-    f = ((p % 1.0) + (e % 1.0)) % 1.0
-    big = np.flatnonzero(np.abs(p) > EXTENDED_PHASE_LIMIT)
+    f = frac_mul_vec(m, phis)
+    big = np.flatnonzero(np.abs(np.float64(m) * phis) > EXTENDED_PHASE_LIMIT)
     for i in big:
         f[i] = tf.frac_m_phi_mp(m, int(ks[i]))
     return f

@@ -230,10 +230,9 @@ class SingularSeries:
         self._slot = {p: i for i, p in enumerate(primes)}
         self._paper = math.prod([1.0 - 1.0 / (p - 1) ** 3 for p in primes])
         self._classical = [1.0 + 1.0 / (p - 1) ** 3 for p in primes]
-        self.tail = 1.0 / (2.0 * cutoff * cutoff)
 
-    def __call__(self, divisors: list[int]) -> tuple[float, float, float]:
-        """(S_paper, S_classical, tail_bound) at an N with these prime divisors.
+    def __call__(self, divisors: list[int]) -> tuple[float, float]:
+        """(S_paper, S_classical) at an N with these prime divisors.
 
         divisors are N's distinct primes in ascending order.  They go into a
         set in that order, so every loop over them below runs in the order a
@@ -251,7 +250,7 @@ class SingularSeries:
         for p in divisors:
             if p > self.cutoff:
                 s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
-        return s_paper_all, s_classical, self.tail
+        return s_paper_all, s_classical
 
 
 @dataclass
@@ -289,7 +288,7 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
     reports = []
     for n, R, phi1, phi2, phi3, log3 in zip(range(N, N_end + 1, 2),
                                             direct.tolist(), *columns):
-        s_paper, s_classical, _ = series([p for p, _ in pt.factorize(n)])
+        s_paper, s_classical = series([p for p, _ in pt.factorize(n)])
         flags = ""
         s_used = s_paper
         if s_paper == 0.0:

@@ -21,12 +21,18 @@ decimal contexts are per thread, so they need no lock.  The inverse phi is
 closed-form for the power family, else a bracketed Newton run per entry.
 
 Every floor(h(n)) decision is made by _certified_floor, through
-floor_h_vec, and every float phi by phi_vec; the scalar floor_h and phi are
-one-element calls of them, so scalar and bulk agree.
+floor_h_vec, and every float phi by phi_vec.  Each scalar method (h,
+h_deriv, phi, phi_deriv, vartheta, theta, floor_h) is a one-element call of
+its array route, so scalar and bulk agree bit for bit: numpy takes an
+array's ** 0.5 as sqrt, but a float's as libm's pow.
 
-The degenerate member power(gamma=1) is the identity h(x) = x.  It is kept
-as exact ground truth: every derived quantity short-circuits to its exact
-value and all floor decisions are exact.
+The degenerate member power(gamma=1) is the identity h(x) = x, kept as exact
+ground truth.  It takes the same routes as every other member, which at
+c = Ch = 1.0 give its values exactly.  It is treated apart only where those
+routes cannot serve it: the convexity check, since its h'' is 0; the floor
+decision and floor_h's domain, since every h(n) = n is an integer that
+_certified_floor cannot decide; the x0 scan, whose answer 1.0 is known; and
+derivative_ratio_report's theta-scaled rows, since its theta is 0.
 """
 
 from __future__ import annotations
@@ -224,14 +230,15 @@ class ThinFunction:
 
     # -- construction helpers -------------------------------------------
 
-    def _grid_ok(self, grid: np.ndarray) -> np.ndarray:
-        """Per-point check of h>0, h'>0, h''>0 (and vartheta behavior at c=1)."""
+    def _grid_ok(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point check of h>0, h'>0, h''>0 (and vartheta behavior at
+        c=1), and h on the grid."""
         with np.errstate(all="ignore"):
             h0, h1, h2 = self._derivs(grid, 2)
         ok = np.isfinite(h0) & np.isfinite(h1) & np.isfinite(h2)
         ok &= (h0 > 0) & (h1 > 0)
         if self.is_identity:
-            return ok  # h''=0 for the exact identity; blessed degenerate case
+            return ok, h0   # its h'' is 0, which the convexity check refuses
         ok &= h2 > 0
         if self.c == 1.0:
             with np.errstate(all="ignore"):
@@ -242,20 +249,14 @@ class ThinFunction:
             dec[:-1] = vt[:-1] >= vt[1:] - 1e-15
             dec[-1] = True
             ok &= dec
-        return ok
-
-    def _scan_grid(self) -> np.ndarray:
-        lo = _domain_floor(self.family, self.m)
-        return np.geomspace(lo, 1e6, 10_000)
+        return ok, h0
 
     def _select_x0(self) -> float:
         if self.is_identity:
-            return 1.0
-        grid = self._scan_grid()
-        ok = self._grid_ok(grid)
-        with np.errstate(all="ignore"):
-            h0 = self._derivs(grid)[0]
-        ok &= np.isfinite(h0) & (h0 >= 1.0)
+            return 1.0      # the scan's answer, grid[0], without its 10000 points
+        grid = np.geomspace(_domain_floor(self.family, self.m), 1e6, 10_000)
+        ok, h0 = self._grid_ok(grid)
+        ok &= h0 >= 1.0
         # first index from which every later grid point passes
         good_suffix = np.flip(np.cumprod(np.flip(ok.astype(bool))))
         idx = np.flatnonzero(good_suffix)
@@ -265,18 +266,16 @@ class ThinFunction:
         return float(grid[idx[0]])
 
     def _verify_x0(self, x0: float) -> None:
-        if self.is_identity and x0 == 1.0:
-            return
         lo = _domain_floor(self.family, self.m)
         if x0 < lo:
             raise ParameterOutOfRange(f"x0={x0} below the domain of {self.family}")
-        grid = np.geomspace(x0, max(1e6, 4 * x0), 2_000)
-        if not bool(self._grid_ok(grid).all()):
+        grid = np.geomspace(x0, max(1e6, 4 * x0), 2_000)    # grid[0] is x0
+        ok, h0 = self._grid_ok(grid)
+        if not bool(ok.all()):
             raise MonotonicityUnattainable(
                 f"given x0={x0} violates the growth checks for {self.family}")
-        h_x0 = float(self.h_vec([x0])[0])
-        if h_x0 < 1.0 - 1e-12:
-            raise ParameterOutOfRange(f"h(x0)={h_x0} < 1")
+        if h0[0] < 1.0 - 1e-12:
+            raise ParameterOutOfRange(f"h(x0)={h0[0]} < 1")
 
     # -- forward side -----------------------------------------------------
 
@@ -285,10 +284,7 @@ class ThinFunction:
         return self.h_deriv(x, 0)
 
     def h_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.is_identity:
-            return x.copy()
-        return self._derivs(x)[0]
+        return self._derivs(np.asarray(x, dtype=np.float64))[0]
 
     def h_deriv(self, x: float, n: int = 1) -> float:
         """h^(n)(x) as a one-element call of the array route, so its bits are
@@ -298,21 +294,19 @@ class ThinFunction:
             raise ParameterOutOfRange("h derivatives supported to order 4")
         if x < self.x0:
             raise DomainError(f"x={x} below x0={self.x0}")
-        if self.is_identity:
-            return float(x) if n == 0 else (1.0 if n == 1 else 0.0)
         return float(self._derivs(np.array([x], dtype=np.float64), n)[n][0])
 
     def h1_vec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.is_identity:
-            return np.ones_like(x)
-        return self._derivs(x, 1)[1]
+        return self._derivs(np.asarray(x, dtype=np.float64), 1)[1]
 
-    def vartheta(self, x) -> float:
-        if np.min(x) < self.x0:
+    def vartheta(self, x):
+        """x*h'(x)/h(x) - c over an array, or at a point as a one-element
+        call of it."""
+        xs = np.array([x] if np.isscalar(x) else x, dtype=np.float64)
+        if np.min(xs) < self.x0:
             raise DomainError("argument below x0")
-        v = self._vartheta(x)
-        return float(v) if np.isscalar(x) else np.asarray(v, dtype=float)
+        v = self._vartheta(xs)
+        return float(v[0]) if np.isscalar(x) else v
 
     # -- inverse side ------------------------------------------------------
 
@@ -335,8 +329,6 @@ class ThinFunction:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < self.h_x0 * (1 - 1e-12)):
             raise DomainError("argument below h(x0)")
-        if self.is_identity:
-            return x.copy()
         guess = (x / self.Ch) ** self.gamma
         if self.family == "power":
             return guess
@@ -371,30 +363,29 @@ class ThinFunction:
             f"phi({x[live[0]]}) did not reach tolerance in {PHI_STEPS} steps")
 
     def phi_deriv(self, x: float, n: int = 1) -> float:
+        """phi^(n)(x) from h's derivatives at phi(x), as a one-element call
+        of the array route."""
         if not 1 <= n <= 3:
             raise ParameterOutOfRange("phi derivatives supported to order 3")
-        y = self.phi(x)
-        if self.is_identity:
-            return 1.0 if n == 1 else 0.0
-        d1, d2, d3 = (float(v) for v in self._derivs(y, 3)[1:])
+        d = self._derivs(np.array([self.phi(x)]), n)
         if n == 1:
-            return 1.0 / d1
-        if n == 2:
-            return -d2 / d1 ** 3
-        return (3.0 * d2 * d2 - d3 * d1) / d1 ** 5
+            v = 1.0 / d[1]
+        elif n == 2:
+            v = -d[2] / d[1] ** 3
+        else:
+            v = (3.0 * d[2] * d[2] - d[3] * d[1]) / d[1] ** 5
+        return float(v[0])
 
     def weight_vec(self, p: np.ndarray) -> np.ndarray:
         """Canonical per-prime weight h'(phi(p)) * log(p) = log(p)/phi'(p)."""
         p = np.asarray(p, dtype=np.float64)
-        logp = np.log(p)
-        if self.is_identity:
-            return logp
-        return self.h1_vec(self.phi_vec(p)) * logp
+        return self.h1_vec(self.phi_vec(p)) * np.log(p)
 
     def theta(self, x: float) -> float:
-        if self.is_identity:
-            return 0.0
-        return 1.0 / (self.c + float(self._vartheta(self.phi(x)))) - self.gamma
+        """x*phi'(x)/phi(x) - gamma = 1/(c + vartheta(phi(x))) - gamma, as a
+        one-element call of the array route."""
+        v = 1.0 / (self.c + self._vartheta(np.array([self.phi(x)]))) - self.gamma
+        return float(v[0])
 
     def sigma(self, x: float) -> float:
         """Decay weight of the inverse-side bounds: -theta for c=1, else 1."""
@@ -411,8 +402,6 @@ class ThinFunction:
     def phi_mp(self, x) -> Decimal:
         with localcontext(_MP_CONTEXT):
             xm = Decimal(x)
-            if self.is_identity:
-                return xm
             if self.family == "power":
                 return (xm / Decimal(self.Ch)) ** Decimal(self.gamma)
             y = Decimal(self.phi(float(x)))
@@ -435,12 +424,12 @@ class ThinFunction:
     def floor_h_vec(self, ns) -> np.ndarray:
         """floor(h(n)) as int64 for integers n, certified by _certified_floor."""
         ns = np.asarray(ns, dtype=np.int64)
-        if self.is_identity:
+        if self.is_identity:    # each h(n) = n is an integer: undecidable
             return ns.copy()
         return _certified_floor(self.h_vec(ns), self.h_mp, ns, "h")
 
     def floor_h(self, n: int) -> int:
-        if n < self.x0 and not self.is_identity:
+        if n < self.x0 and not self.is_identity:   # floor(n) = n below x0 too
             raise DomainError(f"n={n} below x0={self.x0}")
         return int(self.floor_h_vec([n])[0])
 
@@ -563,7 +552,7 @@ def derivative_ratio_report(tf: ThinFunction, n: int, grid) -> list[RatioRow]:
                                      _falling(tf.gamma, n)))
             elif n == 1:
                 rows.append(RatioRow(x, "phi", n, x * pn / p0, 1.0))
-            elif not tf.is_identity:
+            elif not tf.is_identity:    # its theta is 0, the ratio's divisor
                 th = tf.theta(x)
                 lim = float((-1) ** (n - 2) * math.factorial(n - 2))
                 rows.append(RatioRow(x, "phi", n, x ** n * pn / (th * p0), lim))

@@ -118,7 +118,7 @@ def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
         d += 1
     if n > 1:
         divisors.append(n)
-    return series(divisors)
+    return (*series(divisors), 1.0 / (2.0 * cutoff * cutoff))
 
 
 def goldbach_main_term(tfs, n: int, s_used: float, R: int) -> tuple[float, float]:

@@ -367,6 +367,7 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["density", "--family", "h5", "--m", "x", "--N", "100"],
     ["density", "--gamma", "0.95", "--c", "1.5", "--N", "100"],
     ["oscillation", "--N", "64", "--eps", "-1"],
+    ["oscillation", "--N", "64", "--eps", "1e-20"],
     ["goldbach", "--N", "101", "--cutoff", "50"],
     ["sieve", "--N", "100", "--checkpoints", "1000"],
     ["density", "--N", "100", "--checkpoints", "1000"],
@@ -466,7 +467,7 @@ POOLS = {
     "freq": ["1", "3", "-2"],
     "x": ["0", "5", "0.25", "nan", "-1"],
     "weighted": ["true", "false", "yes", "maybe"],
-    "eps": ["0.5", "2", "0", "-1", "inf"],
+    "eps": ["0.5", "2", "0", "-1", "inf", "1e-20"],
     "gammas": ["1,1,1", "1,0.99,0.95", "1,1", "0.5,1,1", "x"],
     "N-end": ["7", "121", "4095", "5", HUGE_N],
     "cutoff": ["100", "10000", "50"],

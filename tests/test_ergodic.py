@@ -140,7 +140,7 @@ def test_empty_average(pt20):
 
 def test_zeps_grid_enumeration():
     assert zeps_grid(0.5, 60) == [1, 2, 3, 5, 7, 11, 17, 25, 38, 57]
-    for eps in (0.0, math.nan, math.inf):
+    for eps in (0.0, math.nan, math.inf, 1e-20, 1e-9):
         with pytest.raises(ParameterOutOfRange):
             zeps_grid(eps, 10)
 

@@ -41,6 +41,19 @@ def test_identity_function():
     assert tf.h(17.0) == 17.0
     assert tf.phi(17.0) == 17.0
     assert tf.floor_h(7) == 7
+    # the route of every other member is exact here, where c = Ch = 1.0
+    rng = np.random.default_rng(0)
+    ns = np.concatenate([[1, 2, 3, 2 ** 33 + 1, 2 ** 34 - 1, 2 ** 34],
+                         rng.integers(1, 2 ** 34, 1000)])
+    xs = ns.astype(np.float64)
+    assert np.array_equal(tf.h_vec(ns), xs)
+    assert np.array_equal(tf.h1_vec(ns), np.ones_like(xs))
+    assert np.array_equal(tf.phi_vec(ns), xs)
+    assert np.array_equal(tf.weight_vec(ns), np.log(xs))
+    for x in xs[:50].tolist():
+        assert [tf.h_deriv(x, n) for n in range(5)] == [x, 1.0, 0.0, 0.0, 0.0]
+        assert tf.theta(x) == 0.0
+    assert all(tf.phi_mp(n) == Decimal(n) for n in ns.tolist())
 
 
 def test_power_gamma_forces_c():
@@ -492,6 +505,27 @@ def test_scalar_h_is_the_one_element_array_h():
         for x, v, v1 in zip(split.tolist(), bulk, bulk1):
             assert tf.h(x) == tf.h_vec(np.array([x]))[0] == v, (tf, x)
             assert tf.h_deriv(x, 1) == v1, (tf, x)
+    # phi_deriv and theta read h's jets at phi(x), vartheta at x.  Over x in
+    # [2000, 42000), a float route of them split from the array route at up
+    # to 28 x for h4 and 21 for h2 (B = 0.5), all in split below
+    def splits(v):
+        lv = np.log(v)
+        return lv ** 0.5 != np.array([u ** 0.5 for u in lv.tolist()])
+    xs = np.arange(2000, 42000, dtype=np.float64)
+    for tf in (make_thin_function("h2", c=1.25, A=0.1, B=0.5),
+               make_thin_function("h4", **H4)):
+        split = xs[splits(xs) | splits(tf.phi_vec(xs))]
+        assert split.size >= 50
+        ys = tf.phi_vec(split)
+        _, d1, d2, d3 = tf._derivs(ys, 3)
+        bulk = zip(split.tolist(), (1.0 / d1).tolist(),
+                   (-d2 / d1 ** 3).tolist(),
+                   ((3.0 * d2 * d2 - d3 * d1) / d1 ** 5).tolist(),
+                   (1.0 / (tf.c + tf.vartheta(ys)) - tf.gamma).tolist(),
+                   tf.vartheta(split).tolist())
+        for x, p1, p2, p3, th, vt in bulk:
+            assert [tf.phi_deriv(x, n) for n in (1, 2, 3)] == [p1, p2, p3], (tf, x)
+            assert tf.theta(x) == th and tf.vartheta(x) == vt, (tf, x)
 
 
 def test_phi_mp_raises_at_the_newton_cap(monkeypatch):
