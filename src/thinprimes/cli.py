@@ -518,11 +518,11 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         tf_of = {g: make_thin_function("power", gamma=g) for g in gammas}
         pt, sets = _tables(cfg, n_end, tf_of.values(), sieve_to=max(n_end, 100))
         set_of = dict(zip(tf_of, sets))   # each distinct gamma enumerated once
-        reports = goldbach.goldbach_reports([tf_of[g] for g in gammas],
-                                            [set_of[g] for g in gammas], n,
-                                            n_end, pt, cutoff)
+        rows = goldbach.goldbach_reports([tf_of[g] for g in gammas],
+                                         [set_of[g] for g in gammas], n,
+                                         n_end, pt, cutoff)
         return ["N", "R", "S_paper", "S_classical", "main_term", "ratio",
-                "flags"], [r.csv_row() for r in reports], None
+                "flags"], rows, None
     if sub == "parseval":
         side = cfg.get("side")
         if side not in ("thin", "full"):

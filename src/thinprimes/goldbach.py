@@ -20,17 +20,20 @@ independent routes, which must agree exactly at every target:
   on its own to an exact big-integer convolution (Kronecker substitution)
   rather than trusting the float transform.
 
-A single target is a range of one over the same code.
+A single target is a range of one over the same code.  The report
+columns are vector passes over the same targets: the classical singular
+series is one ascending walk over the primes up to the cutoff, whose
+stride-p slice marks the targets p divides, and the printed form is +0.0
+at every N (its p=2 factor is 1 - 1/1), so it is taken once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import exact_sum, next_pow2
+from ._num import _check_hull, exact_sum, next_pow2
 from .errors import (
     CutoffTooSmall,
     LimitMismatch,
@@ -206,98 +209,105 @@ def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
 
 
 def check_cutoff(cutoff: int) -> None:
-    """SingularSeries' rule for its cutoff."""
+    """singular_series' rule for its cutoff: at least 100, and a sieve of
+    the primes up to it that fits the hull guard."""
     if cutoff < 100:
         raise CutoffTooSmall("cutoff must be >= 100")
+    _check_hull(cutoff + 1, np.bool_, "singular-series sieve")
 
 
-class SingularSeries:
-    """Both singular-series products at one cutoff, for any number of targets.
+def _prime_divisors(pt: PrimeTable,
+                    ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, q): every distinct prime divisor q of every ns[i], one vector
+    pass per round.  A round reads spf (0: the remainder is prime) and
+    divides that prime out, so the pairs of one i come in ascending q."""
+    i, m = np.arange(len(ns)), ns.astype(np.int64)
+    iq = [(i[:0], m[:0])]
+    while (keep := m > 1).any():
+        i, m = i[keep], m[keep]
+        p = np.where((f := pt.spf[m]) == 0, m, f)
+        iq.append((i, p))
+        while (d := m % p == 0).any():
+            m[d] //= p[d]
+    return tuple(np.concatenate(col) for col in zip(*iq))
 
-    S_paper is the displayed prod_p (1 - 1/(p-1)^3) * prod_{p|N}
-    (1 - 1/(p^2-3p+3)), reported verbatim although its p=2 factor is 0;
-    S_classical is the Vinogradov form prod_{p|N} (1 - 1/(p-1)^2) *
-    prod_{p not | N} (1 + 1/(p-1)^3).  The primes up to the cutoff are
-    sieved once.  Each target swaps in the factors of its own prime
-    divisors and multiplies left to right in ascending prime order, so
-    every value is the one a single loop over the primes gives, bit for bit.
+
+def singular_series(pt: PrimeTable, N: int, N_end: int,
+                    cutoff: int) -> np.ndarray:
+    """S_classical at every odd target n in [N, N_end]: the Vinogradov form
+    prod_{p|n} (1 - 1/(p-1)^2) * prod_{p not | n} (1 + 1/(p-1)^3) over the
+    primes p <= cutoff, times (1 - 1/(q-1)^2)/(1 + 1/(q-1)^3) for each
+    prime divisor q > cutoff.  pt is a table up to at least N_end.
+
+    One ascending walk over the primes up to the cutoff multiplies every
+    target by its factor at p: the targets n = N + 2j that p divides are
+    j = j0, j0 + p, ..., and no odd target is divisible by 2.  So each
+    target is the left-to-right product in ascending prime order that a
+    loop over the primes gives, bit for bit.  The factors above the cutoff
+    follow in the iteration order of the Python set of all the target's
+    distinct primes, as a loop over that set gave: the order moves last
+    bits, and it is not ascending (10807 = 101 * 107 iterates 107 first)
+    nor that of the set of the large primes alone (12482085 = 3 * 5 * 7 *
+    11 * 101 * 107 iterates 101 first).
     """
+    check_cutoff(cutoff)
+    s = np.full((N_end - N) // 2 + 1, 2.0)   # p = 2: 1 + 1/1^3
+    for p in _base_primes(cutoff)[1:].tolist():
+        j0 = (-N * pow(2, -1, p)) % p
+        hit = s[j0::p] * (1.0 - 1.0 / (p - 1) ** 2)
+        s *= 1.0 + 1.0 / (p - 1) ** 3
+        s[j0::p] = hit
 
-    def __init__(self, cutoff: int):
-        check_cutoff(cutoff)
-        self.cutoff = cutoff
-        primes = _base_primes(cutoff).tolist()
-        self._slot = {p: i for i, p in enumerate(primes)}
-        self._paper = math.prod([1.0 - 1.0 / (p - 1) ** 3 for p in primes])
-        self._classical = [1.0 + 1.0 / (p - 1) ** 3 for p in primes]
+    def large(q):
+        return (1.0 - 1.0 / (q - 1) ** 2) / (1.0 + 1.0 / (q - 1) ** 3)
 
-    def __call__(self, divisors: list[int]) -> tuple[float, float]:
-        """(S_paper, S_classical) at an N with these prime divisors.
-
-        divisors are N's distinct primes in ascending order.  They go into a
-        set in that order, so every loop over them below runs in the order a
-        per-target trial division gave.
-        """
-        divisors = set(divisors)
-        factors = list(self._classical)
-        for p in divisors:
-            if p in self._slot:
-                factors[self._slot[p]] = 1.0 - 1.0 / (p - 1) ** 2
-        s_classical = math.prod(factors)
-        s_paper_all = self._paper
-        for p in divisors:
-            s_paper_all *= 1.0 - 1.0 / (p * p - 3 * p + 3)
-        for p in divisors:
-            if p > self.cutoff:
-                s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
-        return s_paper_all, s_classical
-
-
-@dataclass
-class GoldbachReport:
-    N: int
-    R: int
-    S_paper: float
-    S_classical: float
-    main_term: float
-    ratio: float
-    flags: str
-
-    def csv_row(self):
-        return (self.N, self.R, self.S_paper, self.S_classical,
-                self.main_term, self.ratio, self.flags)
+    j, q = _prime_divisors(pt, np.arange(N, N_end + 1, 2))
+    many = np.bincount(j[q > cutoff], minlength=len(s)) > 1
+    one = (q > cutoff) & ~many[j]
+    uq, slot = np.unique(q[one], return_inverse=True)
+    s[j[one]] *= np.array([large(v) for v in uq.tolist()])[slot]
+    divisors = {}
+    for t, p in zip(j[many[j]].tolist(), q[many[j]].tolist()):
+        divisors.setdefault(t, []).append(p)
+    for t, ps in divisors.items():
+        v = float(s[t])
+        for p in set(ps):
+            if p > cutoff:
+                v *= large(p)
+        s[t] = v
+    return s
 
 
 def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
-                     cutoff: int = 10 ** 4) -> list[GoldbachReport]:
-    """One report per odd target in [N, N_end], from one rep_counts pass:
-    counts against the predicted main term S(N) phi1 phi2 phi3/(N log^3 N).
+                     cutoff: int = 10 ** 4) -> list[tuple]:
+    """One row (N, R, S_paper, S_classical, main_term, ratio, flags) per odd
+    target in [N, N_end], from one rep_counts pass: counts against the
+    predicted main term S(N) phi1 phi2 phi3/(N log^3 N).
 
-    tfs and sets are the three generating functions and their thin sets.
-    The phi columns and log^3 N are evaluated once over the targets.  The
-    singular series is sieved once; each target is factored through pt, a
-    table up to at least N_end.  The printed singular-series product
-    degenerates to 0 (its p=2 factor); the classical Vinogradov form is
-    used for the main term and the report is flagged accordingly, with both
-    values always present.
+    tfs and sets are the three generating functions and their thin sets,
+    and pt a table up to at least N_end.  Every column is one vector
+    expression over the targets; the rows hold Python values.  The printed
+    singular-series product S_paper = prod_p (1 - 1/(p-1)^3) * prod_{p|N}
+    (1 - 1/(p^2-3p+3)) has the factor 1 - 1/1 = 0.0 at p = 2 and finite
+    nonnegative factors elsewhere, so it is +0.0 at every N and is taken
+    once per run over the primes up to the cutoff.  The classical
+    Vinogradov form is then used for the main term and every row is
+    flagged accordingly, with both values always present.
     """
-    series = SingularSeries(cutoff)
+    s = singular_series(pt, N, N_end, cutoff)
+    s_paper = math.prod([1.0 - 1.0 / (p - 1) ** 3
+                         for p in _base_primes(cutoff).tolist()])
+    flags = ("paper-form degenerate; classical form used for main term"
+             if s_paper == 0.0 else "")
     direct, _ = rep_counts(*sets, N, N_end)
     x = np.arange(N, N_end + 1, 2, dtype=np.float64)
-    columns = [t.phi_vec(x).tolist() for t in tfs] + [(np.log(x) ** 3).tolist()]
-    reports = []
-    for n, R, phi1, phi2, phi3, log3 in zip(range(N, N_end + 1, 2),
-                                            direct.tolist(), *columns):
-        s_paper, s_classical = series([p for p, _ in pt.factorize(n)])
-        flags = ""
-        s_used = s_paper
-        if s_paper == 0.0:
-            s_used = s_classical
-            flags = "paper-form degenerate; classical form used for main term"
-        main = s_used * phi1 * phi2 * phi3 / (n * log3)
-        ratio = R / main if main > 0 else math.inf
-        reports.append(GoldbachReport(n, R, s_paper, s_classical, main, ratio, flags))
-    return reports
+    phi1, phi2, phi3 = (t.phi_vec(x) for t in tfs)
+    main = s * phi1 * phi2 * phi3 / (x * np.log(x) ** 3)
+    ratio = np.divide(direct, main, out=np.full(len(x), math.inf),
+                      where=main > 0)
+    return list(zip(range(N, N_end + 1, 2), direct.tolist(),
+                    [s_paper] * len(x), s.tolist(), main.tolist(),
+                    ratio.tolist(), [flags] * len(x)))
 
 
 def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:

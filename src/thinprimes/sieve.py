@@ -4,8 +4,8 @@ The PrimeTable stores spf(n) for composite n <= N and 0 for primes (and for
 0 and 1), built segment by segment (2^20 entries per segment) so the marking
 loops stay cache resident.  A composite n <= N has a prime factor at most
 isqrt(N), so below N = 2^32 the table is uint16, 2(N+1) bytes, and uint32,
-4(N+1) bytes, above.  The pointwise queries (factorization, von Mangoldt)
-factor through spf in O(log n).  Thin prime sets are enumerated from the
+4(N+1) bytes, above.  Factoring through spf takes O(log n) steps per number,
+or per vector pass over many.  Thin prime sets are enumerated from the
 defining floor values floor(h(n)), in units of SEGMENT values of n that are
 each evaluated THIN_BLOCK values at a time, so the vector passes stay in
 cache; every floor decision here is a call of ThinFunction's certified floor
@@ -63,19 +63,6 @@ class PrimeTable:
         ps = self.primes
         return ps[np.searchsorted(ps, a, side="right"):
                   np.searchsorted(ps, b, side="right")]
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        if not 2 <= n <= self.limit:
-            raise LimitMismatch(f"{n} outside table range")
-        out = []
-        while n > 1:
-            p = int(self.spf[n]) or n
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
 
     def prime_powers_in(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """All k with a < k <= b and Lambda(k) != 0, with their log p values."""
@@ -146,7 +133,7 @@ def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
 
     The table is uint16 below N = 2^32 and uint32 up to MAX_LIMIT; a table
     that cannot be allocated raises LimitTooLarge with its byte count.
-    Queries factorize(n) then run in O(log n) through spf.
+    A number then factors through spf in O(log n) steps.
     Segments are independent and may be filled in parallel; each returns
     its primes, concatenated in segment order.
     """

@@ -8,7 +8,7 @@ main term at one target from scalar phi and math.log, the exactly
 rounded complex sum by the standard library's math.fsum, the two
 weighted prime sums at one xi, the direct Goldbach counts by one
 gather per pair-count point, the Moebius and von Mangoldt functions at
-one n by factoring through the prime table, and Abel summation with one
+one n by factoring through the prime table's spf, and Abel summation with one
 call of u and g per n.
 """
 
@@ -26,7 +26,6 @@ from thinprimes.errors import (
     RangeBeyondTable,
 )
 from thinprimes.expsum import IntPolynomial
-from thinprimes.goldbach import SingularSeries
 from thinprimes.sieve import PrimeTable, ThinPrimeSet, enumerate_thin_primes
 from thinprimes.thinfn import ThinFunction, _certified_floor
 
@@ -96,29 +95,49 @@ def floor_criterion_threshold(tf: ThinFunction, pt: PrimeTable, limit: int) -> i
 
 
 def singular_series(N: int, cutoff: int) -> tuple[float, float, float]:
-    """(S_paper, S_classical, tail_bound) for the ternary problem at N.
+    """(S_paper, S_classical, tail_bound) for the ternary problem at N, with
+    its own sieve and trial division.
 
     S_paper follows the displayed product prod_p (1 - 1/(p-1)^3) *
     prod_{p|N} (1 - 1/(p^2-3p+3)); its p=2 factor is (1 - 1/1) = 0, so the
     printed form vanishes identically and is reported verbatim.
     S_classical is the Vinogradov form prod_{p|N} (1 - 1/(p-1)^2) *
-    prod_{p not | N} (1 + 1/(p-1)^3).  tail_bound = 1/(2 cutoff^2).
-    One N is factored by trial division; a run over many targets builds one
-    SingularSeries and factors each target through its prime table.
+    prod_{p not | N} (1 + 1/(p-1)^3), one factor per prime up to the cutoff
+    in ascending order, then one per prime divisor above the cutoff in the
+    iteration order of the set of N's distinct primes.
+    tail_bound = 1/(2 cutoff^2).
     """
-    series = SingularSeries(cutoff)
-    divisors = []
+    sieve = bytearray(b"\x01") * (cutoff + 1)
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(cutoff) + 1):
+        if sieve[i]:
+            sieve[i * i:: i] = b"\x00" * ((cutoff - i * i) // i + 1)
+    divisors = set()
     n = N
     d = 2
     while d * d <= n:
         if n % d == 0:
-            divisors.append(d)
+            divisors.add(d)
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        divisors.append(n)
-    return (*series(divisors), 1.0 / (2.0 * cutoff * cutoff))
+        divisors.add(n)
+    s_paper_all = 1.0
+    s_classical = 1.0
+    for p in range(2, cutoff + 1):
+        if not sieve[p]:
+            continue
+        s_paper_all *= 1.0 - 1.0 / (p - 1) ** 3
+        if p in divisors:
+            s_classical *= 1.0 - 1.0 / (p - 1) ** 2
+        else:
+            s_classical *= 1.0 + 1.0 / (p - 1) ** 3
+    for p in divisors:
+        s_paper_all *= 1.0 - 1.0 / (p * p - 3 * p + 3)
+    for p in [p for p in divisors if p > cutoff]:
+        s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
+    return s_paper_all, s_classical, 1.0 / (2.0 * cutoff * cutoff)
 
 
 def goldbach_main_term(tfs, n: int, s_used: float, R: int) -> tuple[float, float]:
@@ -130,13 +149,28 @@ def goldbach_main_term(tfs, n: int, s_used: float, R: int) -> tuple[float, float
     return main, (R / main if main > 0 else math.inf)
 
 
+def factorize(pt: PrimeTable, n: int) -> list[tuple[int, int]]:
+    """[(p, e)] for n's prime powers in ascending p, through pt's spf."""
+    if not 2 <= n <= pt.limit:
+        raise LimitMismatch(f"{n} outside table range")
+    out = []
+    while n > 1:
+        p = int(pt.spf[n]) or n
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
 def mobius(pt: PrimeTable, n: int) -> int:
     """Moebius mu(n) from n's factorization in pt: the scalar oracle of
     PrimeTable.mu_array."""
     if n == 1:
         return 1
     sign = 1
-    for _, e in pt.factorize(n):
+    for _, e in factorize(pt, n):
         if e >= 2:
             return 0
         sign = -sign

@@ -369,6 +369,7 @@ def test_position_overflow_exits_3(tmp_path, capsys):
     ["oscillation", "--N", "64", "--eps", "-1"],
     ["oscillation", "--N", "64", "--eps", "1e-20"],
     ["goldbach", "--N", "101", "--cutoff", "50"],
+    ["goldbach", "--N", "9", "--cutoff", "1099511627776"],
     ["sieve", "--N", "100", "--checkpoints", "1000"],
     ["density", "--N", "100", "--checkpoints", "1000"],
     ["abel", "--N", "2"],
@@ -470,7 +471,7 @@ POOLS = {
     "eps": ["0.5", "2", "0", "-1", "inf", "1e-20"],
     "gammas": ["1,1,1", "1,0.99,0.95", "1,1", "0.5,1,1", "x"],
     "N-end": ["7", "121", "4095", "5", HUGE_N],
-    "cutoff": ["100", "10000", "50"],
+    "cutoff": ["100", "10000", "50", "1099511627776"],
     "side": ["thin", "full", "bogus"],
     "q": ["1", "2", "0", "-1"],
     "format": ["csv", "json", "xml"],

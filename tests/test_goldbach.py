@@ -12,21 +12,24 @@ from thinprimes.cli import main
 from thinprimes.errors import (
     CutoffTooSmall,
     LimitMismatch,
+    LimitTooLarge,
     ParameterOutOfRange,
     SpectralMismatch,
 )
 from thinprimes.goldbach import (
-    SingularSeries,
     _exact_triple_coeff,
     admissibility_check,
+    check_cutoff,
     goldbach_reports,
     parseval_check,
     rep_counts,
+    singular_series,
 )
 from thinprimes.sieve import enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
-from oracles import direct_counts, goldbach_main_term, singular_series
+import oracles
+from oracles import direct_counts, goldbach_main_term
 
 
 def brute_force_r(N: int, primes: list[int]) -> int:
@@ -83,25 +86,27 @@ def test_exact_escalation_path(tps_identity):
 
 
 def test_singular_series_n3_degenerate():
-    s_paper, s_classical, tail = singular_series(3, 1000)
+    s_paper, s_classical, tail = oracles.singular_series(3, 1000)
     assert s_paper == 0.0          # the p=2 factor (1 - 1/1) kills it
     assert s_classical > 0
     assert tail == pytest.approx(5e-7)
 
 
 def test_singular_series_classical_exceeds_one():
-    _, s_classical, _ = singular_series(35, 10 ** 5)
+    _, s_classical, _ = oracles.singular_series(35, 10 ** 5)
     assert s_classical > 1.0
 
 
 def test_singular_series_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
-        singular_series(35, 50)
+        check_cutoff(50)
+    with pytest.raises(LimitTooLarge):     # a sieve past the hull guard
+        check_cutoff(1 << 40)
 
 
 def test_singular_series_oracle_small_cutoff():
     # independent evaluation of both products at cutoff 100
-    _, s_classical, _ = singular_series(9, 100)
+    _, s_classical, _ = oracles.singular_series(9, 100)
     primes = [p for p in range(2, 101)
               if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
     expect = 1.0
@@ -116,18 +121,19 @@ def test_singular_series_oracle_small_cutoff():
 def test_report_identity(tps_identity, pt20, tf_identity):
     N = 4097 * 2 + 1
     rep, = goldbach_reports([tf_identity] * 3, [tps_identity] * 3, N, N, pt=pt20)
-    assert rep.R > 0
-    assert rep.S_paper == 0.0
-    assert "degenerate" in rep.flags
-    assert rep.ratio > 0
+    n, R, S_paper, S_classical, main_term, ratio, flags = rep
+    assert R > 0
+    assert S_paper == 0.0
+    assert "degenerate" in flags
+    assert ratio > 0
     # phi = id: main term reduces to S N^2 / log^3 N
-    assert rep.main_term == pytest.approx(
-        rep.S_classical * rep.N ** 2 / math.log(rep.N) ** 3)
+    assert main_term == pytest.approx(S_classical * n ** 2 / math.log(n) ** 3)
 
 
 def test_report_thin(tps95, pt20, tf95):
-    rep, = goldbach_reports([tf95] * 3, [tps95] * 3, 2001, 2001, pt=pt20)
-    assert rep.ratio > 0 or rep.R == 0
+    (_, R, _, _, _, ratio, _), = goldbach_reports([tf95] * 3, [tps95] * 3,
+                                                  2001, 2001, pt=pt20)
+    assert ratio > 0 or R == 0
 
 
 @pytest.mark.parametrize("gammas", [(1.0, 0.99, 0.95), (0.95, 0.95, 0.99)])
@@ -135,10 +141,10 @@ def test_report_main_terms_are_the_per_target_formula(sets_by_gamma, pt20,
                                                       gammas):
     sets = [sets_by_gamma[g] for g in gammas]
     tfs = [s.tf for s in sets]
-    for rep in goldbach_reports(tfs, sets, 1001, 3001, pt20):
-        s_used = rep.S_classical if rep.S_paper == 0.0 else rep.S_paper
-        assert (rep.main_term, rep.ratio) == goldbach_main_term(
-            tfs, rep.N, s_used, rep.R)
+    for n, R, S_paper, S_classical, main_term, ratio, _ in goldbach_reports(
+            tfs, sets, 1001, 3001, pt20):
+        s_used = S_classical if S_paper == 0.0 else S_paper
+        assert (main_term, ratio) == goldbach_main_term(tfs, n, s_used, R)
 
 
 def test_zero_count_threshold_recorded(pt20, tps99):
@@ -429,50 +435,16 @@ def test_range_validation(tps_identity, pt20, tf_identity):
         rep_counts(short, tps_identity, tps_identity, 1001, 1001)
 
 
-def per_target_singular_series(N, cutoff):
-    """singular_series as it sieved and trial-divided per target (oracle)."""
-    sieve = bytearray(b"\x01") * (cutoff + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(cutoff) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = b"\x00" * ((cutoff - i * i) // i + 1)
-    divisors = set()
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            divisors.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        divisors.add(n)
-    s_paper_all = 1.0
-    s_classical = 1.0
-    for p in range(2, cutoff + 1):
-        if not sieve[p]:
-            continue
-        s_paper_all *= 1.0 - 1.0 / (p - 1) ** 3
-        if p in divisors:
-            s_classical *= 1.0 - 1.0 / (p - 1) ** 2
-        else:
-            s_classical *= 1.0 + 1.0 / (p - 1) ** 3
-    for p in divisors:
-        s_paper_all *= 1.0 - 1.0 / (p * p - 3 * p + 3)
-    for p in [p for p in divisors if p > cutoff]:
-        s_classical *= (1.0 - 1.0 / (p - 1) ** 2) / (1.0 + 1.0 / (p - 1) ** 3)
-    return s_paper_all, s_classical, 1.0 / (2.0 * cutoff * cutoff)
-
-
-@pytest.mark.parametrize("cutoff", [100, 1000, 10 ** 4])
+@pytest.mark.parametrize("cutoff", [100, 101, 1000, 10 ** 4])
 def test_singular_series_sieved_once_is_bitwise(pt20, cutoff):
-    series = SingularSeries(cutoff)
-    targets = list(range(3, 601, 2)) + [3 * 5 * 7 * 11 * 13, 101 * 103 * 97,
-                                         2 * 3 * 1009, 999983]
-    for n in targets:
-        divisors = [p for p, _ in pt20.factorize(n)]
-        assert series(divisors) == per_target_singular_series(n, cutoff)[:2]
-    assert singular_series(45045, cutoff) == per_target_singular_series(45045, cutoff)
+    # 10807 = 101 * 107 and 11021 = 103 * 107 iterate their set of primes
+    # out of ascending order; 1009091 = 97 * 101 * 103
+    for N, N_end in ((3, 1001), (10801, 11101), (15001, 15031),
+                     (44995, 45095), (999901, 1000001), (1009001, 1009201)):
+        got = singular_series(pt20, N, N_end, cutoff).tolist()
+        want = [oracles.singular_series(n, cutoff)[1]
+                for n in range(N, N_end + 1, 2)]
+        assert got == want
 
 
 def _body(argv, tmp_path):
@@ -494,8 +466,8 @@ def test_cli_enumerates_each_distinct_gamma_once(tmp_path, pt20, monkeypatch):
     N, N_end = 2001, 2041
     sets = [enumerate_thin_primes(make_thin_function("power", gamma=1.0),
                                   pt20, N_end) for _ in range(3)]
-    want = [",".join(cli._fmt(v) for v in rep.csv_row())
-            for rep in goldbach_reports([s.tf for s in sets], sets, N, N_end,
+    want = [",".join(cli._fmt(v) for v in row)
+            for row in goldbach_reports([s.tf for s in sets], sets, N, N_end,
                                         pt20)]
     calls = []
     real = cli.enumerate_thin_primes
