@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import e2pi, exact_sum, frac_mul_int_vec
+from ._num import e2pi, exact_sum, frac_mul_int_vec, mod1
 from .errors import (
     EmptySet,
     InvalidBreaks,
@@ -80,10 +80,10 @@ def _orbit_values(sys, f, x, ps: np.ndarray, W: IntPolynomial) -> np.ndarray:
     if isinstance(sys, CircleRotation):
         # f is a trig polynomial: iterable of (frequency, coefficient)
         shifts = frac_mul_int_vec(sys.alpha, W.eval_vec(ps))
-        ys = (float(x) + shifts) % 1.0
+        ys = mod1(float(x) + shifts)
         out = np.zeros(len(ps), dtype=np.complex128)
         for freq, coef in f:
-            out += complex(coef) * e2pi((int(freq) * ys) % 1.0)
+            out += complex(coef) * e2pi(mod1(int(freq) * ys))
         return out
     raise ParameterOutOfRange(f"unknown system {sys!r}")
 

@@ -7,10 +7,13 @@ taken at 40 digits by ThinFunction.frac_m_phi_mp once |m*phi(k)| crosses
 2^40.  Sums are exactly rounded (_num.exact_sum: terms binned by binary
 exponent into one exact integer, rounded once), so split/recombine
 residuals measure the identity, not the accumulator, and each sum is the
-float math.fsum would give.  A Vaughan split evaluates each phase once,
-in one table over (P, P1]; split and bilinear sums stream their (l, k)
-pairs through exact_sum in blocks of at most PAIR_BLOCK.  Sweeps over
-the grid xi = j/G take one exact DFT per cutoff (grid_sup_gaps).
+float math.fsum would give.  Mod 1 is taken by floor subtraction
+(_num.mod1), which keeps the bits of %.  A Vaughan split evaluates each
+phase once, in one table over (P, P1], and forms only the (l, k) pairs
+with a nonzero coefficient, so S3 runs over prime powers k; split and
+bilinear sums stream their pairs through exact_sum in blocks of at most
+PAIR_BLOCK.  Sweeps over the grid xi = j/G take one exact DFT per cutoff
+(grid_sup_gaps).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from ._num import (
     exact_sum,
     frac_mul_int_vec,
     frac_mul_vec,
+    mod1,
 )
 from .errors import (
     HypothesisViolated,
@@ -125,7 +129,8 @@ def phase_fracs(xi: float, W: IntPolynomial, m: int, tf: ThinFunction,
     """{xi*W(k) + m*phi(k)} for an integer array k, in [0, 1)."""
     t = frac_mul_int_vec(xi, W.eval_vec(ks))
     if m != 0:
-        t = (t + _frac_m_phi(tf, m, ks)) % 1.0
+        t += _frac_m_phi(tf, m, ks)
+        mod1(t, out=t)
     return t
 
 
@@ -182,14 +187,21 @@ PAIR_BLOCK = 2 ** 16
 
 def _pair_blocks(ls: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Pairs (l, k) with l = ls[i] and lo[i] < k <= hi[i], as two aligned
-    int64 arrays per block of at most PAIR_BLOCK pairs."""
+    int64 arrays per block of at most PAIR_BLOCK pairs, in the order of i
+    and then k.  A block may cut through one l's range: two searches find
+    its first and last l, whose counts are clipped to the block."""
     counts = np.maximum(hi - lo, 0)
     ends = np.cumsum(counts)
+    starts = ends - counts
+    shift = hi + 1 - ends      # k = pair index + shift of its l
     total = int(ends[-1]) if ends.size else 0
     for a in range(0, total, PAIR_BLOCK):
-        i = np.arange(a, min(a + PAIR_BLOCK, total), dtype=np.int64)
-        j = np.searchsorted(ends, i, side="right")
-        yield ls[j], hi[j] + 1 + i - ends[j]
+        b = min(a + PAIR_BLOCK, total)
+        first = int(np.searchsorted(ends, a, side="right"))
+        last = int(np.searchsorted(ends, b - 1, side="right")) + 1
+        reps = np.minimum(ends[first:last], b) - np.maximum(starts[first:last], a)
+        yield (np.repeat(ls[first:last], reps),
+               np.arange(a, b, dtype=np.int64) + np.repeat(shift[first:last], reps))
 
 
 class VaughanSplit(NamedTuple):
@@ -209,8 +221,11 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
     (P, P1] is valid whenever P >= v; we require P > v.  Each summand is
     c(l, k) e(phase(kl)) with P < kl <= P1: S1 has c = mu(l) log k (l <= v),
     S21 and S22 c = Pi_v(l) (l <= v, v < l <= v^2), S3 c = Xi_v(l) Lambda(k)
-    (l, k > v).  The phases are one table over (P, P1] that every summand
-    reads, and the pairs stream through exact_sum in blocks.  direct, the
+    (l, k > v).  Only pairs with c != 0 are formed: l runs over the nonzero
+    mu(l), Pi_v(l) or Xi_v(l), and S3's k over the prime powers, as an
+    index range into the sorted prime powers up to P1/v for each l.  The
+    phases are one table over (P, P1] that every summand reads, and the
+    pairs of all four sums stream through exact_sum in blocks.  direct, the
     Lambda sum read from the same table, equals lambda_exp_sum(pt, spec);
     residual is |direct - (S1 - S21 - S22 + S3)| and must sit at
     accumulation noise, <= 1e-8 * (1 + |direct|).
@@ -223,29 +238,38 @@ def vaughan_split(pt: PrimeTable, spec: PhaseSpec, v: float | None = None) -> Va
         v = default_v(P1, q)
     v = float(v)
     check_split_point(P, v)
-    vi = int(v)
-    lam = pt.lambda_array(P1)
+    vi, l3 = int(v), int(P1 / v)
     mu = pt.mu_array(vi)
     piv = pi_v_array(pt, v, min(vi * vi, P1))
-    xiv = xi_v_array(pt, v, int(P1 / v))
+    xiv = xi_v_array(pt, v, l3)
     base = phase_terms(spec, np.arange(P + 1, P1 + 1, dtype=np.int64))
 
-    def split_sum(per_l, l_lo, l_hi, coeff, k_lo=0):
-        """Sum of the nonzero coeff(l, k) e(phase(kl)) over l_lo < l <= l_hi
-        with per_l[l] != 0 and max(P//l, k_lo) < k <= P1//l."""
-        ls = np.flatnonzero(per_l[l_lo + 1:l_hi + 1]) + (l_lo + 1)
+    def support(per_l, l_lo, l_hi):
+        """The l with l_lo < l <= l_hi and per_l[l] != 0."""
+        return np.flatnonzero(per_l[l_lo + 1:l_hi + 1]) + (l_lo + 1)
 
-        def terms(l, k):
-            c = coeff(l, k)
-            nz = c != 0
-            return c[nz] * base[(k * l)[nz] - (P + 1)]
-        return exact_sum(terms(l, k) for l, k in
-                         _pair_blocks(ls, np.maximum(P // ls, k_lo), P1 // ls))
+    def split_sum(ls, lo, hi, coeff, ks=None):
+        """Sum of coeff(l, j) e(phase(kl)) over lo[i] < j <= hi[i] for each
+        l = ls[i], where k is j, or ks[j] when ks is given."""
+        def terms(l, j):
+            k = j if ks is None else ks[j]
+            return coeff(l, j) * base[k * l - (P + 1)]
+        return exact_sum(terms(l, j) for l, j in _pair_blocks(ls, lo, hi))
 
-    S1 = split_sum(mu, 0, vi, lambda l, k: mu[l] * np.log(k.astype(np.float64)))
-    S21 = split_sum(piv, 0, vi, lambda l, k: piv[l])
-    S22 = split_sum(piv, vi, min(vi * vi, P1), lambda l, k: piv[l])
-    S3 = split_sum(xiv, vi, int(P1 / v), lambda l, k: xiv[l] * lam[k], k_lo=vi)
+    ls = support(mu, 0, vi)
+    S1 = split_sum(ls, P // ls, P1 // ls,
+                   lambda l, k: mu[l] * np.log(k.astype(np.float64)))
+    ls = support(piv, 0, vi)
+    S21 = split_sum(ls, P // ls, P1 // ls, lambda l, k: piv[l])
+    ls = support(piv, vi, min(vi * vi, P1))
+    S22 = split_sum(ls, P // ls, P1 // ls, lambda l, k: piv[l])
+    # max(P//l, vi) < k <= P1//l for each l as a range of indices into the
+    # prime powers k <= P1/v, whose Lambda(k) = lk are lambda_array's values
+    kp, lk = pt.prime_powers_in(0, l3)
+    ls = support(xiv, vi, l3)
+    S3 = split_sum(ls, np.searchsorted(kp, np.maximum(P // ls, vi), side="right") - 1,
+                   np.searchsorted(kp, P1 // ls, side="right") - 1,
+                   lambda l, j: xiv[l] * lk[j], ks=kp)
     ks, lams = pt.prime_powers_in(P, P1)
     direct = exact_sum((lams * base[ks - (P + 1)],))
     residual = abs(direct - (S1 - S21 - S22 + S3))
@@ -304,7 +328,7 @@ def vdc_bound_check(F: Callable, N: int, k: int, eta: float, r: float) -> VdcChe
     def terms():
         for a in range(1, N + 1, VDC_BLOCK):
             vals = F(np.arange(a, min(a + VDC_BLOCK, N + 1), dtype=np.float64))
-            yield e2pi(np.asarray(vals, dtype=np.float64) % 1.0)
+            yield e2pi(mod1(np.asarray(vals, dtype=np.float64)))
     s = exact_sum(terms())
     sum_abs = abs(s)
     bound = r * N * (eta ** (1.0 / (2 ** k - 2)) + N ** (-2.0 / 2 ** k)

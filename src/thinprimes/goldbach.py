@@ -254,6 +254,9 @@ def singular_series(pt: PrimeTable, N: int, N_end: int,
     s = np.full((N_end - N) // 2 + 1, 2.0)   # p = 2: 1 + 1/1^3
     for p in _base_primes(cutoff)[1:].tolist():
         j0 = (-N * pow(2, -1, p)) % p
+        if j0 >= len(s):     # p divides no target
+            s *= 1.0 + 1.0 / (p - 1) ** 3
+            continue
         hit = s[j0::p] * (1.0 - 1.0 / (p - 1) ** 2)
         s *= 1.0 + 1.0 / (p - 1) ** 3
         s[j0::p] = hit

@@ -8,8 +8,9 @@ main term at one target from scalar phi and math.log, the exactly
 rounded complex sum by the standard library's math.fsum, the two
 weighted prime sums at one xi, the direct Goldbach counts by one
 gather per pair-count point, the Moebius and von Mangoldt functions at
-one n by factoring through the prime table's spf, and Abel summation with one
-call of u and g per n.
+one n by factoring through the prime table's spf, Abel summation with one
+call of u and g per n, and the two-product's fractional parts reduced by
+numpy's remainder.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from thinprimes._num import e2pi, exact_sum, frac_mul_int_vec
+from thinprimes._num import e2pi, exact_sum, frac_mul_int_vec, two_prod
 from thinprimes.errors import (
     DomainError,
     LimitMismatch,
@@ -253,3 +254,9 @@ def weighted_prime_sums(tps: ThinPrimeSet, pt: PrimeTable, W: IntPolynomial,
         logs = np.log(full_p.astype(np.float64))
         f = fsum_complex(logs * e2pi(frac_mul_int_vec(xi, W.eval_vec(full_p))))
     return g, f
+
+
+def frac_mul_vec(xi: float, w: np.ndarray) -> np.ndarray:
+    """_num.frac_mul_vec with each reduction mod 1 taken by % 1.0."""
+    p, e = two_prod(np.float64(xi), w)
+    return ((p % 1.0) + (e % 1.0)) % 1.0

@@ -81,6 +81,12 @@ COMMANDS = [
     ["admissible", "--q", "2", "--gamma", "1", "--format", "csv"],
     ["admissible", "--q", "1", "--gamma", "1", "--gammas", "0.999,0.999,0.999"],
     ["admissible", "--q", "1", "--gamma", "1", "--gammas", "1,1"],
+    # split and bilinear sums at the benchmark's scale, where S3 has many l
+    ["vaughan", "--gamma", "0.95", "--P", "20000", "--xi", "0.123456789"],
+    ["vaughan", "--gamma", "0.99", "--P", "20000", "--xi", "0.3456789",
+     "--mfreq", "2", "--W", "0,1,1"],
+    ["bilinear", "--gamma", "0.95", "--K", "200", "--L", "200", "--delta", "random",
+     "--xi", "0.2345", "--seed", "5"],
 ]
 
 _WALL = re.compile(r'(wall_time_s"?: )[-+0-9.e]+')

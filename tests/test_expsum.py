@@ -382,7 +382,58 @@ def test_vaughan_split_peak_memory(pt20, tf95):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+PAIR_ROWS = st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(-20, 40),
+                               st.integers(-20, 40)), max_size=40)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2 ** 16])
+@settings(max_examples=100, deadline=None)
+@given(rows=PAIR_ROWS)
+def test_pair_blocks_match_nested_loops(block, rows):
+    """Same pairs in the same order as a loop over l and then k, with empty
+    and negative ranges, and no block longer than PAIR_BLOCK."""
+    ls, lo, hi = (np.array([r[i] for r in rows], dtype=np.int64) for i in range(3))
+    want = [(l, k) for l, a, b in rows for k in range(a + 1, b + 1)]
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expsum, "PAIR_BLOCK", block)
+        for l, k in expsum._pair_blocks(ls, lo, hi):
+            assert 0 < len(l) == len(k) <= block
+            assert l.dtype == k.dtype == np.int64
+            got.extend(zip(l.tolist(), k.tolist()))
+    assert got == want
+
+
+def test_vaughan_split_forms_only_nonzero_s3_pairs(pt20, tf95, monkeypatch):
+    """S3 forms exactly the (l, k) with Xi_v(l) != 0 and Lambda(k) != 0, and
+    the split reads no dense Lambda table."""
+    P, P1 = 2 * 10 ** 5, 4 * 10 ** 5
+    formed = []
+    real = expsum._pair_blocks
+
+    def spy(ls, lo, hi):
+        formed.append(0)
+        for l, k in real(ls, lo, hi):
+            formed[-1] += len(l)
+            yield l, k
+
+    def no_table(self, b):
+        raise AssertionError("lambda_array called")
+    monkeypatch.setattr(expsum, "_pair_blocks", spy)
+    monkeypatch.setattr(type(pt20), "lambda_array", no_table)
+    vaughan_split(pt20, PhaseSpec(0.17, W_LIN, 1, tf95, P, P1))
+    monkeypatch.undo()
+    v = default_v(P1, 1)
+    vi = int(v)
+    xiv = xi_v_array(pt20, v, int(P1 / v))
+    lam_count = np.cumsum(pt20.lambda_array(P1) != 0)
+    want = sum(int(lam_count[P1 // l] - lam_count[max(P // l, vi)])
+               for l in range(vi + 1, int(P1 / v) + 1) if xiv[l] != 0)
+    assert len(formed) == 4
+    assert formed[3] == want
 
 
 def test_default_v_formula():

@@ -438,9 +438,11 @@ def test_range_validation(tps_identity, pt20, tf_identity):
 @pytest.mark.parametrize("cutoff", [100, 101, 1000, 10 ** 4])
 def test_singular_series_sieved_once_is_bitwise(pt20, cutoff):
     # 10807 = 101 * 107 and 11021 = 103 * 107 iterate their set of primes
-    # out of ascending order; 1009091 = 97 * 101 * 103
+    # out of ascending order; 1009091 = 97 * 101 * 103; one target and
+    # three, where most primes divide none
     for N, N_end in ((3, 1001), (10801, 11101), (15001, 15031),
-                     (44995, 45095), (999901, 1000001), (1009001, 1009201)):
+                     (44995, 45095), (999901, 1000001), (1009001, 1009201),
+                     (10807, 10807), (199999, 200003)):
         got = singular_series(pt20, N, N_end, cutoff).tolist()
         want = [oracles.singular_series(n, cutoff)[1]
                 for n in range(N, N_end + 1, 2)]

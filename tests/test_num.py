@@ -1,14 +1,16 @@
-"""_num.exact_sum against the standard library's math.fsum, bit for bit."""
+"""_num.exact_sum against the standard library's math.fsum, and _num.mod1
+against numpy's remainder, bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thinprimes import _num
-from thinprimes._num import exact_sum
+from thinprimes._num import exact_sum, frac_mul_vec, mod1
 
 # finite terms whose running sums cannot overflow, subnormals included
 TERMS = st.lists(st.floats(min_value=-2.0 ** 1000, max_value=2.0 ** 1000), max_size=60)
@@ -132,3 +134,38 @@ def test_sum_past_float_range_raises_overflow(xs):
         math.fsum(xs)
     with pytest.raises(OverflowError):
         exact_sum((np.array(xs),))
+
+
+# every float64: +-0, subnormals, |x| >= 2^52, +-inf and nan
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -2.0 ** -1022, 1e-17, -1e-17,
+         0.5, -0.5, 1.0, -1.0, 1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53, 2.0 ** 52 - 0.5,
+         -(2.0 ** 52) + 0.5, 2.0 ** 52, -(2.0 ** 52), 2.0 ** 53 + 2, -(2.0 ** 60),
+         1.7e308, -1.7e308, math.inf, -math.inf, math.nan, -math.nan]
+FLOATS = st.lists(st.floats(width=64), min_size=1, max_size=40)
+
+
+def _bits(x) -> list[int]:
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOATS)
+@example(EDGES)
+def test_mod1_is_the_remainder_bit_for_bit(xs):
+    x = np.array(xs, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        want = _bits(x % 1.0)
+        assert _bits(mod1(x)) == want
+        y = x.copy()
+        assert mod1(y, out=y) is y and _bits(y) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(width=64), FLOATS)
+@example(0.123456789, EDGES)
+@example(-math.inf, EDGES)
+@example(2.0 ** 60 + 2.0 ** 8, [3.0, -3.0, 2.0 ** 51 + 1])
+def test_frac_mul_vec_is_the_remainder_route_bit_for_bit(xi, ws):
+    w = np.array(ws, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _bits(frac_mul_vec(xi, w)) == _bits(oracles.frac_mul_vec(xi, w))
