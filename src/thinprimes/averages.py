@@ -134,8 +134,7 @@ def _variant_primes_weights(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
     if variant == "K1":
         return tps.prefix(N)
     if variant == "K2":
-        p = pt.primes_in(1, N)
-        return p, np.log(p.astype(np.float64))
+        return pt.prefix(N)
     raise ParameterOutOfRange(f"unknown kernel variant {variant!r}")
 
 

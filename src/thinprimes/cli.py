@@ -340,14 +340,14 @@ def _begin(cfg: RunConfig) -> None:
     cfg.t0 = time.perf_counter()
 
 
-def _tables(cfg: RunConfig, n: int, thin=(), sieve_to: int | None = None):
-    """Past _begin, the prime table up to sieve_to (default n) and the thin
-    set up to n of each ThinFunction in thin, on --threads workers."""
+def _tables(cfg: RunConfig, n: int, thin=()):
+    """Past _begin, the prime table and the thin set of each ThinFunction
+    in thin, up to n, on --threads workers."""
     threads = cfg.get_int("threads")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     _begin(cfg)
-    pt = build_prime_table(n if sieve_to is None else sieve_to, threads=threads)
+    pt = build_prime_table(n, threads=threads)
     return pt, [enumerate_thin_primes(tf, pt, n, threads=threads) for tf in thin]
 
 
@@ -516,7 +516,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         goldbach.check_cutoff(cutoff)
         gammas = _gammas(cfg, "1,1,1")
         tf_of = {g: make_thin_function("power", gamma=g) for g in gammas}
-        pt, sets = _tables(cfg, n_end, tf_of.values(), sieve_to=max(n_end, 100))
+        pt, sets = _tables(cfg, n_end, tf_of.values())
         set_of = dict(zip(tf_of, sets))   # each distinct gamma enumerated once
         rows = goldbach.goldbach_reports([tf_of[g] for g in gammas],
                                          [set_of[g] for g in gammas], n,

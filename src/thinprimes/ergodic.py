@@ -5,7 +5,8 @@ counting measure and T x = x + 1 (all orbit arithmetic exact mod m), and
 CircleRotation(alpha) is [0,1) with T x = x + alpha, observables restricted
 to trigonometric polynomials so that orbit evaluation stays an exact
 multiply-mod-1.  Almost-everywhere statements are probed at fixed start
-points.
+points.  Averages and oscillation sums read one running sum of the orbit
+values over the thin primes, _running_sum.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class AverageSeries:
     """Ergodic averages sampled along dyadic checkpoints."""
     checkpoints: list
     values: list
-    weighted: bool
 
     def csv_rows(self):
         prev = None
@@ -88,6 +88,17 @@ def _orbit_values(sys, f, x, ps: np.ndarray, W: IntPolynomial) -> np.ndarray:
     raise ParameterOutOfRange(f"unknown system {sys!r}")
 
 
+def _running_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
+                 W: IntPolynomial, nmax: int, weighted: bool, what: str):
+    """(ps, cum): the thin primes p <= nmax and the running sum of
+    f(T^{W(p)} x) over them, each term times p's weight if weighted."""
+    if nmax > tps.limit or nmax > pt.limit:
+        raise RangeBeyondTable(f"{what} beyond enumerated or sieved limit")
+    ps, ws = tps.prefix(nmax)
+    vals = _orbit_values(sys, f, x, ps, W)
+    return ps, np.cumsum(ws * vals if weighted else vals)
+
+
 def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
                    W: IntPolynomial, checkpoints, weighted: bool = False) -> AverageSeries:
     """Sample the ergodic average at each checkpoint, from one running sum.
@@ -98,19 +109,15 @@ def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints:
         raise ParameterOutOfRange("need at least one checkpoint")
-    nmax = max(checkpoints)
-    if nmax > tps.limit or nmax > pt.limit:
-        raise RangeBeyondTable("checkpoint beyond enumerated or sieved limit")
-    ps, ws = tps.prefix(nmax)
-    vals = _orbit_values(sys, f, x, ps, W)
-    cum = np.cumsum(ws * vals if weighted else vals)
+    ps, cum = _running_sum(sys, f, x, tps, pt, W, max(checkpoints), weighted,
+                           "checkpoint")
     out = []
     for n in checkpoints:
         cnt = int(np.searchsorted(ps, n, side="right"))
         if cnt == 0:
             raise EmptySet(f"no thin primes <= {n}")
         out.append(complex(cum[cnt - 1]) / (n if weighted else cnt))
-    return AverageSeries(checkpoints, out, weighted)
+    return AverageSeries(checkpoints, out)
 
 
 def check_eps(eps: float, upper: int) -> None:
@@ -146,6 +153,10 @@ def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
     sum_j sup over N in Z_eps with N_j < N <= N_{j+1} of
     |A^1_N f(x) - A^1_{N_j} f(x)|, Z_eps = {floor((1+eps)^n)}.  Breaks must
     satisfy 2 N_j < N_{j+1}.
+
+    A^1 is read at every break and point of Z_eps at once, each block's sup
+    taken over its slice, with the bits of Python's complex / N, abs and
+    max from 0.0 (README, numerical policy).
     """
     breaks = [int(b) for b in N_breaks]
     if len(breaks) < 2:
@@ -153,26 +164,16 @@ def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
     for a, b in zip(breaks, breaks[1:]):
         if not 2 * a < b:
             raise InvalidBreaks(f"breaks must more than double: {a} -> {b}")
-    nmax = breaks[-1]
-    if nmax > tps.limit or nmax > pt.limit:
-        raise RangeBeyondTable("breaks beyond enumerated or sieved limit")
-    ps, ws = tps.prefix(nmax)
+    ps, cum = _running_sum(sys, f, x, tps, pt, W, breaks[-1], True, "breaks")
     if ps.size == 0:
         raise EmptySet("no thin primes below the last break")
-    vals = _orbit_values(sys, f, x, ps, W)
-    cum = np.cumsum(ws * vals)
-
-    def a1(n: int) -> complex:
-        cnt = int(np.searchsorted(ps, n, side="right"))
-        return (complex(cum[cnt - 1]) if cnt else 0j) / n
-
-    zgrid = zeps_grid(eps, nmax)
-    total = []
-    for nj, nj1 in zip(breaks, breaks[1:]):
-        base = a1(nj)
-        sup = 0.0
-        for n in zgrid:
-            if nj < n <= nj1:
-                sup = max(sup, abs(a1(n) - base))
-        total.append(sup)
+    J = len(breaks)     # ns: the breaks, then Z_eps
+    ns = np.array(breaks + zeps_grid(eps, breaks[-1]), dtype=np.int64)
+    cnt = np.searchsorted(ps, ns, side="right")
+    at = np.where(cnt > 0, cum[cnt - 1], 0j)
+    re, im = (at.real + at.imag * 0.0) / ns, (at.imag - at.real * 0.0) / ns
+    ends = np.searchsorted(ns[J:], breaks, side="right") + J
+    total = [float(np.fmax.reduce(np.hypot(re[a:b] - re[j], im[a:b] - im[j]),
+                                  initial=0.0))
+             for j, (a, b) in enumerate(zip(ends, ends[1:]))]
     return exact_sum((total,)).real

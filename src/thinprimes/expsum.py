@@ -464,10 +464,8 @@ def formlem_decay(pt: PrimeTable, W: IntPolynomial, xi_grid_size: int,
     if N_max > pt.limit:
         raise RangeBeyondTable(f"N_max={N_max} beyond table limit {pt.limit}")
     levels = dyadic(DYADIC_START, N_max)
-    full_p = pt.primes_in(1, N_max)
-    sup = grid_sup_gaps(tps.primes, tps.weights, full_p,
-                        np.log(full_p.astype(np.float64)), W, xi_grid_size,
-                        levels)
+    sup = grid_sup_gaps(tps.primes, tps.weights, *pt.prefix(N_max), W,
+                        xi_grid_size, levels)
     entries = [(n, float(g), float(g) / n) for n, g in zip(levels, sup)]
     pos = [(n, g) for n, g, _ in entries if g > 0.0]
     fitted = None

@@ -326,19 +326,16 @@ def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:
 def parseval_check(source, N: int, weighted: bool = False) -> tuple[float, float]:
     """Discrete-quadrature check of int_0^1 |G_N|^2 = sum of squared weights.
 
-    source is a ThinPrimeSet (thin-side sum, optionally with the canonical
-    weights) or a PrimeTable (full-prime sum, optionally log-weighted).
+    source is a ThinPrimeSet (thin-side sum) or a PrimeTable (full-prime
+    sum), read through its prefix(N); weighted takes the weights that
+    prefix gives, log(p)/phi'(p) or log(p), and unweighted takes 1.
     The grid of M = next_pow2(2N+1) points makes the quadrature exact for
     the degree-<=2N product.
     """
-    if isinstance(source, ThinPrimeSet):
-        ps, ws = source.prefix(N)
-        weights = ws if weighted else np.ones(len(ps))
-    elif isinstance(source, PrimeTable):
-        ps = source.primes_in(1, N)
-        weights = np.log(ps.astype(np.float64)) if weighted else np.ones(len(ps))
-    else:
+    if not isinstance(source, (ThinPrimeSet, PrimeTable)):
         raise ParameterOutOfRange("source must be ThinPrimeSet or PrimeTable")
+    ps, ws = source.prefix(N)
+    weights = ws if weighted else np.ones(len(ps))
     M = next_pow2(2 * N + 1)
     vec = np.zeros(M, dtype=np.float64)
     if len(ps):

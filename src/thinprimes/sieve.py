@@ -56,6 +56,11 @@ class PrimeTable:
             raise LimitMismatch(f"pi({x}) beyond table limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="right"))
 
+    def prefix(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """The primes p <= x and their weights log p."""
+        ps = self.primes[:self.pi(x)]
+        return ps, np.log(ps.astype(np.float64))
+
     def primes_in(self, a: int, b: int) -> np.ndarray:
         """Primes p with a < p <= b."""
         if b > self.limit:
@@ -158,14 +163,12 @@ def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
 class ThinPrimeSet:
     """Enumerated thin primes up to limit with canonical weights.
 
-    weights[i] = log(p_i) / phi'(p_i); witnesses[i] is the smallest n with
-    floor(h(n)) = p_i.
+    primes ascend, and weights[i] = log(p_i) / phi'(p_i).
     """
     tf: ThinFunction
     limit: int
     primes: np.ndarray
     weights: np.ndarray
-    witnesses: np.ndarray
 
     def count(self, x: int | None = None) -> int:
         if x is None:
@@ -173,6 +176,7 @@ class ThinPrimeSet:
         return int(np.searchsorted(self.primes, x, side="right"))
 
     def prefix(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """The thin primes p <= x and their weights."""
         k = self.count(x)
         return self.primes[:k], self.weights[:k]
 
@@ -184,37 +188,34 @@ class ThinPrimeSet:
 
 
 def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
-    """(primes, witnesses) among floor(h(n)) for n in [lo, hi), in n order,
+    """The primes among floor(h(n)) for n in [lo, hi), in n order,
     evaluated THIN_BLOCK values of n at a time."""
-    ps_parts, ns_parts = [], []
+    parts = []
     for b in range(lo, hi, THIN_BLOCK):
-        ns = np.arange(b, min(b + THIN_BLOCK, hi), dtype=np.int64)
-        ps = tf.floor_h_vec(ns)
-        keep = (ps >= 2) & (ps <= N)
-        ps, ns = ps[keep], ns[keep]
-        prime = pt.spf[ps] == 0         # ps fits the table by construction
-        ps_parts.append(ps[prime])
-        ns_parts.append(ns[prime])
-    return np.concatenate(ps_parts), np.concatenate(ns_parts)
+        ps = tf.floor_h_vec(np.arange(b, min(b + THIN_BLOCK, hi), dtype=np.int64))
+        ps = ps[(ps >= 2) & (ps <= N)]
+        parts.append(ps[pt.spf[ps] == 0])   # ps fits the table by construction
+    return np.concatenate(parts)
 
 
 def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
                           threads: int = 1) -> ThinPrimeSet:
     """All primes p <= N of the form floor(h(n)), with weights attached.
 
-    Iterates n from ceil(x0) to floor(phi(N+1)) + 1, deduplicates colliding
-    floor values (consecutive n share floor(h(n)) wherever h' < 1, as for
-    Ch < 1) and keeps the smallest witness n per prime.  n is taken in
-    chunks of SEGMENT values, mapped serially or over `threads` workers and
-    each evaluated in blocks of THIN_BLOCK values; the chunks are merged in
-    index order, so the set and its witnesses do not depend on thread count.
+    Iterates n from ceil(x0) to floor(phi(N+1)) + 1 and deduplicates
+    colliding floor values (consecutive n share floor(h(n)) wherever h' < 1,
+    as for Ch < 1).  n is taken in chunks of SEGMENT values, mapped serially
+    or over `threads` workers and each evaluated in blocks of THIN_BLOCK
+    values; the chunks are merged in index order, so the set does not
+    depend on thread count.  The merged floors, nondecreasing already, are
+    sorted in place (a stable sort, linear on sorted input) and compared
+    with their predecessors: numpy 2.4's np.unique takes a hash route.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
     n_lo = math.ceil(tf.x0)
     if N + 1 < tf.h_x0 or N < 2:
-        return ThinPrimeSet(tf, N, np.empty(0, np.int64), np.empty(0),
-                            np.empty(0, np.int64))
+        return ThinPrimeSet(tf, N, np.empty(0, np.int64), np.empty(0))
     if tf.h_x0 < 2.0:
         # values h(n) < 2 cannot produce a prime; skipping them keeps exact
         # integer hits like h(1) = 1 away from the floor guard
@@ -223,14 +224,16 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     parts = _in_order(
         lambda lo: _thin_chunk(tf, pt, N, lo, min(lo + SEGMENT, n_hi + 1)),
         range(n_lo, n_hi + 1, SEGMENT), threads)
-    ps, wit = (np.concatenate(col) for col in zip(*parts))
+    ps = np.concatenate(parts)
     del parts       # the per-unit copies, before the dedup and the weights
-    uniq, first = np.unique(ps, return_index=True)
-    wit = wit[first]
-    weights = tf.weight_vec(uniq.astype(np.float64))
+    ps.sort(kind="stable")
+    new = np.ones(len(ps), dtype=bool)
+    np.not_equal(ps[1:], ps[:-1], out=new[1:])
+    ps = ps[new]
+    weights = tf.weight_vec(ps.astype(np.float64))
     if not np.all(np.isfinite(weights) & (weights > 0)):
         raise DomainError("nonpositive or nonfinite weight encountered")
-    return ThinPrimeSet(tf, N, uniq, weights, wit)
+    return ThinPrimeSet(tf, N, ps, weights)
 
 
 def check_checkpoints(checkpoints, limit: int) -> None:

@@ -9,8 +9,9 @@ rounded complex sum by the standard library's math.fsum, the two
 weighted prime sums at one xi, the direct Goldbach counts by one
 gather per pair-count point, the Moebius and von Mangoldt functions at
 one n by factoring through the prime table's spf, Abel summation with one
-call of u and g per n, and the two-product's fractional parts reduced by
-numpy's remainder.
+call of u and g per n, the two-product's fractional parts reduced by
+numpy's remainder, and the oscillation sum by a scan of Z_eps per block
+with one Python complex average per point.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import math
 import numpy as np
 
 from thinprimes._num import e2pi, exact_sum, frac_mul_int_vec, two_prod
+from thinprimes.ergodic import _orbit_values, zeps_grid
 from thinprimes.errors import (
     DomainError,
+    EmptySet,
     LimitMismatch,
     ParameterOutOfRange,
     RangeBeyondTable,
@@ -260,3 +263,32 @@ def frac_mul_vec(xi: float, w: np.ndarray) -> np.ndarray:
     """_num.frac_mul_vec with each reduction mod 1 taken by % 1.0."""
     p, e = two_prod(np.float64(xi), w)
     return ((p % 1.0) + (e % 1.0)) % 1.0
+
+
+def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
+                    W: IntPolynomial, breaks, eps: float) -> float:
+    """ergodic.oscillation_sum by a scan of Z_eps per block: A^1 at each
+    point is a Python complex divided by N, and each block's sup is
+    max(sup, abs(A^1_N - A^1_{N_j})) from 0.0."""
+    nmax = breaks[-1]
+    if nmax > tps.limit or nmax > pt.limit:
+        raise RangeBeyondTable("breaks beyond enumerated or sieved limit")
+    ps, ws = tps.prefix(nmax)
+    if ps.size == 0:
+        raise EmptySet("no thin primes below the last break")
+    cum = np.cumsum(ws * _orbit_values(sys, f, x, ps, W))
+
+    def a1(n: int) -> complex:
+        cnt = int(np.searchsorted(ps, n, side="right"))
+        return (complex(cum[cnt - 1]) if cnt else 0j) / n
+
+    zgrid = zeps_grid(eps, nmax)
+    total = []
+    for nj, nj1 in zip(breaks, breaks[1:]):
+        base = a1(nj)
+        sup = 0.0
+        for n in zgrid:
+            if nj < n <= nj1:
+                sup = max(sup, abs(a1(n) - base))
+        total.append(sup)
+    return exact_sum((total,)).real

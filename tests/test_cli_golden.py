@@ -87,6 +87,13 @@ COMMANDS = [
      "--mfreq", "2", "--W", "0,1,1"],
     ["bilinear", "--gamma", "0.95", "--K", "200", "--L", "200", "--delta", "random",
      "--xi", "0.2345", "--seed", "5"],
+    # goldbach below N-end = 100, where the prime table ends at N-end
+    ["goldbach", "--N", "7"],
+    ["goldbach", "--N", "9", "--N-end", "99"],
+    ["goldbach", "--gammas", "1,0.95,0.9", "--N", "7", "--N-end", "51"],
+    ["goldbach", "--gammas", "0.7,0.7,0.7", "--N", "7", "--N-end", "97",
+     "--cutoff", "101"],
+    ["goldbach", "--N", "11", "--format", "json"],
 ]
 
 _WALL = re.compile(r'(wall_time_s"?: )[-+0-9.e]+')

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from thinprimes.ergodic import (
     AverageSeries,
     CircleRotation,
@@ -18,8 +21,11 @@ from thinprimes.errors import (
     InvalidBreaks,
     ParameterOutOfRange,
     RangeBeyondTable,
+    ThinPrimesError,
 )
 from thinprimes.expsum import IntPolynomial
+from thinprimes.sieve import ThinPrimeSet, enumerate_thin_primes
+from thinprimes.thinfn import make_thin_function
 
 W_LIN = IntPolynomial([0, 1])
 W_SQ = IntPolynomial([0, 0, 1])
@@ -119,7 +125,7 @@ def test_series_and_convergence_report(tps_identity, pt20):
 
 
 def test_constant_series_gaps_zero():
-    series = AverageSeries([16, 32, 64, 128], [1 + 0j] * 4, False)
+    series = AverageSeries([16, 32, 64, 128], [1 + 0j] * 4)
     assert [gap for _, _, _, gap in series.csv_rows()] == [0.0] * 4
 
 
@@ -188,6 +194,68 @@ def test_invalid_breaks(tps_identity, pt20):
     with pytest.raises(InvalidBreaks):
         oscillation_sum(FiniteCycle(1), [1.0], 0, tps_identity, pt20, W_LIN,
                         [16], 0.5)
+
+
+OSC_LIMIT = 1 << 15
+
+
+@pytest.fixture(scope="module")
+def osc_sets(pt20):
+    """The thin sets at gamma 1, 0.95 and 0.9, enumerated to OSC_LIMIT."""
+    return {g: enumerate_thin_primes(make_thin_function("power", gamma=g),
+                                     pt20, OSC_LIMIT) for g in (1.0, 0.95, 0.9)}
+
+
+def _outcome(fn, *args):
+    """fn(*args) as the bits of its float, or the type of what it raised."""
+    try:
+        return np.float64(fn(*args)).view(np.int64)
+    except (ThinPrimesError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def oscillation_inputs(draw):
+    b = [draw(st.integers(1, 64))]
+    for _ in range(draw(st.integers(1, 5))):
+        nxt = 2 * b[-1] + 1 + draw(st.integers(0, 3 * b[-1]))
+        if nxt > OSC_LIMIT:
+            break
+        b.append(nxt)
+    if len(b) < 2:
+        b.append(2 * b[0] + 1)
+    W = IntPolynomial(draw(st.sampled_from([[0, 1], [3, 1], [0, 0, 1], [1, 2, 1]])))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 12))
+        parts = st.floats(-1e3, 1e3)
+        table = [complex(draw(parts), draw(parts)) for _ in range(m)]
+        return FiniteCycle(m), table, draw(st.integers(0, 50)), W, b
+    alpha = draw(st.floats(-2.0, 2.0))
+    f = [(draw(st.integers(-3, 3)), complex(draw(st.floats(-2.0, 2.0)),
+                                             draw(st.floats(-2.0, 2.0))))
+         for _ in range(draw(st.integers(1, 3)))]
+    return CircleRotation(alpha), f, draw(st.floats(0.0, 1.0)), W, b
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # nan, inf
+@settings(max_examples=200, deadline=None)
+@given(oscillation_inputs(), st.floats(1e-4, 4.0), st.sampled_from([1.0, 0.95, 0.9]),
+       st.booleans())
+@example((FiniteCycle(2), F2, 0, W_LIN, [16, 64, 256]), 1e-4, 0.9, True)
+@example((FiniteCycle(1), [1.0], 0, W_LIN, [1, 3, 7]), 4.0, 1.0, False)
+@example((FiniteCycle(3), [math.nan, 1.0, math.inf], 0, W_LIN, [4, 16, 64]),
+         0.5, 0.95, False)
+def test_oscillation_sum_matches_the_per_point_scan(pt20, osc_sets, inputs, eps,
+                                                    gamma, hole):
+    """Bit for bit the nested loop's sum; with hole the set is cut to its
+    primes above the first break, so A^1 reads 0 there and below."""
+    sys_, f, x, W, breaks = inputs
+    tps = osc_sets[gamma]
+    if hole:
+        k = tps.count(breaks[0])
+        tps = ThinPrimeSet(tps.tf, tps.limit, tps.primes[k:], tps.weights[k:])
+    args = (sys_, f, x, tps, pt20, W, breaks, eps)
+    assert _outcome(oscillation_sum, *args) == _outcome(oracles.oscillation_sum, *args)
 
 
 def test_weighted_unweighted_consistency(tps95, pt20):

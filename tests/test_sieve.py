@@ -106,6 +106,15 @@ def test_pi_1e6(pt20):
     assert pt20.pi(10 ** 6) == 78498
 
 
+def test_table_prefix_is_the_primes_and_their_logs(pt20):
+    for x in (1, 2, 1000, 1 << 20):
+        ps, ws = pt20.prefix(x)
+        assert np.array_equal(ps, pt20.primes_in(1, x))
+        assert ws.tolist() == [math.log(p) for p in ps.tolist()]
+    with pytest.raises(LimitMismatch):
+        pt20.prefix((1 << 20) + 1)
+
+
 def test_threaded_build_identical(pt20):
     pt4 = build_prime_table(1 << 20, threads=4)
     assert np.array_equal(pt4.spf, pt20.spf)
@@ -138,11 +147,6 @@ def test_gamma09_members_against_brute_force(pt20):
     tf = make_thin_function("power", gamma=0.9)
     tps = enumerate_thin_primes(tf, pt20, 100)
     assert tps.primes.tolist() == brute_force_members(0.9, 100)
-
-
-def test_witnesses_are_valid(pt20, tf95, tps95):
-    for p, n in zip(tps95.primes[:200], tps95.witnesses[:200]):
-        assert tf95.floor_h(int(n)) == int(p)
 
 
 def test_weights_positive_finite(tps95):
@@ -252,7 +256,6 @@ def test_enumeration_deterministic_across_threads(pt20, tf95):
     b = enumerate_thin_primes(tf95, pt20, 10 ** 6, threads=4)
     assert np.array_equal(a.primes, b.primes)
     assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.witnesses, b.witnesses)
 
 
 def test_enumeration_deduplicates(pt20):
@@ -264,22 +267,20 @@ def test_enumeration_deduplicates(pt20):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_enumeration_keeps_smallest_witness(pt20, monkeypatch, threads):
+def test_enumeration_dedups_across_unit_boundaries(pt20, monkeypatch, threads):
     # Ch = 1/2 gives h' < 1, so consecutive n share floor(h(n)) (8947 repeats
-    # below n = 20000); with chunks of 101 values of n, 9 prime values have
-    # witnesses on both sides of a chunk boundary, where only the merge
-    # order picks the smaller one
+    # below n = 20000); with units of 101 values of n, 9 prime values come
+    # from n on both sides of a unit boundary, where only the merge can
+    # see the repeat
     monkeypatch.setattr(sieve, "SEGMENT", 101)
     tf = make_thin_function("power", gamma=0.99, Ch=0.5)
     N = 10 ** 4
     tps = enumerate_thin_primes(tf, pt20, N, threads=threads)
-    first = {}
-    for n in range(math.ceil(tf.x0), math.floor(tf.phi(N + 1.0)) + 2):
-        first.setdefault(tf.floor_h(n), n)
+    floors = {tf.floor_h(n)
+              for n in range(math.ceil(tf.x0), math.floor(tf.phi(N + 1.0)) + 2)}
     prime = set(pt20.primes.tolist())
-    expect = [p for p in sorted(first) if 2 <= p <= N and p in prime]
+    expect = [p for p in sorted(floors) if 2 <= p <= N and p in prime]
     assert tps.primes.tolist() == expect
-    assert tps.witnesses.tolist() == [first[p] for p in expect]
 
 
 def test_limit_mismatch(pt20, tf95):
@@ -318,12 +319,9 @@ def unchunked_enumeration(tf, pt, N):
         n_lo = max(n_lo, math.ceil(tf.phi(2.0) - 1e-9))
     ns = np.arange(n_lo, math.floor(tf.phi(float(N + 1))) + 2, dtype=np.int64)
     ps = tf.floor_h_vec(ns)
-    keep = (ps >= 2) & (ps <= N)
-    ps, wit = ps[keep], ns[keep]
-    prime_mask = np.isin(ps, pt.primes)
-    ps, wit = ps[prime_mask], wit[prime_mask]
-    uniq, first = np.unique(ps, return_index=True)
-    return uniq, tf.weight_vec(uniq.astype(np.float64)), wit[first]
+    ps = ps[(ps >= 2) & (ps <= N)]
+    uniq = np.unique(ps[np.isin(ps, pt.primes)])
+    return uniq, tf.weight_vec(uniq.astype(np.float64))
 
 
 @pytest.mark.parametrize("family,kw", [("power", {"gamma": 0.95}),
@@ -339,14 +337,14 @@ def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw):
     monkeypatch.setattr(sieve, "THIN_BLOCK", 101)
     for threads in (1, 2):
         got = enumerate_thin_primes(tf, pt20, N, threads=threads)
-        for a, b in zip((got.primes, got.weights, got.witnesses), want):
+        for a, b in zip((got.primes, got.weights), want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_enumeration_with_no_candidates(pt20):
     tf = make_thin_function("h3", Cc=1.0)     # smallest member is 3
     tps = enumerate_thin_primes(tf, pt20, 2)
-    assert tps.primes.size == tps.weights.size == tps.witnesses.size == 0
+    assert tps.primes.size == tps.weights.size == 0
 
 
 @pytest.mark.parametrize("N", [2, 3, 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 + 5])
@@ -377,7 +375,7 @@ def traced_peak(fn, *args):
 def test_enumeration_peak_memory(tf95):
     N = 1 << 23
     pt = build_prime_table(N)
-    assert traced_peak(enumerate_thin_primes, tf95, pt, N) <= 40 * 2 ** 20
+    assert traced_peak(enumerate_thin_primes, tf95, pt, N) <= 20 * 2 ** 20
 
 
 def test_table_peak_memory():
@@ -416,6 +414,6 @@ def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
             assert mp.mp.prec == prec
             assert decimal.getcontext() is ctx and repr(ctx) == state
             assert np.array_equal(got.primes, want.primes)
-            assert np.array_equal(got.witnesses, want.witnesses)
+            assert np.array_equal(got.weights, want.weights)
     finally:
         sys.setswitchinterval(interval)
