@@ -27,8 +27,8 @@ from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
 
 MAX_CYCLE = 1 << 31
-# Most steps zeps_grid may take, about log(upper)/log(1+eps): at about
-# 0.23 us a step, 2^24 of them take about 4 s.
+# Most powers zeps_grid may take, about log(upper + 1)/log(1 + eps): 2^24
+# of them are a 128 MiB float64 array.
 MAX_ZEPS_STEPS = 1 << 24
 
 
@@ -120,30 +120,39 @@ def average_series(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
     return AverageSeries(checkpoints, out)
 
 
+def _zeps_steps(eps: float, upper: int) -> float:
+    """About the number of powers (1+eps)^n up to the first one past upper."""
+    return math.log(max(upper, 0) + 1) / math.log(1.0 + eps)
+
+
 def check_eps(eps: float, upper: int) -> None:
     """zeps_grid's rule for eps: 1 + eps must exceed 1 in binary64, and
-    reach upper within MAX_ZEPS_STEPS powers."""
+    pass upper within MAX_ZEPS_STEPS powers."""
     if not 0 < eps < math.inf:
         raise ParameterOutOfRange("eps must be positive and finite")
     if 1.0 + eps == 1.0:
         raise ParameterOutOfRange(f"eps={eps!r} vanishes beside 1 in binary64")
-    if math.log(max(upper, 1)) / math.log1p(eps) > MAX_ZEPS_STEPS:
+    if _zeps_steps(eps, upper) > MAX_ZEPS_STEPS:
         raise ParameterOutOfRange(
             f"eps={eps!r} needs more than {MAX_ZEPS_STEPS} steps to reach {upper}")
 
 
-def zeps_grid(eps: float, upper: int) -> list[int]:
-    """Members floor((1+eps)^n) <= upper, deduplicated ascending."""
+def zeps_grid(eps: float, upper: int) -> np.ndarray:
+    """Members floor((1+eps)^n) <= upper, n >= 1, deduplicated ascending.
+
+    One vector pass over n: the float64 power is libm's pow under the
+    pinned dispatch, the bits of Python's (1.0 + eps) ** n, and nondecreasing
+    in n, so the members end at the first power past upper and a repeat
+    sits next to its first occurrence.
+    """
     check_eps(eps, upper)
-    out, n = set(), 1
-    while True:
-        v = math.floor((1.0 + eps) ** n)
-        if v > upper:
-            break
-        if v >= 1:
-            out.add(v)
-        n += 1
-    return sorted(out)
+    # two spare powers cover the rounding of the logs
+    v = np.arange(1, math.ceil(_zeps_steps(eps, upper)) + 3, dtype=np.float64)
+    np.floor(np.power(1.0 + eps, v, out=v), out=v)
+    v = v[:np.searchsorted(v, upper, side="right")]
+    keep = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep].astype(np.int64)
 
 
 def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
@@ -168,7 +177,7 @@ def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
     if ps.size == 0:
         raise EmptySet("no thin primes below the last break")
     J = len(breaks)     # ns: the breaks, then Z_eps
-    ns = np.array(breaks + zeps_grid(eps, breaks[-1]), dtype=np.int64)
+    ns = np.concatenate([np.array(breaks, dtype=np.int64), zeps_grid(eps, breaks[-1])])
     cnt = np.searchsorted(ps, ns, side="right")
     at = np.where(cnt > 0, cum[cnt - 1], 0j)
     re, im = (at.real + at.imag * 0.0) / ns, (at.imag - at.real * 0.0) / ns

@@ -8,8 +8,8 @@ isqrt(N), so below N = 2^32 the table is uint16, 2(N+1) bytes, and uint32,
 or per vector pass over many.  Thin prime sets are enumerated from the
 defining floor values floor(h(n)), in units of SEGMENT values of n that are
 each evaluated THIN_BLOCK values at a time, so the vector passes stay in
-cache; every floor decision here is a call of ThinFunction's certified floor
-route.
+cache; each block is one call of the certified floor, guarded at its largest
+value.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import DomainError, LimitMismatch, LimitTooLarge
 from .thinfn import ThinFunction
 
 SEGMENT = 1 << 20
-THIN_BLOCK = 1 << 16
+THIN_BLOCK = 1 << 14
 MAX_LIMIT = 1 << 34
 
 

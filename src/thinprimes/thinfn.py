@@ -31,8 +31,9 @@ ground truth.  It takes the same routes as every other member, which at
 c = Ch = 1.0 give its values exactly.  It is treated apart only where those
 routes cannot serve it: the convexity check, since its h'' is 0; the floor
 decision and floor_h's domain, since every h(n) = n is an integer that
-_certified_floor cannot decide; the x0 scan, whose answer 1.0 is known; and
-derivative_ratio_report's theta-scaled rows, since its theta is 0.
+_certified_floor would escalate and certify one by one; the x0 scan, whose
+answer 1.0 is known; and derivative_ratio_report's theta-scaled rows, since
+its theta is 0.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ FAMILIES = {
 
 # Distance to the nearest integer below which a binary64 floor decision is
 # escalated to MP_DPS digits, and below which even those refuse to decide.
-# The binary64 guard widens to GUARD_ULPS spacings of the value where that is
-# more: h is within 0.61 ulp (power) or 2.41 ulp (h1-h5) of its exact value.
+# The binary64 guard widens to GUARD_ULPS spacings of the call's largest
+# value where that is more: h is within 0.61 ulp (power) or 2.41 ulp (h1-h5)
+# of its exact value.
 NEAR_INT_GUARD = 1e-9
 GUARD_ULPS = 4
 MP_GUARD = 1e-25
@@ -144,24 +146,48 @@ def _domain_floor(family: str, m) -> float:
     return 1.0 + 1e-12
 
 
-def _certified_floor(v, exact, args, name: str) -> np.ndarray:
-    """floor(v) as int64.  An entry within max(NEAR_INT_GUARD, GUARD_ULPS
-    spacings of v) of an integer is decided from exact(args[i]) at MP_DPS
-    digits, and raises PrecisionExhausted if that is within MP_GUARD."""
+def _certified_floor(v, exact, args, name: str, integer=None) -> np.ndarray:
+    """floor(v) as int64, certified.
+
+    One guard g serves the call: max(NEAR_INT_GUARD, GUARD_ULPS spacings of
+    the largest |v|).  Spacing grows with |v|, so g is at least each entry's
+    own guard.  An entry whose fractional part lies below g or above 1 - g
+    (rounded down) is decided from exact(args[i]) at MP_DPS digits.  If that
+    too is within MP_GUARD of an integer, integer(args[i]) may certify the
+    value as that integer exactly; PrecisionExhausted is raised when no
+    certificate applies.
+    """
     fl = np.floor(v)
-    guard = np.maximum(NEAR_INT_GUARD, GUARD_ULPS * np.spacing(np.abs(v)))
-    near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < guard)
     out = fl.astype(np.int64)
+    if not v.size:
+        return out
+    g = max(NEAR_INT_GUARD,
+            GUARD_ULPS * float(np.spacing(max(-v.min(), v.max()))))
+    frac = np.subtract(v, fl, out=fl)
+    near = np.flatnonzero((frac < g) | (frac > math.nextafter(1.0 - g, -math.inf)))
     if near.size:
         with localcontext(_MP_CONTEXT):
             for i in near:
                 a = args[i].item()
                 vm = exact(a)
-                if abs(vm - vm.to_integral_value()) < MP_GUARD:
+                if abs(vm - vm.to_integral_value()) >= MP_GUARD:
+                    out[i] = math.floor(vm)
+                elif integer is not None and (k := integer(a)) is not None:
+                    out[i] = k
+                else:
                     raise PrecisionExhausted(
                         f"{name}({a}) within {MP_GUARD} of an integer at {MP_DPS} digits")
-                out[i] = math.floor(vm)
     return out
+
+
+def _exact_root(n: int, b: int) -> int | None:
+    """The integer r with r^b = n, for n >= 0 and b a power of two, or None."""
+    while b > 1:
+        r = math.isqrt(n)
+        if r * r != n:
+            return None
+        n, b = r, b // 2
+    return n
 
 
 class ThinFunction:
@@ -421,12 +447,31 @@ class ThinFunction:
             v = int(m) * self.phi_mp(x)
             return float(v - math.floor(v))
 
+    def integer_h(self, n: int) -> int | None:
+        """h(n) for an integer n >= 1 where it is exactly an integer, else None.
+
+        Decided in integer arithmetic, never from h_mp, whose u^a is
+        exp(a ln u) and so misses an exact integer power.  Only the power
+        family has this certificate: with c = a/b in lowest terms, n^c is
+        rational only at n = r^b, where h(n) = Ch * r^a.
+        """
+        if self.family != "power":
+            return None
+        a, b = self.c.as_integer_ratio()
+        r = _exact_root(int(n), b)
+        if r is None:
+            return None
+        p, q = self.Ch.as_integer_ratio()
+        k, rem = divmod(p * r ** a, q)
+        return None if rem else k
+
     def floor_h_vec(self, ns) -> np.ndarray:
-        """floor(h(n)) as int64 for integers n, certified by _certified_floor."""
+        """floor(h(n)) as int64 for integers n, certified by _certified_floor,
+        with integer_h certifying the exact integer values."""
         ns = np.asarray(ns, dtype=np.int64)
-        if self.is_identity:    # each h(n) = n is an integer: undecidable
+        if self.is_identity:    # every h(n) = n is an integer: no guard needed
             return ns.copy()
-        return _certified_floor(self.h_vec(ns), self.h_mp, ns, "h")
+        return _certified_floor(self.h_vec(ns), self.h_mp, ns, "h", self.integer_h)
 
     def floor_h(self, n: int) -> int:
         if n < self.x0 and not self.is_identity:   # floor(n) = n below x0 too

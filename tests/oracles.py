@@ -10,23 +10,27 @@ weighted prime sums at one xi, the direct Goldbach counts by one
 gather per pair-count point, the Moebius and von Mangoldt functions at
 one n by factoring through the prime table's spf, Abel summation with one
 call of u and g per n, the two-product's fractional parts reduced by
-numpy's remainder, and the oscillation sum by a scan of Z_eps per block
-with one Python complex average per point.
+numpy's remainder, the certified floor with a guard per entry, Z_eps by
+one Python power per step, and the oscillation sum by a scan of Z_eps per
+block with one Python complex average per point.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import localcontext
 
 import numpy as np
 
+from thinprimes import thinfn
 from thinprimes._num import e2pi, exact_sum, frac_mul_int_vec, two_prod
-from thinprimes.ergodic import _orbit_values, zeps_grid
+from thinprimes.ergodic import _orbit_values, check_eps
 from thinprimes.errors import (
     DomainError,
     EmptySet,
     LimitMismatch,
     ParameterOutOfRange,
+    PrecisionExhausted,
     RangeBeyondTable,
 )
 from thinprimes.expsum import IntPolynomial
@@ -42,6 +46,26 @@ def floor_neg_phi_vec(tf: ThinFunction, xs) -> np.ndarray:
     if tf.is_identity:
         return np.floor(-xs).astype(np.int64)
     return _certified_floor(-tf.phi_vec(xs), lambda x: -tf.phi_mp(x), xs, "phi")
+
+
+def certified_floor_per_entry(v, exact, args, name: str) -> np.ndarray:
+    """thinfn._certified_floor with each entry's own guard,
+    max(NEAR_INT_GUARD, GUARD_ULPS spacings of that entry), and no
+    certificate of exact integers."""
+    fl = np.floor(v)
+    guard = np.maximum(thinfn.NEAR_INT_GUARD,
+                       thinfn.GUARD_ULPS * np.spacing(np.abs(v)))
+    near = np.flatnonzero(np.minimum(v - fl, fl + 1.0 - v) < guard)
+    out = fl.astype(np.int64)
+    with localcontext(thinfn._MP_CONTEXT):
+        for i in near:
+            a = args[i].item()
+            vm = exact(a)
+            if abs(vm - vm.to_integral_value()) < thinfn.MP_GUARD:
+                raise PrecisionExhausted(f"{name}({a}) within {thinfn.MP_GUARD} "
+                                         f"of an integer at {thinfn.MP_DPS} digits")
+            out[i] = math.floor(vm)
+    return out
 
 
 def thin_membership(tf: ThinFunction, p: int, mode: str | None = None) -> bool:
@@ -265,6 +289,21 @@ def frac_mul_vec(xi: float, w: np.ndarray) -> np.ndarray:
     return ((p % 1.0) + (e % 1.0)) % 1.0
 
 
+def zeps_grid_loop(eps: float, upper: int) -> list[int]:
+    """ergodic.zeps_grid by one Python power floor((1.0 + eps) ** n) per n,
+    up to the first one past upper, deduplicated through a set."""
+    check_eps(eps, upper)
+    out, n = set(), 1
+    while True:
+        v = math.floor((1.0 + eps) ** n)
+        if v > upper:
+            break
+        if v >= 1:
+            out.add(v)
+        n += 1
+    return sorted(out)
+
+
 def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
                     W: IntPolynomial, breaks, eps: float) -> float:
     """ergodic.oscillation_sum by a scan of Z_eps per block: A^1 at each
@@ -282,7 +321,7 @@ def oscillation_sum(sys, f, x, tps: ThinPrimeSet, pt: PrimeTable,
         cnt = int(np.searchsorted(ps, n, side="right"))
         return (complex(cum[cnt - 1]) if cnt else 0j) / n
 
-    zgrid = zeps_grid(eps, nmax)
+    zgrid = zeps_grid_loop(eps, nmax)
     total = []
     for nj, nj1 in zip(breaks, breaks[1:]):
         base = a1(nj)

@@ -22,7 +22,7 @@ from thinprimes.cli import (
 )
 from thinprimes.errors import ParseError, ThinPrimesError, ValidationError
 from thinprimes.sieve import MAX_LIMIT, build_prime_table, enumerate_thin_primes
-from thinprimes.thinfn import make_thin_function
+from thinprimes.thinfn import ThinFunction, make_thin_function
 
 
 def body_lines(path) -> list[str]:
@@ -319,6 +319,18 @@ def test_computational_error_exits_3(tmp_path, capsys):
     assert rc == 3
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1 and doc["error"] == "EmptySet"
+
+
+def test_undecidable_floor_exits_3(tmp_path, capsys, monkeypatch):
+    # without its integer certificate, h(16) = 32 at gamma 0.8 is a value
+    # that 40 digits cannot tell from an integer
+    monkeypatch.setattr(ThinFunction, "integer_h", lambda self, n: None)
+    out = tmp_path / "err.json"
+    rc = main(["density", "--gamma", "0.8", "--N", "4096", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(out.read_text())["error"] == "PrecisionExhausted"
+    assert capsys.readouterr().err == (
+        "PrecisionExhausted: h(16) within 1e-25 of an integer at 40 digits\n")
 
 
 def test_hull_too_large_exits_3(tmp_path, capsys):

@@ -145,10 +145,25 @@ def test_empty_average(pt20):
 
 
 def test_zeps_grid_enumeration():
-    assert zeps_grid(0.5, 60) == [1, 2, 3, 5, 7, 11, 17, 25, 38, 57]
+    assert zeps_grid(0.5, 60).tolist() == [1, 2, 3, 5, 7, 11, 17, 25, 38, 57]
     for eps in (0.0, math.nan, math.inf, 1e-20, 1e-9):
         with pytest.raises(ParameterOutOfRange):
             zeps_grid(eps, 10)
+    # the powers must pass upper, 1 among them: (1 + 1e-15)^n stays below 2
+    # for about 7e14 steps
+    with pytest.raises(ParameterOutOfRange):
+        zeps_grid(1e-15, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 4.0), st.integers(0, 10 ** 6))
+@example(1e-5, 2 ** 16)
+@example(0.5, 2 ** 20)
+@example(1e-3, 0)
+def test_zeps_grid_matches_the_power_loop(eps, upper):
+    got = zeps_grid(eps, upper)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracles.zeps_grid_loop(eps, upper)
 
 
 def test_oscillation_one_point_oracle(tps_identity, pt20):

@@ -324,19 +324,27 @@ def unchunked_enumeration(tf, pt, N):
     return uniq, tf.weight_vec(uniq.astype(np.float64))
 
 
-@pytest.mark.parametrize("family,kw", [("power", {"gamma": 0.95}),
-                                       ("power", {"gamma": 1.0}),
-                                       ("h3", {"Cc": 1.0})])
-def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw):
+@pytest.mark.parametrize("family,kw,N", [
+    pytest.param("power", {"gamma": 0.95}, 2 * 10 ** 5, id="power-kw0"),
+    pytest.param("power", {"gamma": 1.0}, 2 * 10 ** 5, id="power-kw1"),
+    pytest.param("h3", {"Cc": 1.0}, 2 * 10 ** 5, id="h3-kw2"),
+    pytest.param("power", {"gamma": 0.95}, 2 ** 22 + 2 ** 20, id="power-across-2^22")])
+def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw, N):
     # units of 997 values of n, each evaluated in blocks of 101, so both the
-    # merge boundaries and the inner block edges are crossed
+    # merge boundaries and the inner block edges are crossed; from 2^21 on
+    # the floor guard is GUARD_ULPS spacings of a block's largest value, and
+    # one block has h cross 2^22, where that spacing doubles
     tf = make_thin_function(family, **kw)
-    N = 2 * 10 ** 5
-    want = unchunked_enumeration(tf, pt20, N)
+    pt = pt20 if N <= pt20.limit else build_prime_table(N)
+    want = unchunked_enumeration(tf, pt, N)
     monkeypatch.setattr(sieve, "SEGMENT", 997)
     monkeypatch.setattr(sieve, "THIN_BLOCK", 101)
+    if N > 2 ** 22:
+        n_lo, n_cross = math.ceil(tf.x0), math.ceil(tf.phi(2.0 ** 22))
+        assert tf.h(n_cross - 1) < 2 ** 22 <= tf.h(n_cross)
+        assert (n_cross - n_lo) % 997 % 101 != 0      # inside a block
     for threads in (1, 2):
-        got = enumerate_thin_primes(tf, pt20, N, threads=threads)
+        got = enumerate_thin_primes(tf, pt, N, threads=threads)
         for a, b in zip((got.primes, got.weights), want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 

@@ -20,6 +20,7 @@ from thinprimes.errors import (
     MonotonicityUnattainable,
     NoConvergence,
     ParameterOutOfRange,
+    PrecisionExhausted,
 )
 from thinprimes.thinfn import (
     admissible_params,
@@ -27,6 +28,7 @@ from thinprimes.thinfn import (
     make_thin_function,
 )
 
+import oracles
 from oracles import floor_neg_phi_vec, thin_membership
 
 # converged parameter choices; ratios checked numerically below
@@ -579,6 +581,93 @@ def test_floor_guard_scales_with_magnitude():
     below = lambda a: Decimal(k) - Decimal("1e-20")
     got = thinfn._certified_floor(v, below, np.array([7]), "h")
     assert got.tolist() == [k - 1]
+
+
+def _dyadic_floor(c, Ch, n):
+    """floor(Ch * n^c) for c = 5/4 or 3/2, in integer arithmetic: the floor of
+    a b-th root is the floor of the root of the floor."""
+    p, q = Ch.as_integer_ratio()
+    if c == 1.25:
+        return math.isqrt(math.isqrt(p ** 4 * n ** 5 // q ** 4))
+    return math.isqrt(p ** 2 * n ** 3 // q ** 2)
+
+
+@pytest.mark.parametrize("gamma", [0.8, 2 / 3])
+@pytest.mark.parametrize("Ch", [1.0, 0.75, 1 / 3, 3.0])
+def test_dyadic_exponents_certify_exact_integer_values(gamma, Ch):
+    # c = 1/gamma is 5/4 or 3/2 exactly, so h(r^4) or h(r^2) is Ch * r^5 or
+    # Ch * r^3: an integer for Ch = 1, 0.75 (r even) and 3, which 40 digits
+    # cannot tell from one, and within 1e-13 of one for Ch = fl(1/3)
+    tf = make_thin_function("power", gamma=gamma, Ch=Ch)
+    ns = list(range(math.ceil(tf.x0), 20001))
+    assert tf.floor_h_vec(ns).tolist() == [_dyadic_floor(tf.c, Ch, n) for n in ns]
+
+
+def test_integer_h_certifies_only_exact_integer_values():
+    tf = make_thin_function("power", gamma=0.8, Ch=0.75)
+    assert [tf.integer_h(n) for n in (1, 16, 81, 256, 17)] == [None, 24, None, 768, None]
+    # c = 1/0.95 has denominator 2^52: only n = 1 is a perfect power of it
+    tf95 = make_thin_function("power", gamma=0.95)
+    assert [tf95.integer_h(n) for n in (1, 2, 2 ** 52)] == [1, None, None]
+    assert make_thin_function("h3", Cc=1.0).integer_h(16) is None
+    assert thinfn._exact_root(3 ** 64, 64) == 3 and thinfn._exact_root(3 ** 64 + 1, 64) is None
+
+
+def test_a_near_integer_without_a_certificate_raises():
+    # the 40-digit value is an integer at n = 17, which is no fourth power;
+    # at n = 16 the certificate decides, and without one the call raises
+    tf = make_thin_function("power", gamma=0.8)
+    v, at_32 = np.array([32.0]), lambda a: Decimal(32)
+    with pytest.raises(PrecisionExhausted, match=r"h\(17\) within 1e-25"):
+        thinfn._certified_floor(v, at_32, np.array([17]), "h", tf.integer_h)
+    with pytest.raises(PrecisionExhausted, match=r"h\(16\) within 1e-25"):
+        thinfn._certified_floor(v, at_32, np.array([16]), "h")
+    assert thinfn._certified_floor(v, at_32, np.array([16]), "h",
+                                   tf.integer_h).tolist() == [32]
+
+
+def _binade_value(e, m, steps, sign):
+    """sign * (an integer of [2^e, 2^(e+1)) moved `steps` floats away)."""
+    v = float(2 ** e + m % 2 ** e)
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.copysign(math.inf, steps))
+    return sign * v
+
+
+_NEAR_INTEGERS = st.builds(_binade_value, st.integers(0, 60), st.integers(0, 2 ** 60),
+                           st.integers(-6, 6), st.sampled_from([1.0, -1.0]))
+_ANY_VALUES = st.builds(lambda x, sign: sign * x, st.floats(1.0, 2.0 ** 60),
+                        st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_NEAR_INTEGERS, _ANY_VALUES), min_size=1, max_size=16),
+       st.sampled_from([-1, 1]))
+@example([2.0 ** 24 + 3, float(np.nextafter(2.0 ** 24 + 3, np.inf)), 5.5], -1)
+@example([1.0 - 1e-9 + 3.0, 2.0 ** 21 + 0.5], 1)
+def test_one_guard_per_call_contains_the_per_entry_guard(values, side):
+    # the exact value lies half a spacing (at most 1/4) off each float, on
+    # one side: an entry's floor is right only if it was escalated or lay
+    # farther than that from an integer; every entry that the per-entry rule
+    # escalates (all |v| >= 1 here) must be escalated by the one guard too
+    v = np.array(values)
+    half = [min(Fraction(float(np.spacing(abs(x)))) / 2, Fraction(1, 4))
+            for x in values]
+    exact_values = [Fraction(x) + side * h for x, h in zip(values, half)]
+    want = [math.floor(x) for x in exact_values]
+    seen = {"call": set(), "entry": set()}
+
+    def exact(key):
+        def f(i):
+            seen[key].add(i)
+            x = exact_values[i]
+            return Decimal(x.numerator) / Decimal(x.denominator)
+        return f
+    args = np.arange(len(values))
+    got = thinfn._certified_floor(v, exact("call"), args, "v")
+    ref = oracles.certified_floor_per_entry(v, exact("entry"), args, "v")
+    assert got.tolist() == ref.tolist() == want
+    assert seen["entry"] <= seen["call"]
 
 
 def test_numpy_dispatch_is_pinned_in_the_tests():
