@@ -7,9 +7,10 @@ Kernels place nonnegative mass at polynomial images W(p) of (thin) primes:
     K2 : weight log(p)/N at W(p), all primes p <= N
 
 Maximal functions take the pointwise sup over dyadic N of |K_N * f|.
-Signals and kernels are arrays over the hull of their support, so each
-layer of new atoms is one np.convolve over the full window where it can
-be nonzero; the dyadic sup is exact, with no tail approximation.
+Signals and kernels are arrays over the hull of their support.  Each layer
+of new atoms pairs its atoms with the signal's nonzeros and adds them by
+np.bincount into the running sums, over the window where the layer can be
+nonzero; the dyadic sup is exact, with no tail approximation.
 """
 
 from __future__ import annotations
@@ -101,12 +102,6 @@ class SparseSignal:
     def is_nonnegative(self) -> bool:
         return bool(np.all((self.values.imag == 0) & (self.values.real >= 0)))
 
-    def dense(self) -> tuple[np.ndarray, int]:
-        """(values, offset): values[i] = f(offset + i) over the support hull."""
-        if not self.values.size:
-            return np.zeros(1, dtype=np.complex128), 0
-        return self.values.copy(), self.offset
-
 
 @dataclass
 class Kernel:
@@ -156,36 +151,54 @@ def build_kernel(variant: str, tps: ThinPrimeSet, pt: PrimeTable,
     return Kernel(variant, N, lo, weights, exact_sum((weights,)).real)
 
 
-def _running_sums(fdense, positions, keys, weights, cutoffs):
-    """Yield (N, k, accs) per cutoff N: k = #{keys <= N}, and accs[j](x) =
-    sum_{i < k} weights[j][i] * f(x - positions[i]) over the full hull.
-    The atoms new at a cutoff enter once, as one layer that np.bincount sums
-    in index order and np.convolve convolves with f."""
-    alo = int(positions.min())
-    size = len(fdense) + int(positions.max()) - alo
-    _check_hull(size * len(weights), fdense.dtype, "running sum")
-    accs = [np.zeros(size, dtype=fdense.dtype) for _ in weights]
-    prev = 0
-    for N in cutoffs:
-        hi = int(np.searchsorted(keys, N, side="right"))
-        if hi > prev:
-            pos = positions[prev:hi]
-            llo = int(pos.min())
+def _running_sums(f: SparseSignal, positions, keys, weights, cutoffs):
+    """Yield (N, k, win, accs, sups) per cutoff N: k = #{keys <= N}, and
+    accs[j][t] = sum_{i < k} weights[j][i] * f(x - positions[i]) at
+    x = f.offset + min(positions) + t, over the full hull.  The atoms new at
+    a cutoff enter once, as one layer paired with f's nonzeros: per part of
+    f (real, and imaginary when f has one) one np.bincount sums the pairs
+    from 0.0, atoms ascending and then nonzeros ascending, over the slice
+    win where the layer can be nonzero, and adds that to accs.  An x takes
+    at most one pair per atom, so the atom order fixes the bits; integer
+    sums are exact in any order.  sups[j] are zeroed arrays over the hull,
+    for the caller's running sup."""
+    nz = np.flatnonzero(f.values)
+    parts = [f.values.real[nz], f.values.imag[nz]][:1 + f.values.imag.any()]
+    alo, flen = int(positions.min()), f.values.size
+    size = flen + int(positions.max()) - alo
+    ends = np.searchsorted(keys, cutoffs, side="right").tolist()
+    starts = [0] + ends[:-1]
+    wins = [slice(int(positions[a:b].min()) - alo,
+                  int(positions[a:b].max()) - alo + flen) if b > a
+            else slice(0, 0) for a, b in zip(starts, ends)]
+    pairs = max(b - a for a, b in zip(starts, ends)) * nz.size
+    widest = max(win.stop - win.start for win in wins)
+    # accs and sups; a layer's index and product pairs, its window and the
+    # caller's quotient over it
+    _check_hull(size * (len(parts) + 1) * len(weights) + 2 * (pairs + widest),
+                np.float64, "running sum")
+    dtype = np.float64 if len(parts) == 1 else np.complex128
+    accs = [np.zeros(size, dtype=dtype) for _ in weights]
+    sups = [np.zeros(size) for _ in weights]
+    for N, a, b, win in zip(cutoffs, starts, ends, wins):
+        if b > a:
+            idx = ((positions[a:b] - alo - win.start)[:, None] + nz).ravel()
             for acc, w in zip(accs, weights):
-                layer = np.bincount(pos - llo, weights=w[prev:hi])
-                conv = np.convolve(fdense, layer)
-                acc[llo - alo:llo - alo + len(conv)] += conv
-            prev = hi
-        yield N, prev, accs
+                for i, part in enumerate(parts):
+                    (acc.imag if i else acc.real)[win] += np.bincount(
+                        idx, (w[a:b, None] * part).ravel(), win.stop - win.start)
+        yield N, b, win, accs, sups
 
 
 def maximal_function(f: SparseSignal, tps: ThinPrimeSet, W: IntPolynomial,
                      N_max: int) -> SparseSignal:
     """Pointwise sup over dyadic N <= N_max of |K_{Kh,N} * f|.
 
-    Convolutions accumulate layer by layer over the dyadic levels (new
-    primes per level enter once); each level's running sum is divided by
-    its count of primes, so the result equals the exact per-N computation.
+    Running sums accumulate layer by layer over the dyadic levels (new
+    primes per level enter once, through _running_sums); each level's sum
+    is divided by its count of primes, so the result equals the exact per-N
+    computation.  The sup is raised only over the window a level changed:
+    elsewhere the sum stands and the count grew, so the quotient cannot.
     """
     check_dyadic_limit(N_max)
     ps, _ = tps.prefix(N_max)
@@ -193,14 +206,12 @@ def maximal_function(f: SparseSignal, tps: ThinPrimeSet, W: IntPolynomial,
         raise EmptySet(f"no primes <= {N_max} for kernel Kh")
     if not len(f):
         return SparseSignal()
-    fdense, flo = f.dense()
     positions = _positions(W, ps)
-    best = 0.0
-    for _, k, (acc,) in _running_sums(fdense, positions, ps, [np.ones(len(ps))],
-                                      dyadic(2, N_max)):
+    for _, k, win, (acc,), (best,) in _running_sums(
+            f, positions, ps, [np.ones(len(ps))], dyadic(2, N_max)):
         if k:
-            best = np.maximum(best, np.abs(acc) / float(k))
-    return SparseSignal.from_dense(best, flo + int(positions.min()))
+            np.maximum(best[win], np.abs(acc[win]) / float(k), out=best[win])
+    return SparseSignal.from_dense(best, f.offset + int(positions.min()))
 
 
 def lr_norm(f: SparseSignal, r: float) -> float:
@@ -275,14 +286,13 @@ def weighted_maximal_compare(S, w1, w2, f: SparseSignal, Omega: IntPolynomial,
     W2c = np.cumsum(w2v)
     c_sup = float(np.max(w2v * W1c / (w1v * W2c)))
 
-    fdense, _ = f.dense()
     positions = _positions(Omega, S)
-    best1 = best2 = 0.0
-    for _, k, (acc1, acc2) in _running_sums(fdense.real, positions, S,
-                                            [w1v, w2v], Z):
+    # f >= 0 and the weights are positive: off the window the quotients fall
+    for _, k, win, (acc1, acc2), (best1, best2) in _running_sums(
+            f, positions, S, [w1v, w2v], Z):
         if k:
-            best1 = np.maximum(best1, acc1 / W1c[k - 1])
-            best2 = np.maximum(best2, acc2 / W2c[k - 1])
+            np.maximum(best1[win], acc1[win] / W1c[k - 1], out=best1[win])
+            np.maximum(best2[win], acc2[win] / W2c[k - 1], out=best2[win])
     mask = best1 > 0
     if not mask.any():
         return 0.0, c_sup

@@ -98,6 +98,14 @@ def test_hull_guard_raises_before_allocating(tps95, pt20):
         maximal_function(SparseSignal({0: 1.0}), tps95, cube, 1 << 20)
 
 
+def test_hull_guard_counts_the_layer_pairs(tps_identity):
+    # a 1.1M-entry hull, but about 38k atoms in the last layer times 2^16
+    # nonzeros: the (atom, nonzero) pairs alone pass MAX_HULL_BYTES
+    f = SparseSignal.from_dense(np.ones(1 << 16))
+    with pytest.raises(LimitTooLarge, match="running sum"):
+        maximal_function(f, tps_identity, W_LIN, 1 << 20)
+
+
 def test_positions_beyond_int64_raise_limit_too_large(tps95, pt20):
     # W = k^7 at p near 1024 is about 2^70: no int64 position exists
     w7 = IntPolynomial([0] * 7 + [1])
@@ -121,10 +129,9 @@ def kh_convolve(tps, N, f):
     """K_{Kh,N} * f at linear W as {x: value}, from the running sum that
     maximal_function reads at its level N."""
     ps, _ = tps.prefix(N)
-    fdense, flo = f.dense()
     weights = [np.ones(len(ps)) / len(ps)]
-    *_, (_, _, (acc,)) = _running_sums(fdense, ps, ps, weights, [N])
-    return values(SparseSignal.from_dense(acc, flo + int(ps.min())))
+    *_, (_, _, _, (acc,), _) = _running_sums(f, ps, ps, weights, [N])
+    return values(SparseSignal.from_dense(acc, f.offset + int(ps.min())))
 
 
 def test_convolution_identity(tps_identity, pt20):
@@ -349,9 +356,10 @@ def test_kernel_gap_trend(tps99, pt20):
 
 # -- differential tests: the dense storage against the former dict code ----
 # The oracles below are the dict-based SparseSignal, the per-atom kernel
-# loop, the double-loop convolution, the layer loop of maximal_function
-# and weighted_maximal_compare (np.add.at) and the dict-based lr_norm that
-# the array storage replaced.
+# loop, the double-loop convolution, the former layer loop of
+# maximal_function and weighted_maximal_compare (np.add.at and np.convolve),
+# the dict-based lr_norm that the array storage replaced, and a pure-Python
+# loop that sums the running sums in the order _running_sums documents.
 
 class DictSignal:
     def __init__(self, data=None):
@@ -378,8 +386,6 @@ class DictSignal:
         return all(v.imag == 0 and v.real >= 0 for v in self.data.values())
 
     def dense(self):
-        if not self.data:
-            return np.zeros(1, dtype=np.complex128), 0
         lo, hi = min(self.data), max(self.data)
         arr = np.zeros(hi - lo + 1, dtype=np.complex128)
         for k, v in self.data.items():
@@ -443,6 +449,44 @@ def dict_maximal(f, ps, ws, W, N_max):
     return DictSignal.from_dense(best, flo + alo)
 
 
+def pair_order_sums(f, positions, keys, weights, cutoffs):
+    """Running sums in _running_sums' documented order, in Python floats:
+    per layer of new atoms, atoms ascending and then f's nonzeros ascending
+    are summed from 0.0 into a layer total, which is then added to the
+    running sum.  Yields (N, k, accs), accs[j] = {x: [real, imag]}."""
+    items = list(values(f).items())
+    accs, prev = [{} for _ in weights], 0
+    for N in cutoffs:
+        hi = int(np.searchsorted(keys, N, side="right"))
+        for acc, w in zip(accs, weights):
+            layer = {}
+            for i in range(prev, hi):
+                for n, v in items:
+                    x = int(positions[i]) + n
+                    part = layer.setdefault(x, [0.0, 0.0])
+                    part[0] += float(w[i]) * v.real
+                    part[1] += float(w[i]) * v.imag
+            for x, (re, im) in layer.items():
+                part = acc.setdefault(x, [0.0, 0.0])
+                part[0] += re
+                part[1] += im
+        prev = max(prev, hi)
+        yield N, prev, accs
+
+
+def pair_order_maximal(f, ps, W, N_max):
+    """maximal_function of a real f over pair_order_sums, as a DictSignal:
+    the sup over every level of |sum| / k at every point it has reached."""
+    positions = np.asarray(W.eval_vec(ps), dtype=np.int64)
+    cutoffs = [2 ** j for j in range(1, N_max.bit_length())]
+    best = {}
+    for _, k, (acc,) in pair_order_sums(f, positions, ps, [np.ones(len(ps))],
+                                        cutoffs):
+        for x, (re, _) in acc.items():   # empty while k = 0
+            best[x] = max(best.get(x, 0.0), abs(re) / float(k))
+    return DictSignal(dict(sorted(best.items())))
+
+
 def dict_signals(max_size=20):
     parts = st.floats(-5, 5) | st.just(0.0)
     return st.dictionaries(st.integers(-60, 60),
@@ -466,8 +510,11 @@ def test_signal_matches_dict_oracle(d1, d2, a, c):
     assert values(f.scale(a)) == fo.scale(a).data
     assert values(f.scale(c)) == fo.scale(c).data
     assert f.is_nonnegative() == fo.is_nonnegative()
-    (arr, lo), (arr_o, lo_o) = f.dense(), fo.dense()
-    assert lo == lo_o and np.array_equal(arr, arr_o)
+    if fo.data:
+        arr_o, lo_o = fo.dense()
+        assert f.offset == lo_o and np.array_equal(f.values, arr_o)
+    else:
+        assert f.values.size == 0
 
 
 def test_atoms_are_a_read_only_view(tps_identity, pt20):
@@ -514,10 +561,14 @@ def test_kernel_atoms_and_mass_bit_equal(tps95, pt20, variant, coeffs):
         assert k.mass == mass
 
 
-@pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [0, 1, 1]])
+# 0/1 signals give integer sums, equal to the former np.convolve pipeline
+# in any order; the random values of odd seeds take the pair order.
+# (p-2)(p-5)(p-11) puts three primes on one atom.
+@pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [0, 1, 1], [0, 0, 0, 1],
+                                    [-110, 87, -18, 1]])
 def test_maximal_ratio_matches_dict_pipeline(tps95, coeffs):
     W = IntPolynomial(coeffs)
-    n = 2 ** 10 if len(coeffs) == 2 else 2 ** 7
+    n = {2: 2 ** 10, 3: 2 ** 7, 4: 2 ** 5}[len(coeffs)]
     ps, _ = tps95.prefix(n)
     ws = np.ones(len(ps))
     for seed in range(20):
@@ -528,7 +579,10 @@ def test_maximal_ratio_matches_dict_pipeline(tps95, coeffs):
             d = {i: float(v) for i, v in zip(d, rng.random(64))}
         f, fo = SparseSignal(d), DictSignal(d)
         mf = maximal_function(f, tps95, W, n)
-        mo = dict_maximal(fo, ps, ws, W, n)
+        if seed % 2 == 0:
+            mo = dict_maximal(fo, ps, ws, W, n)
+        else:
+            mo = pair_order_maximal(f, ps, W, n)
         assert list(values(mf).items()) == list(mo.data.items())
         for r in (1.0, 1.5, 2.0, 4.0, math.inf):
             if seed % 2 == 0:
@@ -553,15 +607,13 @@ def test_weighted_compare_matches_add_at_loop(tps95, pt20, coeffs):
         rng = np.random.default_rng(seed)
         f = random_signal(rng, 60, 400)
         rmax, _ = weighted_maximal_compare(S, lambda x: 1.0, math.log, f, W, Z)
-        fdense, _ = f.dense()
         positions = np.asarray(W.eval_vec(S), dtype=np.int64)
-        for _, k, (a1, a2), (b1, b2), _ in add_at_running_sums(
-                fdense.real, positions, S, [w1v, w2v], Z):
-            if k:
-                np.maximum(b1, a1 / W1c[k - 1], out=b1)
-                np.maximum(b2, a2 / W2c[k - 1], out=b2)
-        mask = b1 > 0
-        assert rmax == float(np.max(b2[mask] / b1[mask]))
+        b1, b2 = {}, {}
+        for _, k, (a1, a2) in pair_order_sums(f, positions, S, [w1v, w2v], Z):
+            for x in a1:   # empty while k = 0
+                b1[x] = max(b1.get(x, 0.0), a1[x][0] / W1c[k - 1])
+                b2[x] = max(b2.get(x, 0.0), a2[x][0] / W2c[k - 1])
+        assert rmax == max(b2[x] / b1[x] for x in b1 if b1[x] > 0)
 
 
 @pytest.mark.parametrize("coeffs", [[0, 1], [3, -2], [-9367, 1367, -65, 1]])
@@ -573,9 +625,44 @@ def test_running_sums_match_add_at_loop(tps95, coeffs):
     cutoffs = [2 ** j for j in range(1, 7)]
     rng = np.random.default_rng(4)
     for fdense in (rng.random(50), rng.random(50) + 1j * rng.random(50)):
-        steps = zip(_running_sums(fdense, positions, S, weights, cutoffs),
-                    add_at_running_sums(fdense, positions, S, weights, cutoffs))
-        for (N, k, accs), (N_o, k_o, accs_o, _, _) in steps:
+        f = SparseSignal.from_dense(fdense, -7)
+        x0 = f.offset + int(positions.min())
+        steps = zip(_running_sums(f, positions, S, weights, cutoffs),
+                    pair_order_sums(f, positions, S, weights, cutoffs))
+        before = None
+        for (N, k, win, accs, sups), (N_o, k_o, accs_o) in steps:
             assert (N, k) == (N_o, k_o)
             for a, b in zip(accs, accs_o):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert a.dtype == (np.complex128 if fdense.dtype.kind == "c"
+                                   else np.float64)
+                want = np.zeros(a.size, dtype=a.dtype)
+                for x, (re, im) in b.items():
+                    want[x - x0] = complex(re, im) if a.dtype.kind == "c" else re
+                assert np.array_equal(a, want)
+            # the sums change only inside the layer's window
+            outside = np.ones(accs[0].size, dtype=bool)
+            outside[win] = False
+            if before is not None:
+                for a, a_prev in zip(accs, before):
+                    assert np.array_equal(a[outside], a_prev[outside])
+            before = [a.copy() for a in accs]
+            assert all(not s.any() for s in sups)
+
+
+# W of degree 1 to 3, with repeated atoms and negative positions drawn too
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=4)
+       .filter(lambda c: c[-1] != 0),
+       st.sets(st.integers(-40, 40), min_size=1, max_size=30),
+       st.sampled_from([2, 4, 8, 16, 32]))
+def test_maximal_of_indicators_matches_convolve_pipeline(tps95, coeffs, idx, n):
+    W = IntPolynomial(coeffs)
+    ps, _ = tps95.prefix(n)
+    d = {i: 1.0 for i in idx}
+    if not len(ps):
+        with pytest.raises(EmptySet):
+            maximal_function(SparseSignal(d), tps95, W, n)
+        return
+    mf = maximal_function(SparseSignal(d), tps95, W, n)
+    mo = dict_maximal(DictSignal(d), ps, np.ones(len(ps)), W, n)
+    assert list(values(mf).items()) == list(mo.data.items())

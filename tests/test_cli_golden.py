@@ -94,6 +94,11 @@ COMMANDS = [
     ["goldbach", "--gammas", "0.7,0.7,0.7", "--N", "7", "--N-end", "97",
      "--cutoff", "101"],
     ["goldbach", "--N", "11", "--format", "json"],
+    # maximal at the benchmark's scale, and a quadratic W whose hull is
+    # about N^2 entries
+    ["maximal", "--gamma", "0.95", "--N", "4096", "--seed", "5"],
+    ["maximal", "--gamma", "0.95", "--N", "1024", "--W", "0,1,1",
+     "--trials", "1"],
 ]
 
 _WALL = re.compile(r'(wall_time_s"?: )[-+0-9.e]+')
