@@ -211,6 +211,7 @@ def maximal_function(f: SparseSignal, tps: ThinPrimeSet, W: IntPolynomial,
             f, positions, ps, [np.ones(len(ps))], dyadic(2, N_max)):
         if k:
             np.maximum(best[win], np.abs(acc[win]) / float(k), out=best[win])
+    del acc     # the hull's running sum, before the sup's complex copy
     return SparseSignal.from_dense(best, f.offset + int(positions.min()))
 
 

@@ -5,11 +5,14 @@ The PrimeTable stores spf(n) for composite n <= N and 0 for primes (and for
 loops stay cache resident.  A composite n <= N has a prime factor at most
 isqrt(N), so below N = 2^32 the table is uint16, 2(N+1) bytes, and uint32,
 4(N+1) bytes, above.  Factoring through spf takes O(log n) steps per number,
-or per vector pass over many.  Thin prime sets are enumerated from the
-defining floor values floor(h(n)), in units of SEGMENT values of n that are
-each evaluated THIN_BLOCK values at a time, so the vector passes stay in
-cache; each block is one call of the certified floor, guarded at its largest
-value.
+or per vector pass over many.  A thin prime set is enumerated by one of two
+exact routes, whichever evaluates h fewer times: from the n side, every
+floor(h(n)) over the range of n, or from the primes' side, where each prime
+p <= N is tested at the n = ceil(phi(p)) that a closed-form guess of phi
+places (power family only).  Either route works in units of SEGMENT values
+(of n, or of primes) that are each evaluated THIN_BLOCK values at a time, so
+the vector passes stay in cache; each block is one call of the certified
+floor, guarded at its largest value.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ from .thinfn import ThinFunction
 SEGMENT = 1 << 20
 THIN_BLOCK = 1 << 14
 MAX_LIMIT = 1 << 34
+# Relative half-width of the band around an integer inside which a guess
+# y of phi(p) cannot place ceil(phi(p)), so both neighbours are tried too;
+# see _floor_values_among for the error bound it covers.
+GUESS_WINDOW = 2.0 ** -40
+# The primes' side is taken only while every guess is below this bound,
+# where its error is under 1/2.
+GUESS_MAX = 2.0 ** 39
 
 
 def _base_primes(n: int) -> np.ndarray:
@@ -198,32 +208,107 @@ def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
     return np.concatenate(parts)
 
 
-def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
-                          threads: int = 1) -> ThinPrimeSet:
-    """All primes p <= N of the form floor(h(n)), with weights attached.
-
-    Iterates n from ceil(x0) to floor(phi(N+1)) + 1 and deduplicates
-    colliding floor values (consecutive n share floor(h(n)) wherever h' < 1,
-    as for Ch < 1).  n is taken in chunks of SEGMENT values, mapped serially
-    or over `threads` workers and each evaluated in blocks of THIN_BLOCK
-    values; the chunks are merged in index order, so the set does not
-    depend on thread count.  The merged floors, nondecreasing already, are
-    sorted in place (a stable sort, linear on sorted input) and compared
-    with their predecessors: numpy 2.4's np.unique takes a hash route.
-    """
-    if N > pt.limit:
-        raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
+def _n_range(tf: ThinFunction, N: int) -> tuple[int, int]:
+    """(n_lo, n_hi): the n whose floor(h(n)) can be a prime p <= N, for
+    N >= 2 and N + 1 >= h(x0)."""
     n_lo = math.ceil(tf.x0)
-    if N + 1 < tf.h_x0 or N < 2:
-        return ThinPrimeSet(tf, N, np.empty(0, np.int64), np.empty(0))
     if tf.h_x0 < 2.0:
         # values h(n) < 2 cannot produce a prime; skipping them keeps exact
         # integer hits like h(1) = 1 away from the floor guard
         n_lo = max(n_lo, math.ceil(tf.phi(2.0) - 1e-9))
-    n_hi = math.floor(tf.phi(float(N + 1))) + 1
-    parts = _in_order(
+    return n_lo, math.floor(tf.phi(float(N + 1))) + 1
+
+
+def _floor_values_among(tf: ThinFunction, ks: np.ndarray, n_lo: int, n_hi: int):
+    """The k in ks (ascending) that equal floor(h(n)) for some integer n in
+    [n_lo, n_hi], decided THIN_BLOCK values of k at a time.
+
+    h increases, so such an n exists if and only if the least n in the
+    range with h(n) >= k, or n_hi if there is none, floors to k; that n is
+    ceil(phi(k)) clipped to [n_lo, n_hi].  phi_vec only guesses phi: for
+    power, y = fl(fl(k/Ch)^gamma) against phi(k) = (k/Ch)^(1/c) with
+    c = fl(1/gamma), and
+        |y - phi(k)| <= y (|ln(k/Ch)| + 3) 2^-53,
+    from |gamma - 1/c| <= 2^-53 in the exponent, the quotient's rounding
+    and pow's error below 1 ulp.  For k <= 2^34 and any binary64 Ch,
+    |ln(k/Ch)| + 3 < 2^13, so the error is below y GUESS_WINDOW, and
+    below 1/2 for y < GUESS_MAX.  Where y lies within y GUESS_WINDOW of an
+    integer, ceil(phi(k)) is one of ceil(y) - 1, ceil(y) and ceil(y) + 1,
+    and all three are tried; elsewhere it is ceil(y).  A candidate counts
+    only by its certified floor, so the guess can cost a candidate but
+    never move the set.  A k below h(x0) is guessed at h(x0), whose
+    candidates clip to n_lo.
+    """
+    parts = []
+    for b in range(0, len(ks), THIN_BLOCK):
+        k = ks[b:b + THIN_BLOCK]
+        y = tf.phi_vec(np.maximum(k, tf.h_x0))
+        n = np.ceil(y)
+        near = np.flatnonzero(np.abs(y - np.rint(y)) <= y * GUESS_WINDOW)
+        cand = np.concatenate([n, n[near] - 1.0, n[near] + 1.0]).astype(np.int64)
+        np.clip(cand, n_lo, n_hi, out=cand)
+        hit = tf.floor_h_vec(cand) == np.concatenate([k, k[near], k[near]])
+        keep = hit[:k.size]
+        keep[near] |= hit[k.size:k.size + near.size] | hit[k.size + near.size:]
+        parts.append(k[keep])
+    return np.concatenate(parts)
+
+
+def _n_route(tf, pt, N, n_lo, n_hi, threads) -> list:
+    """The primes p <= N among floor(h(n)), n_lo <= n <= n_hi, per unit of
+    SEGMENT values of n, in n order; repeated values are kept."""
+    return _in_order(
         lambda lo: _thin_chunk(tf, pt, N, lo, min(lo + SEGMENT, n_hi + 1)),
         range(n_lo, n_hi + 1, SEGMENT), threads)
+
+
+def _primes_route(tf, pt, N, n_lo, n_hi, threads) -> list:
+    """The same primes, ascending and once each, from the primes' side:
+    each prime p <= N is tested by _floor_values_among, per unit of SEGMENT
+    primes."""
+    ps = pt.primes[:pt.pi(N)]
+    return _in_order(
+        lambda i: _floor_values_among(tf, ps[i:i + SEGMENT], n_lo, n_hi),
+        range(0, len(ps), SEGMENT), threads)
+
+
+def _takes_primes_side(tf, pt, N, n_lo, n_hi) -> bool:
+    """The choice rule: the primes' side where it evaluates h fewer times.
+
+    It costs two pow calls per prime (the guess and the floor), the n side
+    one per n, and none for the identity, whose floors are copies.  Only
+    power has a closed-form guess.  The other families' phi_vec is a
+    Newton run, whose stop |h(y) - x| <= 1e-14 x keeps the guess within
+    the window wherever x h'(x)/h(x) >= 1/64, as for h3; the primes' side
+    would be exact for them too, but at a Newton run per prime, so they
+    stay on the n side."""
+    return (tf.family == "power" and not tf.is_identity
+            and 2 * pt.pi(N) < n_hi - n_lo + 1 and n_hi < GUESS_MAX)
+
+
+def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
+                          threads: int = 1) -> ThinPrimeSet:
+    """All primes p <= N of the form floor(h(n)), with weights attached.
+
+    The n run from ceil(x0) to floor(phi(N+1)) + 1.  The set comes from one
+    of two exact routes, chosen by _takes_primes_side: the n side evaluates
+    floor(h(n)) at every n and keeps the primes (consecutive n share
+    floor(h(n)) wherever h' < 1, as for Ch < 1); the primes' side tests
+    each prime p <= N at the n that a guess of phi(p) places.  Either route
+    is taken in units of SEGMENT values, mapped serially or over `threads`
+    workers and each evaluated in blocks of THIN_BLOCK values; the units
+    are merged in index order, so the set does not depend on thread count.
+    The merged primes, nondecreasing already, are sorted in place (a stable
+    sort, linear on sorted input) and compared with their predecessors:
+    numpy 2.4's np.unique takes a hash route.
+    """
+    if N > pt.limit:
+        raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
+    if N + 1 < tf.h_x0 or N < 2:
+        return ThinPrimeSet(tf, N, np.empty(0, np.int64), np.empty(0))
+    n_lo, n_hi = _n_range(tf, N)
+    route = _primes_route if _takes_primes_side(tf, pt, N, n_lo, n_hi) else _n_route
+    parts = route(tf, pt, N, n_lo, n_hi, threads)
     ps = np.concatenate(parts)
     del parts       # the per-unit copies, before the dedup and the weights
     ps.sort(kind="stable")

@@ -1,6 +1,7 @@
 """Kernels, convolution, maximal operators and the weighted comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ def test_maximal_invariants(tps95):
         # monotonicity: f <= f + g pointwise for nonnegative g
         for x in mf.support():
             assert mf[x].real <= mfg[x].real + 1e-10
+
+
+def test_maximal_peak_memory(tps95):
+    # quadratic W at N = 2^11 over 256 of 1024 points: the hull has 4158535
+    # entries, and the result (complex128) with the sup (float64) take
+    # 95.2 MiB; the running sum, 31.7 MiB more, is freed before the result
+    # is built
+    rng = np.random.default_rng(5)
+    f = SparseSignal({int(i): 1.0 for i in rng.choice(1024, 256, replace=False)})
+    tracemalloc.start()
+    try:
+        mf = maximal_function(f, tps95, W_SQ, 2 ** 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mf.values.size == 4158535
+    assert peak <= 100 * 2 ** 20
 
 
 def test_maximal_l2_ratio(tps95):

@@ -8,6 +8,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from thinprimes import sieve, thinfn
 from thinprimes.errors import LimitMismatch, LimitTooLarge, ParameterOutOfRange
@@ -21,6 +23,20 @@ from oracles import (
     thin_membership,
     von_mangoldt,
 )
+
+
+def on_each_route(monkeypatch):
+    """Yield "n" and then "primes", with enumerate_thin_primes held to that
+    route whatever the choice rule would take."""
+    for route in ("n", "primes"):
+        monkeypatch.setattr(sieve, "_takes_primes_side",
+                            lambda *args, side=route == "primes": side)
+        yield route
+
+
+@pytest.fixture(scope="module")
+def pt23():
+    return build_prime_table(1 << 23)
 
 
 def trial_pi(n: int) -> int:
@@ -251,11 +267,12 @@ def test_near_integer_boundary_case(pt20):
         thin_membership(tf, p, "cross_check")
 
 
-def test_enumeration_deterministic_across_threads(pt20, tf95):
-    a = enumerate_thin_primes(tf95, pt20, 10 ** 6, threads=1)
-    b = enumerate_thin_primes(tf95, pt20, 10 ** 6, threads=4)
-    assert np.array_equal(a.primes, b.primes)
-    assert np.array_equal(a.weights, b.weights)
+def test_enumeration_deterministic_across_threads(pt20, tf95, monkeypatch):
+    for route in on_each_route(monkeypatch):
+        a = enumerate_thin_primes(tf95, pt20, 10 ** 6, threads=1)
+        b = enumerate_thin_primes(tf95, pt20, 10 ** 6, threads=4)
+        assert np.array_equal(a.primes, b.primes), route
+        assert np.array_equal(a.weights, b.weights), route
 
 
 def test_enumeration_deduplicates(pt20):
@@ -271,16 +288,18 @@ def test_enumeration_dedups_across_unit_boundaries(pt20, monkeypatch, threads):
     # Ch = 1/2 gives h' < 1, so consecutive n share floor(h(n)) (8947 repeats
     # below n = 20000); with units of 101 values of n, 9 prime values come
     # from n on both sides of a unit boundary, where only the merge can
-    # see the repeat
+    # see the repeat.  The primes' side tests each prime once, in units of
+    # 101 primes.
     monkeypatch.setattr(sieve, "SEGMENT", 101)
     tf = make_thin_function("power", gamma=0.99, Ch=0.5)
     N = 10 ** 4
-    tps = enumerate_thin_primes(tf, pt20, N, threads=threads)
     floors = {tf.floor_h(n)
               for n in range(math.ceil(tf.x0), math.floor(tf.phi(N + 1.0)) + 2)}
     prime = set(pt20.primes.tolist())
     expect = [p for p in sorted(floors) if 2 <= p <= N and p in prime]
-    assert tps.primes.tolist() == expect
+    for route in on_each_route(monkeypatch):
+        tps = enumerate_thin_primes(tf, pt20, N, threads=threads)
+        assert tps.primes.tolist() == expect, route
 
 
 def test_limit_mismatch(pt20, tf95):
@@ -328,12 +347,14 @@ def unchunked_enumeration(tf, pt, N):
     pytest.param("power", {"gamma": 0.95}, 2 * 10 ** 5, id="power-kw0"),
     pytest.param("power", {"gamma": 1.0}, 2 * 10 ** 5, id="power-kw1"),
     pytest.param("h3", {"Cc": 1.0}, 2 * 10 ** 5, id="h3-kw2"),
-    pytest.param("power", {"gamma": 0.95}, 2 ** 22 + 2 ** 20, id="power-across-2^22")])
+    pytest.param("power", {"gamma": 0.95}, 2 ** 22 + 2 ** 20, id="power-across-2^22"),
+    pytest.param("power", {"gamma": 0.99}, 2 ** 22 + 2 ** 20, id="power-0.99-across-2^22")])
 def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw, N):
-    # units of 997 values of n, each evaluated in blocks of 101, so both the
-    # merge boundaries and the inner block edges are crossed; from 2^21 on
-    # the floor guard is GUARD_ULPS spacings of a block's largest value, and
-    # one block has h cross 2^22, where that spacing doubles
+    # units of 997 values of n (or primes), each evaluated in blocks of 101,
+    # so both the merge boundaries and the inner block edges are crossed;
+    # from 2^21 on the floor guard is GUARD_ULPS spacings of a block's
+    # largest value, and one block of n has h cross 2^22, where that
+    # spacing doubles.  h3's Newton phi is a guess within the window too.
     tf = make_thin_function(family, **kw)
     pt = pt20 if N <= pt20.limit else build_prime_table(N)
     want = unchunked_enumeration(tf, pt, N)
@@ -343,10 +364,11 @@ def test_chunked_enumeration_matches_unchunked(pt20, monkeypatch, family, kw, N)
         n_lo, n_cross = math.ceil(tf.x0), math.ceil(tf.phi(2.0 ** 22))
         assert tf.h(n_cross - 1) < 2 ** 22 <= tf.h(n_cross)
         assert (n_cross - n_lo) % 997 % 101 != 0      # inside a block
-    for threads in (1, 2):
-        got = enumerate_thin_primes(tf, pt, N, threads=threads)
-        for a, b in zip((got.primes, got.weights), want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for route in on_each_route(monkeypatch):
+        for threads in (1, 2):
+            got = enumerate_thin_primes(tf, pt, N, threads=threads)
+            for a, b in zip((got.primes, got.weights), want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), route
 
 
 def test_enumeration_with_no_candidates(pt20):
@@ -380,10 +402,10 @@ def traced_peak(fn, *args):
     return peak
 
 
-def test_enumeration_peak_memory(tf95):
+def test_enumeration_peak_memory(tf95, pt23, monkeypatch):
     N = 1 << 23
-    pt = build_prime_table(N)
-    assert traced_peak(enumerate_thin_primes, tf95, pt, N) <= 20 * 2 ** 20
+    for route in on_each_route(monkeypatch):
+        assert traced_peak(enumerate_thin_primes, tf95, pt23, N) <= 20 * 2 ** 20, route
 
 
 def test_table_peak_memory():
@@ -406,9 +428,9 @@ def test_largest_sieving_prime_below_2_32_fits_uint16():
 
 def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
     # every floor decision escalates to 40 digits, in chunks of 97 values of
-    # n spread over more workers than cores; mpmath's working precision and
-    # the calling thread's decimal context must come back unchanged, and the
-    # set must not move
+    # n, or of primes, spread over more workers than cores; mpmath's working
+    # precision and the calling thread's decimal context must come back
+    # unchanged, and the set must not move
     want = enumerate_thin_primes(tf95, pt20, 20000)
     monkeypatch.setattr(thinfn, "NEAR_INT_GUARD", 1.0)
     monkeypatch.setattr(sieve, "SEGMENT", 97)
@@ -417,11 +439,96 @@ def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
     state = repr(ctx)
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            got = enumerate_thin_primes(tf95, pt20, 20000, threads=4)
-            assert mp.mp.prec == prec
-            assert decimal.getcontext() is ctx and repr(ctx) == state
-            assert np.array_equal(got.primes, want.primes)
-            assert np.array_equal(got.weights, want.weights)
+        for route in on_each_route(monkeypatch):
+            for _ in range(3):
+                got = enumerate_thin_primes(tf95, pt20, 20000, threads=4)
+                assert mp.mp.prec == prec
+                assert decimal.getcontext() is ctx and repr(ctx) == state
+                assert np.array_equal(got.primes, want.primes), route
+                assert np.array_equal(got.weights, want.weights), route
     finally:
         sys.setswitchinterval(interval)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(0.5, 1.0, exclude_min=True),
+       Ch=st.sampled_from([0.5, 0.75, 1.0, 3.0]),
+       N=st.integers(2, 2 ** 16))
+@example(gamma=0.8, Ch=1.0, N=2 ** 16)
+@example(gamma=0.8, Ch=0.5, N=2 ** 16)
+@example(gamma=2 / 3, Ch=1.0, N=2 ** 16)
+@example(gamma=2 / 3, Ch=3.0, N=2 ** 16)
+@example(gamma=1.0, Ch=1.0, N=2 ** 16)
+@example(gamma=0.95, Ch=0.75, N=2 ** 16)
+def test_routes_agree_with_unchunked(pt20, gamma, Ch, N):
+    # the n side and the primes' side against one pass over every n, over
+    # the power family's gamma range; gamma = 1 is in the family only as the
+    # identity, since its h'' must be positive
+    assume(1.0 / gamma < 2.0)
+    tf = make_thin_function("power", gamma=gamma, Ch=1.0 if gamma == 1.0 else Ch)
+    want, _ = unchunked_enumeration(tf, pt20, N)
+    n_lo, n_hi = sieve._n_range(tf, N)
+    for route in (sieve._n_route, sieve._primes_route):
+        got = np.unique(np.concatenate(route(tf, pt20, N, n_lo, n_hi, 1)))
+        assert np.array_equal(got, want), route.__name__
+
+
+@pytest.mark.parametrize("family,kw,primes_side", [
+    ("power", {"gamma": 0.95}, True),
+    ("power", {"gamma": 0.7}, False),
+    ("power", {"gamma": 1.0}, False),
+    ("h3", {"Cc": 1.0}, False)])
+def test_route_choice(pt23, family, kw, primes_side):
+    # at N = 2^23: 2 pi(N) = 1128326 against 3.78M values of n at gamma
+    # 0.95 and 70k at 0.7; the identity's n side evaluates no h, and h3's
+    # phi is a Newton run, never a cheap guess
+    N = 1 << 23
+    tf = make_thin_function(family, **kw)
+    assert sieve._takes_primes_side(tf, pt23, N, *sieve._n_range(tf, N)) is primes_side
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("gamma,Ch,N", [
+    (1.0, 1.0, 2 ** 16), (0.95, 1.0, 2 ** 20), (0.99, 3.0, 2 ** 18), (2 / 3, 0.5, 2 ** 16)])
+def test_guess_window_absorbs_half_a_window(pt20, monkeypatch, gamma, Ch, N, sign):
+    # every guess of phi moved by half the window still gives the set: the
+    # neighbours of a near-integer guess are tried.  At gamma = 1 every
+    # guess is an integer, so the +1/2 move puts every ceiling one too high
+    tf = make_thin_function("power", gamma=gamma, Ch=Ch)
+    n_lo, n_hi = sieve._n_range(tf, N)
+    want = np.unique(np.concatenate(sieve._n_route(tf, pt20, N, n_lo, n_hi, 1)))
+    phi_vec = tf.phi_vec
+    moved = lambda x: phi_vec(x) * (1.0 + sign * sieve.GUESS_WINDOW / 2)
+    if gamma == 1.0 and sign > 0:
+        assert np.all(np.ceil(moved(want)) == want + 1)
+    monkeypatch.setattr(tf, "phi_vec", moved)
+    got = np.concatenate(sieve._primes_route(tf, pt20, N, n_lo, n_hi, 1))
+    assert np.array_equal(got, want)
+
+
+def test_primes_side_rejects_the_recorded_phi_defect(tf95):
+    # at gamma 0.95 phi is (x/Ch)^gamma, not (x/Ch)^(1/c) with c = fl(1/gamma):
+    # floor(h(14451346)) = k - 1 and floor(h(14451347)) > k, yet the floor
+    # criterion on that phi takes k; the primes' side decides by floor(h)
+    k, n = 34414826, 14451346
+    assert tf95.floor_h(n) == k - 1 and tf95.floor_h(n + 1) > k
+    assert thin_membership(tf95, k, "floor_criterion")
+    n_lo, n_hi = sieve._n_range(tf95, k + 1)
+    ks = np.array([k - 1, k, k + 1], dtype=np.int64)
+    assert sieve._floor_values_among(tf95, ks, n_lo, n_hi).tolist() == [k - 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma=st.sampled_from([0.55, 2 / 3, 0.8, 0.9, 0.95, 0.99, 1.0]),
+       Ch=st.sampled_from([0.5, 1.0, 3.0]),
+       n_lo=st.integers(1, 3000), width=st.integers(0, 3000))
+def test_floor_values_among_a_range_of_n(gamma, Ch, n_lo, width):
+    # every integer k, prime or not, on both sides of the range's values:
+    # k is kept exactly when some n in [n_lo, n_hi] has floor(h(n)) = k
+    tf = make_thin_function("power", gamma=gamma, Ch=1.0 if gamma == 1.0 else Ch)
+    n_lo = max(n_lo, math.ceil(tf.x0))
+    n_hi = n_lo + width
+    want = np.unique(tf.floor_h_vec(np.arange(n_lo, n_hi + 1)))
+    ks = np.arange(2, tf.floor_h(n_hi + 2) + 1, dtype=np.int64)
+    got = sieve._floor_values_among(tf, ks, n_lo, n_hi)
+    assert np.array_equal(got, want[want >= 2])
