@@ -6,17 +6,17 @@ every report header, so a report is reproducible from its own header.  CSV
 is the primary output ('#'-prefixed header comment lines, then a column
 row); --format json mirrors the same rows with a schema marker.
 
-Each subcommand's keys are listed once, in ALLOWED_KEYS.  run() is the one
-pass over them: each branch reads and checks all of its arguments, through
-the library's own check functions, and then crosses _begin, the boundary
-that refuses a given key the run did not read, stops a --dry-run and starts
-the run.  _tables, the only source of prime tables and thin sets, calls
-_begin first; vdc, bilinear and admissible build no table and call it
-themselves.  Every report or diagnostic is written by _write.
+Each subcommand's keys are listed once, in ALLOWED_KEYS.  A subcommand is
+one branch of the generator _steps: it reads and checks all of its
+arguments, through the library's own check functions, and then yields the
+prime table and thin sets it needs.  run() holds the one boundary there: it
+refuses a given key the branch did not read, stops a --dry-run, starts the
+clock, and alone builds the tables it sends back.  Every report or
+diagnostic is written by _write.
 
-Exit codes: 0 success; 2 a ThinPrimesError before _begin, a validation or
-parse failure (no output written); 3 one after it, a computational failure
-(diagnostic JSON written instead of the report).
+Exit codes: 0 success; 2 a ThinPrimesError before the boundary, a
+validation or parse failure (no output written); 3 one after it, a
+computational failure (diagnostic JSON written instead of the report).
 
 A command pays start-up only for the modules its subcommand runs: errors,
 _num, thinfn and sieve are imported here, and expsum, averages, ergodic and
@@ -153,9 +153,9 @@ class RunConfig:
         self.subcommand = subcommand
         self.values = values
         self.extras = {}     # resolved defaults worth echoing (e.g. auto x0)
-        self.read = set()    # keys looked up so far; _begin refuses the rest
+        self.read = set()    # keys looked up so far; run refuses the rest
         self.dry_run = False   # --dry-run, or dry-run given as true
-        self.t0 = None       # set by _begin when the run starts
+        self.t0 = None       # set by run when the computation starts
         self._tf = None
 
     def get(self, key: str, default=None):
@@ -325,32 +325,6 @@ class _Planned(Exception):
     """A dry run reached the table boundary."""
 
 
-def _begin(cfg: RunConfig) -> None:
-    """The boundary between reading a run's arguments and computing it.
-
-    A key that was given but not read by now is refused, a dry run stops
-    here, and the run's clock starts: main maps a ThinPrimesError raised
-    before this call to exit 2 and one raised after it to exit 3."""
-    unread = [key for key in cfg.values if key not in cfg.read]
-    if unread:
-        raise ValidationError(
-            f"key {unread[0]!r} is not used by this {cfg.subcommand} run")
-    if cfg.dry_run:
-        raise _Planned
-    cfg.t0 = time.perf_counter()
-
-
-def _tables(cfg: RunConfig, n: int, thin=()):
-    """Past _begin, the prime table and the thin set of each ThinFunction
-    in thin, up to n, on --threads workers."""
-    threads = cfg.get_int("threads")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    _begin(cfg)
-    pt = build_prime_table(n, threads=threads)
-    return pt, [enumerate_thin_primes(tf, pt, n, threads=threads) for tf in thin]
-
-
 def _gammas(cfg: RunConfig, default=None) -> list[float]:
     gammas = cfg.get_float_list("gammas", default)
     if len(gammas) != 3:
@@ -387,9 +361,10 @@ def _observable(cfg: RunConfig):
     return system, [(cfg.get_int("freq"), 1.0)], x
 
 
-def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
-    """Read and check every argument of the subcommand, then compute it;
-    returns (columns, rows, footer)."""
+def _steps(cfg: RunConfig):
+    """The subcommand: it reads and checks every argument, yields (limit,
+    thin functions), or (None, []) for no table, and computes from the
+    (table, sets) that run sends back; returns (columns, rows, footer)."""
     sub = cfg.subcommand
     tf, W, n = _inputs(cfg)
     if sub in ("sieve", "density"):
@@ -398,7 +373,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         else:   # 10, 100, ... below N, and N itself
             xs = [10 ** j for j in range(1, len(str(n))) if 10 ** j < n] + [n]
         check_checkpoints(xs, n)
-        pt, sets = _tables(cfg, n, [tf] if tf else [])
+        pt, sets = yield n, [tf] if tf else []
         if tf:
             rows = density_profile(sets[0], xs)
             return ["x", "count", "count_logx_over_phi"], rows, None
@@ -411,7 +386,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         v = (cfg.get_float("v") if cfg.given("v")
              else expsum.default_v(spec.P1, spec.W.degree))
         expsum.check_split_point(spec.P, v)
-        pt, _ = _tables(cfg, spec.P1)
+        pt, _ = yield spec.P1, []
         res = expsum.vaughan_split(pt, spec, v)
         row = (spec.P, spec.P1, v, spec.xi, spec.m,
                res.S1.real, res.S1.imag, res.S21.real, res.S21.imag,
@@ -423,7 +398,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     if sub == "formlem-decay":
         grid = cfg.get_int("xi-grid")
         expsum.check_decay_args(grid, n)
-        pt, (tps,) = _tables(cfg, n, [tf])
+        pt, (tps,) = yield n, [tf]
         prof = expsum.formlem_decay(pt, W, grid, n, tps=tps)
         footer = {"fitted_exponent": prof.fitted_exponent
                   if prof.fitted_exponent is not None else "exact-zero"}
@@ -435,7 +410,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         k, beta = cfg.get_int("k"), cfg.get_float("beta")
         expsum.check_vdc_args(n, k, math.lgamma(min(max(k, 2), 1024) + 1)
                        + (math.log(beta) if beta > 0 else -math.inf), 1.0)
-        _begin(cfg)
+        yield None, []
         res = expsum.vdc_bound_check(lambda t: beta * t ** k, n, k,
                                      math.factorial(k) * beta, 1.0)
         return (["N", "k", "beta", "sum_abs", "bound", "constant"],
@@ -448,7 +423,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         if delta not in ("ones", "random"):
             raise ValidationError(f"delta must be ones or random, got {delta!r}")
         seed = _seed(cfg) if delta == "random" else None
-        _begin(cfg)
+        yield None, []
         if seed is None:
             d1, d2 = np.ones(L, dtype=complex), np.ones(K, dtype=complex)
         else:
@@ -469,21 +444,21 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
             raise ValidationError("support must be >= 1")
         _check_hull(support, np.complex128, "signal")
         seed = _seed(cfg)
-        pt, (tps,) = _tables(cfg, n, [tf])
+        pt, (tps,) = yield n, [tf]
         rng = np.random.default_rng(seed)
         rows = []
         for r in rs:
             for trial in range(trials):
-                idx = rng.choice(support, size=max(1, support // 4),
-                                 replace=False)
-                f = averages.SparseSignal({int(i): 1.0 for i in idx})
+                idx = rng.choice(support, max(1, support // 4), replace=False)
+                f = averages.SparseSignal.from_dense(
+                    np.bincount(idx, minlength=support))
                 mf = averages.maximal_function(f, tps, W, n)
                 rows.append((r, support, trial,
                              averages.lr_norm(mf, r) / averages.lr_norm(f, r)))
         return ["r", "support_size", "seed", "ratio"], rows, None
     if sub == "abel":
         averages.check_abel_range(ABEL_FROM, n)
-        pt, _ = _tables(cfg, n)
+        pt, _ = yield n, []
         ns = np.arange(ABEL_FROM + 1, n + 1)
         lhs, rhs, resid = averages.abel_summation(
             pt.lambda_array(n)[ABEL_FROM + 1:], 1.0 / np.log(ns))
@@ -491,7 +466,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     if sub == "ergodic":
         system, table, x = _observable(cfg)
         weighted = cfg.get_bool("weighted")
-        pt, (tps,) = _tables(cfg, n, [tf])
+        pt, (tps,) = yield n, [tf]
         first = min(16, 1 << (n.bit_length() - 1))
         series = ergodic.average_series(system, table, x, tps, pt, W,
                                         dyadic(first, n), weighted)
@@ -503,7 +478,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         if len(breaks) < 2:
             raise ValidationError("N too small for oscillation breaks")
         ergodic.check_eps(eps, breaks[-1])
-        pt, (tps,) = _tables(cfg, n, [tf])
+        pt, (tps,) = yield n, [tf]
         val = ergodic.oscillation_sum(system, table, x, tps, pt, W, breaks, eps)
         J = len(breaks) - 1
         return ["J", "eps", "value", "value_over_J"], [(J, eps, val, val / J)], None
@@ -516,7 +491,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         goldbach.check_cutoff(cutoff)
         gammas = _gammas(cfg, "1,1,1")
         tf_of = {g: make_thin_function("power", gamma=g) for g in gammas}
-        pt, sets = _tables(cfg, n_end, tf_of.values())
+        pt, sets = yield n_end, tf_of.values()
         set_of = dict(zip(tf_of, sets))   # each distinct gamma enumerated once
         rows = goldbach.goldbach_reports([tf_of[g] for g in gammas],
                                          [set_of[g] for g in gammas], n,
@@ -528,7 +503,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
         if side not in ("thin", "full"):
             raise ValidationError(f"side must be thin or full, got {side!r}")
         weighted = cfg.get_bool("weighted")
-        pt, sets = _tables(cfg, n, [tf] if tf else [])
+        pt, sets = yield n, [tf] if tf else []
         lhs, rhs = goldbach.parseval_check(sets[0] if tf else pt, n, weighted)
         rel = abs(lhs - rhs) / rhs if rhs else 0.0
         return ["N", "lhs", "rhs", "rel_err"], [(n, lhs, rhs, rel)], None
@@ -536,7 +511,7 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
     q, gamma = cfg.get_int("q"), cfg.get_float("gamma")
     ap = admissible_params(q, gamma)
     gammas = _gammas(cfg) if cfg.given("gammas") else None
-    _begin(cfg)
+    yield None, []
     footer = None
     if gammas:
         ok, lhs = goldbach.admissibility_check(*gammas)
@@ -544,6 +519,30 @@ def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
                   "ternary_lhs": ",".join(f"{v:.6g}" for v in lhs)}
     return (["q", "gamma", "chi_max", "c_q"],
             [(q, gamma, ap.chi_max, str(ap.c_q))], footer)
+
+
+def run(cfg: RunConfig) -> tuple[list, list, dict | None]:
+    """Read and check every argument of the subcommand, then compute it;
+    returns (columns, rows, footer).  The boundary sits where _steps
+    yields; past it, a ThinPrimesError maps to exit 3."""
+    steps = _steps(cfg)
+    limit, thin = next(steps)
+    threads = 1 if limit is None else cfg.get_int("threads")
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
+    unread = [key for key in cfg.values if key not in cfg.read]
+    if unread:
+        raise ValidationError(
+            f"key {unread[0]!r} is not used by this {cfg.subcommand} run")
+    if cfg.dry_run:
+        raise _Planned
+    cfg.t0 = time.perf_counter()
+    pt = None if limit is None else build_prime_table(limit, threads=threads)
+    sets = [enumerate_thin_primes(tf, pt, limit, threads=threads) for tf in thin]
+    try:
+        steps.send((pt, sets))
+    except StopIteration as done:
+        return done.value
 
 
 def _format(cfg: RunConfig) -> str:

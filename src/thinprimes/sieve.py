@@ -300,7 +300,8 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     are merged in index order, so the set does not depend on thread count.
     The merged primes, nondecreasing already, are sorted in place (a stable
     sort, linear on sorted input) and compared with their predecessors:
-    numpy 2.4's np.unique takes a hash route.
+    numpy 2.4's np.unique takes a hash route.  The weights are computed
+    THIN_BLOCK primes at a time, so their float temporaries stay small.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
@@ -315,7 +316,9 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     new = np.ones(len(ps), dtype=bool)
     np.not_equal(ps[1:], ps[:-1], out=new[1:])
     ps = ps[new]
-    weights = tf.weight_vec(ps.astype(np.float64))
+    weights = np.empty(len(ps))
+    for b in range(0, len(ps), THIN_BLOCK):
+        weights[b:b + THIN_BLOCK] = tf.weight_vec(ps[b:b + THIN_BLOCK])
     if not np.all(np.isfinite(weights) & (weights > 0)):
         raise DomainError("nonpositive or nonfinite weight encountered")
     return ThinPrimeSet(tf, N, ps, weights)

@@ -220,6 +220,22 @@ def test_fresh_interpreter_runs_only_its_modules(golden, argv, tmp_path):
     assert loaded.split() == (["fractions"] if argv[0] == "admissible" else [])
 
 
+@pytest.mark.parametrize("argv", FRESH, ids=" ".join)
+def test_dry_run_builds_nothing(argv, tmp_path, monkeypatch, capsys):
+    """Each subcommand's --dry-run stops at the boundary: it prints its
+    plan, writes no report and builds no prime table or thin set."""
+    import thinprimes.cli as cli
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dry run built a table")
+    monkeypatch.setattr(cli, "build_prime_table", refuse)
+    monkeypatch.setattr(cli, "enumerate_thin_primes", refuse)
+    out = tmp_path / "r.out"
+    assert main([*argv, "--out", str(out), "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["plan"]["subcommand"] == argv[0] and plan["out"] == str(out)
+    assert not out.exists()
+
+
 def test_lazy_modules_are_the_package_modules():
     """A module imported before cli is the one cli calls, and one that cli
     registered lazily is the package's attribute and runs when imported."""

@@ -405,7 +405,7 @@ def traced_peak(fn, *args):
 def test_enumeration_peak_memory(tf95, pt23, monkeypatch):
     N = 1 << 23
     for route in on_each_route(monkeypatch):
-        assert traced_peak(enumerate_thin_primes, tf95, pt23, N) <= 20 * 2 ** 20, route
+        assert traced_peak(enumerate_thin_primes, tf95, pt23, N) <= 8 * 2 ** 20, route
 
 
 def test_table_peak_memory():
