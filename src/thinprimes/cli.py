@@ -4,7 +4,9 @@ Configuration is a flat key=value text file plus --key value overrides
 (--out, --format, --threads and --seed among them), echoed in full into
 every report header, so a report is reproducible from its own header.  CSV
 is the primary output ('#'-prefixed header comment lines, then a column
-row); --format json mirrors the same rows with a schema marker.
+row, each value written by str); --format json mirrors the same rows with a
+schema marker.  main reads a command line in one pass: the subcommand, then
+the overrides, --config PATH and the value-less --dry-run; -h prints USAGE.
 
 Each subcommand's keys are listed once, in ALLOWED_KEYS.  A subcommand is
 one branch of the generator _steps: it reads and checks all of its
@@ -14,9 +16,10 @@ refuses a given key the branch did not read, stops a --dry-run, starts the
 clock, and alone builds the tables it sends back.  Every report or
 diagnostic is written by _write.
 
-Exit codes: 0 success; 2 a ThinPrimesError before the boundary, a
-validation or parse failure (no output written); 3 one after it, a
-computational failure (diagnostic JSON written instead of the report).
+main returns the exit code: 0 success; 2 a ThinPrimesError before the
+boundary, a faulty command line included, written to stderr as one
+'ValidationError: ' or 'ParseError: ' line (no output written); 3 one after
+it, a computational failure (diagnostic JSON written instead of the report).
 
 A command pays start-up only for the modules its subcommand runs: errors,
 _num, thinfn and sieve are imported here, and expsum, averages, ergodic and
@@ -24,7 +27,7 @@ goldbach are registered lazily (_lazy), to be compiled and run on their
 first attribute access.  That first access must come from the main thread;
 the --threads workers run only sieve and thinfn code.  json, like
 fractions in thinfn and concurrent.futures in sieve, is imported where it
-is first used.
+is first used, and argparse, which pulls in gettext, not at all.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
 
-import argparse
 import importlib.util
 import math
 import sys
@@ -108,6 +110,8 @@ ALLOWED_KEYS = {
     "admissible": {"q", "gamma", "gammas"},
 }
 SUBCOMMANDS = tuple(ALLOWED_KEYS)
+USAGE = ("usage: thinprime SUBCOMMAND [--config PATH] [--key value ...] "
+         "[--dry-run]\nsubcommands: " + ", ".join(SUBCOMMANDS))
 ABEL_FROM = 2   # abel sums Lambda(n)/log(n) over ABEL_FROM < n <= N
 TOOL = f"thinprimes {__version__}"
 
@@ -270,12 +274,6 @@ def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfi
     return RunConfig(subcommand, values)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _report(cfg: RunConfig, columns, rows, footer, wall: float, fmt: str) -> str:
     """The report text: CSV with a '#' header, or its JSON mirror.
 
@@ -290,12 +288,12 @@ def _report(cfg: RunConfig, columns, rows, footer, wall: float, fmt: str) -> str
             doc.update(config=cfg.resolved(), wall_time_s=wall,
                        columns=list(columns), rows=[list(r) for r in rows])
         doc.update(footer or {})
-        return json.dumps(doc, indent=2, default=_fmt) + "\n"
+        return json.dumps(doc, indent=2, default=str) + "\n"
     header_cfg = " ".join(f"{k}={v}" for k, v in sorted(cfg.resolved().items()))
     lines = [f"# tool: {TOOL}", f"# config: {header_cfg}",
              f"# wall_time_s: {wall:.3f}", ",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    lines += [f"{k},{_fmt(v)}" for k, v in (footer or {}).items()]
+    lines += [",".join(map(str, row)) for row in rows]
+    lines += [f"{k},{v}" for k, v in (footer or {}).items()]
     return "\n".join(lines) + "\n"
 
 
@@ -556,32 +554,29 @@ def _format(cfg: RunConfig) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="thinprime", allow_abbrev=False,
-        description="thin prime set experiments; see README for subcommands")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--dry-run", action="store_true")
-    args, extra = parser.parse_known_args(argv)
-
-    overrides = {}
-    tokens = iter(extra)
-    for tok in tokens:
-        if not tok.startswith("--"):
-            print(f"unexpected argument {tok!r}", file=sys.stderr)
-            return 2
-        key, eq, val = tok[2:].partition("=")
-        if not eq:
-            val = next(tokens, None)
-            if val is None:
-                print(f"flag --{key} needs a value", file=sys.stderr)
-                return 2
-        overrides[key] = val
-
-    cfg = None
+    """Run one command line and return its exit code, 0, 2 or 3."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
+    cfg, overrides, dry_run, tokens = None, {}, False, iter(argv[1:])
     try:
-        cfg = parse_config(args.subcommand, args.config, overrides)
-        cfg.dry_run = cfg.get_bool("dry-run") or args.dry_run
+        if not argv or argv[0] not in ALLOWED_KEYS:
+            raise ValidationError(
+                (f"{argv[0]!r} is not a subcommand" if argv else "no subcommand")
+                + f" (one of {', '.join(SUBCOMMANDS)})")
+        for tok in tokens:
+            if not tok.startswith("--"):
+                raise ValidationError(f"unexpected argument {tok!r}")
+            key, eq, val = tok[2:].partition("=")
+            if not eq and key == "dry-run":
+                dry_run = True
+                continue
+            if not eq and (val := next(tokens, None)) is None:
+                raise ValidationError(f"flag --{key} needs a value")
+            overrides[key] = val
+        cfg = parse_config(argv[0], overrides.pop("config", None), overrides)
+        cfg.dry_run = cfg.get_bool("dry-run") or dry_run
         fmt, out_path = _format(cfg), cfg.get("out")
         columns, rows, footer = run(cfg)
     except _Planned:

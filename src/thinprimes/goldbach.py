@@ -23,8 +23,8 @@ independent routes, which must agree exactly at every target:
 A single target is a range of one over the same code.  The report
 columns are vector passes over the same targets: the classical singular
 series is one ascending walk over the primes up to the cutoff, whose
-stride-p slice marks the targets p divides, and the printed form is +0.0
-at every N (its p=2 factor is 1 - 1/1), so it is taken once per run.
+stride-p slice marks the targets p divides, and the printed form is the
+constant +0.0 (its p=2 factor is 1 - 1/1).
 """
 
 from __future__ import annotations
@@ -72,16 +72,18 @@ def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
 
 def _needed_points(p1s: np.ndarray, N: int, N_end: int, size: int) -> np.ndarray:
     """The points m = n - p1, p1 <= n, that some odd target n in [N, N_end]
-    needs, ascending.  The loop runs over targets or over p1s, whichever is
-    shorter."""
-    need = np.zeros(size, dtype=bool)
-    if (N_end - N) // 2 + 1 <= len(p1s):
-        for n in range(N, N_end + 1, 2):
-            need[n - p1s[: np.searchsorted(p1s, n, side="right")]] = True
-    else:
-        for p1 in p1s.tolist():
-            j0 = max(0, -((N - p1) // 2))   # first target >= p1
-            need[N + 2 * j0 - p1: N_end - p1 + 1: 2] = True
+    needs, ascending.  Each p1 needs one run of step 2, from its first
+    target >= p1 to the last target; the runs of each parity of m are
+    counted by two bincounts of their ends and one cumulative sum."""
+    last = N + (N_end - N) // 2 * 2
+    p1s = p1s[p1s <= last]
+    j0 = np.maximum(0, -((N - p1s) // 2))   # first target >= p1
+    start, need = N + 2 * j0 - p1s, np.zeros(size, dtype=bool)
+    for q in (0, 1):
+        run, width = start % 2 == q, len(need[q::2])
+        edges = (np.bincount(start[run] // 2, minlength=width + 1)
+                 - np.bincount((last - p1s[run]) // 2 + 1, minlength=width + 1))
+        need[q::2] = np.cumsum(edges)[:width] > 0
     return np.flatnonzero(need)
 
 
@@ -292,16 +294,12 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
     expression over the targets; the rows hold Python values.  The printed
     singular-series product S_paper = prod_p (1 - 1/(p-1)^3) * prod_{p|N}
     (1 - 1/(p^2-3p+3)) has the factor 1 - 1/1 = 0.0 at p = 2 and finite
-    nonnegative factors elsewhere, so it is +0.0 at every N and is taken
-    once per run over the primes up to the cutoff.  The classical
-    Vinogradov form is then used for the main term and every row is
-    flagged accordingly, with both values always present.
+    nonnegative factors elsewhere, so its column is the constant +0.0.  The
+    classical Vinogradov form is used for the main term instead and every
+    row carries a flag that says so, with both values always present.
     """
     s = singular_series(pt, N, N_end, cutoff)
-    s_paper = math.prod([1.0 - 1.0 / (p - 1) ** 3
-                         for p in _base_primes(cutoff).tolist()])
-    flags = ("paper-form degenerate; classical form used for main term"
-             if s_paper == 0.0 else "")
+    flag = "paper-form degenerate; classical form used for main term"
     direct, _ = rep_counts(*sets, N, N_end)
     x = np.arange(N, N_end + 1, 2, dtype=np.float64)
     phi1, phi2, phi3 = (t.phi_vec(x) for t in tfs)
@@ -309,8 +307,8 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
     ratio = np.divide(direct, main, out=np.full(len(x), math.inf),
                       where=main > 0)
     return list(zip(range(N, N_end + 1, 2), direct.tolist(),
-                    [s_paper] * len(x), s.tolist(), main.tolist(),
-                    ratio.tolist(), [flags] * len(x)))
+                    [0.0] * len(x), s.tolist(), main.tolist(),
+                    ratio.tolist(), [flag] * len(x)))
 
 
 def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:

@@ -197,26 +197,28 @@ class ThinPrimeSet:
         return arr
 
 
+def _least_member(tf: ThinFunction) -> int:
+    """The least member: 2, or the least integer phi takes, if above 2."""
+    return max(2, math.ceil(tf.h_x0 * (1 - 1e-12)))
+
+
 def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
-    """The primes among floor(h(n)) for n in [lo, hi), in n order,
-    evaluated THIN_BLOCK values of n at a time."""
-    parts = []
+    """The primes p_lo <= p <= N among floor(h(n)) for n in [lo, hi), in n
+    order, evaluated THIN_BLOCK values of n at a time."""
+    parts, p_lo = [], _least_member(tf)
     for b in range(lo, hi, THIN_BLOCK):
         ps = tf.floor_h_vec(np.arange(b, min(b + THIN_BLOCK, hi), dtype=np.int64))
-        ps = ps[(ps >= 2) & (ps <= N)]
+        ps = ps[(ps >= p_lo) & (ps <= N)]
         parts.append(ps[pt.spf[ps] == 0])   # ps fits the table by construction
     return np.concatenate(parts)
 
 
 def _n_range(tf: ThinFunction, N: int) -> tuple[int, int]:
-    """(n_lo, n_hi): the n whose floor(h(n)) can be a prime p <= N, for
-    N >= 2 and N + 1 >= h(x0)."""
-    n_lo = math.ceil(tf.x0)
-    if tf.h_x0 < 2.0:
-        # values h(n) < 2 cannot produce a prime; skipping them keeps exact
-        # integer hits like h(1) = 1 away from the floor guard
-        n_lo = max(n_lo, math.ceil(tf.phi(2.0) - 1e-9))
-    return n_lo, math.floor(tf.phi(float(N + 1))) + 1
+    """(n_lo, n_hi): the n whose floor(h(n)) can be a member p_lo <= p <= N,
+    for N >= p_lo.  Skipping the n with h(n) < p_lo also keeps exact integer
+    hits like h(1) = 1 away from the floor guard."""
+    n_lo = math.ceil(tf.phi(float(_least_member(tf))) - 1e-9)
+    return max(n_lo, math.ceil(tf.x0)), math.floor(tf.phi(float(N + 1))) + 1
 
 
 def _floor_values_among(tf: ThinFunction, ks: np.ndarray, n_lo: int, n_hi: int):
@@ -264,9 +266,9 @@ def _n_route(tf, pt, N, n_lo, n_hi, threads) -> list:
 
 def _primes_route(tf, pt, N, n_lo, n_hi, threads) -> list:
     """The same primes, ascending and once each, from the primes' side:
-    each prime p <= N is tested by _floor_values_among, per unit of SEGMENT
-    primes."""
-    ps = pt.primes[:pt.pi(N)]
+    each prime p_lo <= p <= N is tested by _floor_values_among, per unit of
+    SEGMENT primes."""
+    ps = pt.primes_in(_least_member(tf) - 1, N)
     return _in_order(
         lambda i: _floor_values_among(tf, ps[i:i + SEGMENT], n_lo, n_hi),
         range(0, len(ps), SEGMENT), threads)
@@ -288,24 +290,26 @@ def _takes_primes_side(tf, pt, N, n_lo, n_hi) -> bool:
 
 def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
                           threads: int = 1) -> ThinPrimeSet:
-    """All primes p <= N of the form floor(h(n)), with weights attached.
+    """All primes p_lo <= p <= N of the form floor(h(n)), with weights
+    attached; p_lo = max(2, ceil(h(x0))) is _least_member's.
 
-    The n run from ceil(x0) to floor(phi(N+1)) + 1.  The set comes from one
-    of two exact routes, chosen by _takes_primes_side: the n side evaluates
-    floor(h(n)) at every n and keeps the primes (consecutive n share
-    floor(h(n)) wherever h' < 1, as for Ch < 1); the primes' side tests
-    each prime p <= N at the n that a guess of phi(p) places.  Either route
-    is taken in units of SEGMENT values, mapped serially or over `threads`
-    workers and each evaluated in blocks of THIN_BLOCK values; the units
-    are merged in index order, so the set does not depend on thread count.
-    The merged primes, nondecreasing already, are sorted in place (a stable
-    sort, linear on sorted input) and compared with their predecessors:
-    numpy 2.4's np.unique takes a hash route.  The weights are computed
-    THIN_BLOCK primes at a time, so their float temporaries stay small.
+    The n run from the first n with h(n) >= p_lo to floor(phi(N+1)) + 1.
+    The set comes from one of two exact routes, chosen by _takes_primes_side:
+    the n side evaluates floor(h(n)) at every n and keeps the primes
+    (consecutive n share floor(h(n)) wherever h' < 1, as for Ch < 1); the
+    primes' side tests each prime at the n that a guess of phi(p) places.
+    Either route is taken in units of SEGMENT values, mapped serially or
+    over `threads` workers and each evaluated in blocks of THIN_BLOCK
+    values; the units are merged in index order, so the set does not depend
+    on thread count.  The merged primes, nondecreasing already, are sorted
+    in place (a stable sort, linear on sorted input) and compared with their
+    predecessors: numpy 2.4's np.unique takes a hash route.  The weights are
+    computed THIN_BLOCK primes at a time, so their float temporaries stay
+    small.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
-    if N + 1 < tf.h_x0 or N < 2:
+    if N < _least_member(tf):
         return ThinPrimeSet(tf, N, np.empty(0, np.int64), np.empty(0))
     n_lo, n_hi = _n_range(tf, N)
     route = _primes_route if _takes_primes_side(tf, pt, N, n_lo, n_hi) else _n_route

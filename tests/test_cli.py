@@ -63,10 +63,17 @@ def test_gamma_half_is_validation_error(capsys):
     assert "outside [1, 2)" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_set_above_h_x0_exits_0(tmp_path):
+    # h(x0) = 2.5: floor(h(1)) = 2 lies below it, and the set starts at 3
+    out = tmp_path / "d.csv"
+    assert main(["density", "--gamma", "0.95", "--Ch", "2.5", "--N", "100",
+                 "--out", str(out)]) == 0
+    assert body_lines(out)[-1].startswith("100,11,")
+
+
+def test_unknown_subcommand_exits_2(capsys):
+    assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().err.startswith("ValidationError: ")
 
 
 def test_dry_run_prints_plan_without_output(tmp_path, capsys):
@@ -533,3 +540,66 @@ def test_cli_contract(argv):
             assert name not in ("ValidationError", "ParseError")
         else:
             assert out.exists() != ("--dry-run" in argv)
+
+
+# A line that the front door refuses before any key is read, or that asks
+# for help.  OUT stands for the --out path, up to two pairs from POOLS come
+# with the defect, and "-h" or "--help" anywhere asks for the usage.
+OUT = "<out>"
+DEFECTS = ["none", "unknown", "misplaced", "bare", "trailing", "config",
+           "dry-run", "help"]
+HELP = ("-h", "--help")
+
+
+@st.composite
+def broken_lines(draw):
+    defect = draw(st.sampled_from(DEFECTS))
+    if defect == "none":
+        return defect, []
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    line = ["--out", OUT]
+    for key in draw(st.lists(st.sampled_from(sorted(ALLOWED_KEYS[sub])),
+                             unique=True, max_size=2)):
+        line += ["--" + key, draw(st.sampled_from(POOLS[key]))]
+    if defect == "unknown":
+        return defect, [draw(st.text(max_size=12).filter(
+            lambda t: t not in SUBCOMMANDS and t not in HELP))] + line
+    if defect == "misplaced":
+        return defect, line + [sub]
+    cut = draw(st.integers(0, len(line) // 2)) * 2    # between two pairs
+    if defect == "bare":
+        bare = draw(st.text(max_size=12).filter(
+            lambda t: not t.startswith("--") and t not in HELP))
+        return defect, [sub] + line[:cut] + [bare] + line[cut:]
+    if defect == "help":
+        where = draw(st.integers(0, len(line) + 1))
+        return defect, ([sub] + line)[:where] + [draw(st.sampled_from(HELP))] \
+            + ([sub] + line)[where:]
+    tail = {"trailing": "--" + draw(st.sampled_from(
+                sorted((ALLOWED_KEYS[sub] | COMMON_KEYS) - {"dry-run"}))),
+            "config": "--config", "dry-run": "--dry-run=maybe"}[defect]
+    return defect, [sub] + line + [tail]
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_lines())
+def test_front_door_contract(case):
+    """main returns for every drawn line: 0 with the usage on stdout for
+    help, else 2 with a ValidationError or ParseError line on stderr, no
+    prime table and no --out file."""
+    import thinprimes.cli as cli
+    defect, argv = case
+    calls = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.setattr(cli, "build_prime_table", lambda *a, **k: calls.append(a))
+        path = Path(tmp) / "r.out"
+        rc = main([str(path) if tok == OUT else tok for tok in argv])
+        assert calls == [] and not path.exists()
+    if defect == "help":
+        assert rc == 0 and out.getvalue().startswith("usage: thinprime ")
+        assert all(sub in out.getvalue() for sub in SUBCOMMANDS)
+    else:
+        assert rc == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith(("ValidationError: ", "ParseError: "))

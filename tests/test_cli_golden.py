@@ -174,14 +174,16 @@ def test_golden_report_with_the_pin_preset(golden, argv):
 
 # A fresh process as the console script starts it.  After main() it writes
 # to the file named first which package modules have run and which of the
-# standard-library modules the package imports at first use are loaded.
+# standard-library modules the package imports at first use, or never
+# (argparse and its gettext), are loaded.
 # type() reads a lazy module's class without loading it.
 BARE_IMPORT = """import sys, types
 from thinprimes.cli import main
 rc = main(sys.argv[2:])
 ran = [n for n, m in list(sys.modules.items())
        if n.startswith("thinprimes.") and type(m) is types.ModuleType]
-loaded = [n for n in ("concurrent.futures", "fractions", "json") if n in sys.modules]
+loaded = [n for n in ("argparse", "concurrent.futures", "fractions", "gettext",
+                     "json") if n in sys.modules]
 with open(sys.argv[1], "w") as fh:
     fh.write(" ".join(sorted(ran)) + "\\n" + " ".join(loaded))
 sys.exit(rc)

@@ -468,7 +468,7 @@ def test_cli_enumerates_each_distinct_gamma_once(tmp_path, pt20, monkeypatch):
     N, N_end = 2001, 2041
     sets = [enumerate_thin_primes(make_thin_function("power", gamma=1.0),
                                   pt20, N_end) for _ in range(3)]
-    want = [",".join(cli._fmt(v) for v in row)
+    want = [",".join(map(str, row))
             for row in goldbach_reports([s.tf for s in sets], sets, N, N_end,
                                         pt20)]
     calls = []

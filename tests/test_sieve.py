@@ -532,3 +532,26 @@ def test_floor_values_among_a_range_of_n(gamma, Ch, n_lo, width):
     ks = np.arange(2, tf.floor_h(n_hi + 2) + 1, dtype=np.int64)
     got = sieve._floor_values_among(tf, ks, n_lo, n_hi)
     assert np.array_equal(got, want[want >= 2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.sampled_from([0.8, 0.9, 0.95, 0.99]),
+       Ch=st.sampled_from([2.5, 3.0, 7.3]),
+       x0=st.sampled_from([None, 2.0, 5.0, 17.5]),
+       N=st.integers(2, 3000))
+@example(gamma=0.95, Ch=2.5, x0=None, N=100)
+@example(gamma=0.9, Ch=7.3, x0=None, N=3000)
+@example(gamma=0.99, Ch=3.0, x0=5.0, N=3000)
+@example(gamma=0.8, Ch=0.4, x0=None, N=3000)
+def test_sets_start_at_h_x0(pt20, gamma, Ch, x0, N):
+    # a Ch or x0 that puts h(x0) above 2 starts the set at the least prime
+    # not below h(x0), whose weight phi can take; floor(h(ceil(x0))) may lie
+    # below it.  Both routes against the membership oracle
+    tf = make_thin_function("power", gamma=gamma, Ch=Ch, x0=x0)
+    want = [p for p in pt20.primes_in(1, N).tolist()
+            if p >= tf.h_x0 * (1 - 1e-12) and thin_membership(tf, p, "direct")]
+    with pytest.MonkeyPatch.context() as mp:
+        for route in on_each_route(mp):
+            tps = enumerate_thin_primes(tf, pt20, N)
+            assert tps.primes.tolist() == want, route
+            assert np.all(np.isfinite(tps.weights) & (tps.weights > 0))
