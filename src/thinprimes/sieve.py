@@ -1,22 +1,28 @@
-"""Segmented smallest-prime-factor sieve and thin prime set enumeration.
+"""Segmented odd-only sieve, smallest prime factors on demand, and thin
+prime set enumeration.
 
-The PrimeTable stores spf(n) for composite n <= N and 0 for primes (and for
-0 and 1), built segment by segment (2^20 entries per segment) so the marking
-loops stay cache resident.  A composite n <= N has a prime factor at most
-isqrt(N), so below N = 2^32 the table is uint16, 2(N+1) bytes, and uint32,
-4(N+1) bytes, above.  Factoring through spf takes O(log n) steps per number,
-or per vector pass over many.  A thin prime set is enumerated by one of two
-exact routes, whichever evaluates h fewer times: from the n side, every
-floor(h(n)) over the range of n, or from the primes' side, where each prime
-p <= N is tested at the n = ceil(phi(p)) that a closed-form guess of phi
-places (power family only).  Either route works in units of SEGMENT values
-(of n, or of primes) that are each evaluated THIN_BLOCK values at a time, so
-the vector passes stay in cache; each block is one call of the certified
-floor, guarded at its largest value.
+The PrimeTable stores one primality byte per odd number: odd[i] is true
+exactly when 2i + 1 is prime, N//2 + 1 bytes in all.  It is sieved segment
+by segment (2^20 odd numbers per segment), so the crossing-off loops stay
+cache resident; each segment starts from a periodic pattern that has the
+multiples of 3, 5, 7, 11 and 13 crossed off already.  The smallest-prime-
+factor table spf, which only factoring reads, is filled segment by segment
+on its first access: a composite n <= N has a prime factor at most
+isqrt(N), so below N = 2^32 spf is uint16, 2(N+1) bytes, and uint32,
+4(N+1) bytes, above.  Factoring through spf takes O(log n) steps per
+number, or per vector pass over many.  A thin prime set is enumerated by
+one of two exact routes, whichever evaluates h fewer times: from the n
+side, every floor(h(n)) over the range of n, or from the primes' side,
+where each prime p <= N is tested at the n = ceil(phi(p)) that a
+closed-form guess of phi places (power family only).  Either route works
+in units of SEGMENT values (of n, or of primes) that are each evaluated
+THIN_BLOCK values at a time, so the vector passes stay in cache; each
+block is one call of the certified floor, guarded at its largest value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +32,9 @@ from .errors import DomainError, LimitMismatch, LimitTooLarge
 from .thinfn import ThinFunction
 
 SEGMENT = 1 << 20
+# The odd primes whose multiples the table sieve lays down as one periodic
+# pattern of 15015 entries rather than by crossing off.
+WHEEL = (3, 5, 7, 11, 13)
 THIN_BLOCK = 1 << 14
 MAX_LIMIT = 1 << 34
 # Relative half-width of the band around an integer inside which a guess
@@ -50,16 +59,41 @@ def _base_primes(n: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Smallest-prime-factor table for 2..limit with arithmetic queries.
+    """Primality table for 0..limit with arithmetic queries.
 
-    spf[n] is the smallest prime factor of a composite n and 0 for a prime
-    n (and for n < 2); see build_prime_table for its dtype and size.
+    odd[i] is true exactly when 2i + 1 is prime; see build_prime_table for
+    its size.  spf[n] is the smallest prime factor of a composite n and 0
+    for a prime n (and for n < 2), built on first access on the table's
+    `threads` workers; a table that cannot be allocated raises
+    LimitTooLarge with its byte count.
     """
 
-    def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, odd: np.ndarray, primes: np.ndarray,
+                 threads: int = 1):
         self.limit = int(limit)
-        self.spf = spf
+        self.odd = odd
         self.primes = primes.astype(np.int64, copy=False)
+        self.threads = threads
+
+    def is_prime(self, ns: np.ndarray) -> np.ndarray:
+        """Primality of each n in ns, 0 <= n <= limit."""
+        return (ns == 2) | (self.odd[ns >> 1] & (ns & 1).astype(bool))
+
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        """Smallest prime factors, filled in SEGMENT-entry segments: uint16
+        below limit 2^32 and uint32 above."""
+        N = self.limit
+        dtype = np.dtype(np.uint16 if N < (1 << 32) else np.uint32)
+        try:
+            spf = np.zeros(N + 1, dtype=dtype)
+        except MemoryError:
+            raise LimitTooLarge(f"N={N}: the spf table of {(N + 1) * dtype.itemsize} "
+                                "bytes could not be allocated") from None
+        base = self.primes[:self.pi(math.isqrt(N))]
+        _in_order(lambda lo: _fill_spf(spf, lo, min(lo + SEGMENT, N + 1), base),
+                  range(2, N + 1, SEGMENT), self.threads)
+        return spf
 
     def pi(self, x: int) -> int:
         if x > self.limit:
@@ -132,41 +166,81 @@ def _in_order(fn, items, threads: int) -> list:
     return [fn(x) for x in items]
 
 
-def _fill_segment(spf, lo, hi, base) -> np.ndarray:
-    """Mark spf for indices [lo, hi) and return the primes among them, the
-    entries left 0; base primes descending, so the smallest prime factor
-    writes last."""
+def _fill_spf(spf, lo, hi, base) -> None:
+    """Mark spf for indices [lo, hi); base primes descending, so the
+    smallest prime factor writes last."""
     for p in base[::-1].tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             spf[start:hi:p] = p
-    return np.flatnonzero(spf[lo:hi] == 0) + lo
+
+
+def _wheel() -> np.ndarray:
+    """One period of the odd numbers prime to every WHEEL prime: entry i
+    for 2i + 1, over prod(WHEEL) indices, since p divides 2i + 1 exactly
+    when i = (p - 1)/2 mod p."""
+    pattern = np.ones(math.prod(WHEEL), dtype=bool)
+    for p in WHEEL:
+        pattern[p >> 1::p] = False
+    return pattern
+
+
+def _sieve_odd_segment(odd, lo, hi, wheel, base) -> np.ndarray:
+    """Sieve odd[lo:hi], the odd numbers 2lo + 1 .. 2hi - 1, and return the
+    primes among them.  The segment starts as the wheel at its phase, one
+    period copied and then doubled in place, with the WHEEL primes set back;
+    the larger odd base primes then cross off their odd multiples from p^2
+    on, which sit at indices (p^2 - 1)/2 + jp."""
+    seg = odd[lo:hi]
+    k = min(len(wheel), len(seg))
+    seg[:k] = np.roll(wheel, -(lo % len(wheel)))[:k]
+    while k < len(seg):
+        m = min(k, len(seg) - k)
+        seg[k:k + m] = seg[:m]
+        k += m
+    for p in WHEEL:
+        if lo <= p >> 1 < hi:
+            odd[p >> 1] = True
+    for p in base.tolist():
+        start = (p * p) >> 1
+        if start >= hi:
+            break
+        if start < lo:
+            start += -((start - lo) // p) * p
+        odd[start:hi:p] = False
+    ps = np.flatnonzero(seg)
+    ps += lo
+    ps *= 2
+    ps += 1
+    return ps
 
 
 def build_prime_table(N: int, threads: int = 1) -> PrimeTable:
-    """Sieve spf for 2..N in 2^20-entry segments.
+    """Sieve the odd numbers up to N in SEGMENT-entry segments.
 
-    The table is uint16 below N = 2^32 and uint32 up to MAX_LIMIT; a table
-    that cannot be allocated raises LimitTooLarge with its byte count.
-    A number then factors through spf in O(log n) steps.
-    Segments are independent and may be filled in parallel; each returns
-    its primes, concatenated in segment order.
+    The table odd is N//2 + 1 bools, odd[i] true exactly when 2i + 1 is a
+    prime <= N (1 and, for even N, N + 1 are false); a table that cannot be
+    allocated raises LimitTooLarge with its byte count.  Segments are
+    independent and may be sieved in parallel; each returns its primes,
+    concatenated in segment order after 2.  spf is left to first access.
     """
     if N < 2:
         raise LimitTooLarge("N must be at least 2")
     if N > MAX_LIMIT:
         raise LimitTooLarge(f"N={N} exceeds the 2^34 memory guard")
-    dtype = np.dtype(np.uint16 if N < (1 << 32) else np.uint32)
     try:
-        spf = np.zeros(N + 1, dtype=dtype)
+        odd = np.zeros(N // 2 + 1, dtype=bool)
     except MemoryError:
-        raise LimitTooLarge(f"N={N}: the spf table of {(N + 1) * dtype.itemsize} "
+        raise LimitTooLarge(f"N={N}: the prime table of {N // 2 + 1} "
                             "bytes could not be allocated") from None
     base = _base_primes(math.isqrt(N))
+    base, wheel = base[base > WHEEL[-1]], _wheel()
+    end = (N + 1) // 2                     # odd numbers 3 .. N
     parts = _in_order(
-        lambda lo: _fill_segment(spf, lo, min(lo + SEGMENT, N + 1), base),
-        range(2, N + 1, SEGMENT), threads)
-    return PrimeTable(N, spf, np.concatenate(parts))
+        lambda lo: _sieve_odd_segment(odd, lo, min(lo + SEGMENT, end), wheel, base),
+        range(1, end, SEGMENT), threads)
+    return PrimeTable(N, odd, np.concatenate([np.array([2], np.int64), *parts]),
+                      threads)
 
 
 @dataclass
@@ -209,7 +283,7 @@ def _thin_chunk(tf: ThinFunction, pt: PrimeTable, N: int, lo: int, hi: int):
     for b in range(lo, hi, THIN_BLOCK):
         ps = tf.floor_h_vec(np.arange(b, min(b + THIN_BLOCK, hi), dtype=np.int64))
         ps = ps[(ps >= p_lo) & (ps <= N)]
-        parts.append(ps[pt.spf[ps] == 0])   # ps fits the table by construction
+        parts.append(ps[pt.is_prime(ps)])   # ps fits the table by construction
     return np.concatenate(parts)
 
 
@@ -241,7 +315,7 @@ def _floor_values_among(tf: ThinFunction, ks: np.ndarray, n_lo: int, n_hi: int):
     never move the set.  A k below h(x0) is guessed at h(x0), whose
     candidates clip to n_lo.
     """
-    parts = []
+    parts = [ks[:0]]
     for b in range(0, len(ks), THIN_BLOCK):
         k = ks[b:b + THIN_BLOCK]
         y = tf.phi_vec(np.maximum(k, tf.h_x0))
@@ -267,11 +341,11 @@ def _n_route(tf, pt, N, n_lo, n_hi, threads) -> list:
 def _primes_route(tf, pt, N, n_lo, n_hi, threads) -> list:
     """The same primes, ascending and once each, from the primes' side:
     each prime p_lo <= p <= N is tested by _floor_values_among, per unit of
-    SEGMENT primes."""
+    SEGMENT primes; with no such prime, one empty unit."""
     ps = pt.primes_in(_least_member(tf) - 1, N)
     return _in_order(
         lambda i: _floor_values_among(tf, ps[i:i + SEGMENT], n_lo, n_hi),
-        range(0, len(ps), SEGMENT), threads)
+        range(0, max(len(ps), 1), SEGMENT), threads)
 
 
 def _takes_primes_side(tf, pt, N, n_lo, n_hi) -> bool:

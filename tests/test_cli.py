@@ -71,6 +71,15 @@ def test_set_above_h_x0_exits_0(tmp_path):
     assert body_lines(out)[-1].startswith("100,11,")
 
 
+def test_no_prime_above_h_x0_exits_0(tmp_path):
+    # h(x0) ~ 37.1 puts the least member at 38, and no prime lies in
+    # [38, 40]: the primes' side has no prime to test, and the set is empty
+    out = tmp_path / "d.csv"
+    assert main(["density", "--gamma", "0.95", "--Ch", "0.01", "--x0", "2460",
+                 "--N", "40", "--out", str(out)]) == 0
+    assert body_lines(out)[-1] == "40,0,0.0"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert capsys.readouterr().err.startswith("ValidationError: ")
@@ -350,20 +359,53 @@ def test_hull_too_large_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("LimitTooLarge: running sum")
 
 
-def test_unallocatable_table_exits_3(tmp_path, capsys, monkeypatch):
-    # only the spf allocation fails, as a MemoryError would at a large N
+def refuse_allocation(monkeypatch, size, refused):
+    """np.zeros raises MemoryError for exactly this size and dtype, as it
+    would for a table at a large N."""
     zeros = np.zeros
 
-    def refuse_table(shape, dtype=float, **kw):
-        if shape == 4097 and np.dtype(dtype) == np.uint16:
+    def refuse(shape, dtype=float, **kw):
+        if shape == size and np.dtype(dtype) == refused:
             raise MemoryError
         return zeros(shape, dtype, **kw)
-    monkeypatch.setattr(np, "zeros", refuse_table)
+    monkeypatch.setattr(np, "zeros", refuse)
+
+
+def test_unallocatable_table_exits_3(tmp_path, capsys, monkeypatch):
+    # only the table of odd primality bytes fails, N//2 + 1 of them
+    refuse_allocation(monkeypatch, 2049, np.bool_)
     out = tmp_path / "err.json"
     rc = main(["density", "--gamma", "0.95", "--N", "4096", "--out", str(out)])
     assert rc == 3
     assert json.loads(out.read_text())["error"] == "LimitTooLarge"
-    assert "8194 bytes" in capsys.readouterr().err
+    assert "prime table of 2049 bytes" in capsys.readouterr().err
+
+
+def test_unallocatable_spf_exits_3(tmp_path, capsys, monkeypatch):
+    # goldbach factors its targets through spf, built on first access after
+    # the table: 2(N + 1) bytes of uint16 at the table's limit N = 41
+    refuse_allocation(monkeypatch, 42, np.uint16)
+    out = tmp_path / "err.json"
+    rc = main(["goldbach", "--gammas", "1,1,1", "--N", "41", "--out", str(out)])
+    assert rc == 3
+    assert json.loads(out.read_text())["error"] == "LimitTooLarge"
+    assert "spf table of 84 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,factors", [
+    (["density", "--gamma", "0.95", "--N", "4096"], False),
+    (["goldbach", "--gammas", "1,1,1", "--N", "41"], True)])
+def test_only_goldbach_builds_spf(tmp_path, monkeypatch, argv, factors):
+    # spf is built on first access, and only goldbach factors
+    import thinprimes.cli as cli
+    tables = []
+
+    def sieve_spy(*args, **kwargs):
+        tables.append(build_prime_table(*args, **kwargs))
+        return tables[-1]
+    monkeypatch.setattr(cli, "build_prime_table", sieve_spy)
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 0
+    assert len(tables) == 1 and ("spf" in tables[0].__dict__) is factors
 
 
 def test_position_overflow_exits_3(tmp_path, capsys):

@@ -391,6 +391,19 @@ def test_table_primes_match_spf_fixed_points(N):
     assert np.all(ns[comp] % pt.spf[comp] == 0) and np.all(pt.spf[comp] < ns[comp])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 2 ** 20 - 1, 2 ** 20 + 1, 2 ** 21 + 5])
+def test_table_primes_and_is_prime_match_dense_sieve(N, threads):
+    # odd and even N, and the segment edges of the odd table, serially and
+    # on two workers: the primes and the primality of every n <= N
+    pt = build_prime_table(N, threads=threads)
+    want = sieve._base_primes(N)
+    assert pt.primes.dtype == np.int64 and np.array_equal(pt.primes, want)
+    prime = np.zeros(N + 1, dtype=bool)
+    prime[want] = True
+    assert np.array_equal(pt.is_prime(np.arange(N + 1)), prime)
+
+
 def traced_peak(fn, *args):
     """Peak bytes that tracemalloc sees while fn(*args) runs."""
     tracemalloc.start()
@@ -409,15 +422,23 @@ def test_enumeration_peak_memory(tf95, pt23, monkeypatch):
 
 
 def test_table_peak_memory():
-    # the 16 MiB uint16 table and the segment-wise primes, with no
-    # full-length temporary beside them
-    assert traced_peak(build_prime_table, 1 << 23) <= 28 * 2 ** 20
+    # the 4 MiB table of odd primality bytes and the segment-wise primes,
+    # with no full-length temporary beside them and no spf
+    assert traced_peak(build_prime_table, 1 << 23) <= 16 * 2 ** 20
 
 
-def test_table_is_uint16_of_two_bytes_per_entry():
+@pytest.mark.parametrize("N", [2 ** 20, 2 ** 20 + 1])
+def test_table_is_one_byte_per_odd_number(N):
+    pt = build_prime_table(N)
+    assert pt.odd.dtype == np.bool_ and pt.odd.nbytes == N // 2 + 1
+    assert "spf" not in pt.__dict__
+
+
+def test_spf_once_built_is_uint16_of_two_bytes_per_entry():
     N = 2 ** 20 + 1
     pt = build_prime_table(N)
     assert pt.spf.dtype == np.uint16 and pt.spf.nbytes == 2 * (N + 1)
+    assert pt.spf is pt.spf
 
 
 def test_largest_sieving_prime_below_2_32_fits_uint16():
@@ -460,6 +481,7 @@ def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
 @example(gamma=2 / 3, Ch=3.0, N=2 ** 16)
 @example(gamma=1.0, Ch=1.0, N=2 ** 16)
 @example(gamma=0.95, Ch=0.75, N=2 ** 16)
+@example(gamma=0.75, Ch=3.0, N=2)
 def test_routes_agree_with_unchunked(pt20, gamma, Ch, N):
     # the n side and the primes' side against one pass over every n, over
     # the power family's gamma range; gamma = 1 is in the family only as the
