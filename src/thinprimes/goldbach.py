@@ -1,24 +1,26 @@
 """Ternary Goldbach representation counts in thin primes.
 
 R(n) counts ordered triples p1+p2+p3 = n with p_i in the i-th thin set.
-All odd targets n of a range [N, N_end] are counted in one pass by two
-independent routes, which must agree exactly at every target:
+An odd n is three odd primes or 2 + 2 + (n - 4), so R(n) is an odd count
+plus [2 in Si][2 in Sj][n - 4 in Sk] over the three places of n - 4.  The
+odd count is the problem at half size: a1 + a2 + a3 = t for a = (p - 1)/2
+and t = (n - 3)/2, with every a at most A = (N_end - 1)//2 and the
+targets the consecutive t in [t0, A - 1], t0 = (N - 3)/2.  All of them are
+counted in one pass by two routes, which must agree at every target:
 
-- direct, in exact integers.  R(n) is symmetric in the three sets, so S1
-  and S2 are the two thinnest and S3, the densest, is read as an indicator:
-  R(n) = sum over p1 in S1 of C23(n - p1), with the pair count
-  C23(m) = #{p2 in S2 : m - p2 in S3} held in one table for the range.
-  The table is filled at the points m that some target needs by popcounts
+- direct, in exact integers.  S1 and S2 are the two thinnest sets (the
+  count is symmetric) and S3 is read as an indicator of its a: the sum
+  over a1 in S1 of C23(t - a1), C23(m) = #{a2 in S2 : m - a2 in S3}, from
+  one table filled at the points m that some target needs by popcounts
   of 64-bit words (S2's bitset AND the reversed S3 bitset shifted by
-  N_end - m), or, when 64*|S2| is below the number of those points, at
-  every m by |S2| shifted adds of the S3 indicator;
-- spectral: one float FFT per distinct set on a grid of
-  M = next_pow2(3*N_end - N + 1) points.  The product has degree at most
-  3*N_end, so its wrapped terms land below N, and one inverse transform
-  holds every R(n) as an integer read off by rounding.  The rounding margin
-  is checked at every target; a target whose margin is too thin escalates
-  on its own to an exact big-integer convolution (Kronecker substitution)
-  rather than trusting the float transform.
+  A - m), or, when 64*|S2| is below the number of those points, at every
+  m by |S2| shifted adds of the S3 indicator;
+- spectral: one float FFT per distinct set's indicator of a on a grid of
+  M = next_pow2(3*A - t0 + 1) points.  The product has degree at most 3*A,
+  so its wrapped terms land below t0, and one inverse transform holds every
+  odd count as an integer read off by rounding.  A target whose float
+  value lies 0.25 or more from an integer is recounted on its own by an
+  exact big-integer convolution (Kronecker substitution).
 
 A single target is a range of one over the same code.  The report
 columns are vector passes over the same targets: the classical singular
@@ -70,37 +72,28 @@ def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
     return (prod >> (bits * n)) & ((1 << bits) - 1)
 
 
-def _needed_points(p1s: np.ndarray, N: int, N_end: int, size: int) -> np.ndarray:
-    """The points m = n - p1, p1 <= n, that some odd target n in [N, N_end]
-    needs, ascending.  Each p1 needs one run of step 2, from its first
-    target >= p1 to the last target; the runs of each parity of m are
-    counted by two bincounts of their ends and one cumulative sum."""
-    last = N + (N_end - N) // 2 * 2
-    p1s = p1s[p1s <= last]
-    j0 = np.maximum(0, -((N - p1s) // 2))   # first target >= p1
-    start, need = N + 2 * j0 - p1s, np.zeros(size, dtype=bool)
-    for q in (0, 1):
-        run, width = start % 2 == q, len(need[q::2])
-        edges = (np.bincount(start[run] // 2, minlength=width + 1)
-                 - np.bincount((last - p1s[run]) // 2 + 1, minlength=width + 1))
-        need[q::2] = np.cumsum(edges)[:width] > 0
-    return np.flatnonzero(need)
+def _needed_points(a1s: np.ndarray, t0: int, t1: int, size: int) -> np.ndarray:
+    """The points m = t - a1 >= 0 that some target t in [t0, t1] needs,
+    ascending: the run [max(t0 - a1, 0), t1 - a1] of each a1 <= t1, counted
+    by two bincounts of the ends of the runs and one cumulative sum."""
+    a1s = a1s[a1s <= t1]
+    edges = (np.bincount(np.maximum(t0 - a1s, 0), minlength=size + 1)
+             - np.bincount(t1 - a1s + 1, minlength=size + 1))
+    return np.flatnonzero(np.cumsum(edges)[:size] > 0)
 
 
-def _sum_over_first(p1s: np.ndarray, c23: np.ndarray, N: int,
-                    N_end: int) -> np.ndarray:
-    """R(n) = sum over p1 <= n of c23[n - p1] for every odd n in [N, N_end],
-    looping over targets or over p1s, whichever is shorter."""
-    count = (N_end - N) // 2 + 1
-    R = np.zeros(count, dtype=np.int64)
-    if count <= len(p1s):
-        for j, n in enumerate(range(N, N_end + 1, 2)):
-            k = np.searchsorted(p1s, n, side="right")
-            R[j] = c23[n - p1s[:k]].sum(dtype=np.int64)
+def _sum_over_first(a1s: np.ndarray, c23: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """sum over a1 <= t of c23[t - a1] for every t in [t0, t1], looping
+    over targets or over a1s (all at most t1 + 1), whichever is shorter."""
+    R = np.zeros(t1 - t0 + 1, dtype=np.int64)
+    if len(R) <= len(a1s):
+        for j, t in enumerate(range(t0, t1 + 1)):
+            k = np.searchsorted(a1s, t, side="right")
+            R[j] = c23[t - a1s[:k]].sum(dtype=np.int64)
     else:
-        for p1 in p1s.tolist():
-            j0 = max(0, -((N - p1) // 2))
-            R[j0:] += c23[N + 2 * j0 - p1: N_end - p1 + 1: 2]
+        for a1 in a1s.tolist():
+            j0 = max(0, a1 - t0)
+            R[j0:] += c23[t0 + j0 - a1: t1 - a1 + 1]
     return R
 
 
@@ -152,60 +145,62 @@ def _pair_counts_by_shifts(p2s: np.ndarray, i3: np.ndarray) -> np.ndarray:
     return c23
 
 
-def _direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
-                   N: int, N_end: int) -> np.ndarray:
-    """Exact R(n) for every odd n in [N, N_end] from one table of C23(m).
+def _direct_counts(a1s: np.ndarray, a2s: np.ndarray, i3: np.ndarray,
+                   t0: int, t1: int) -> np.ndarray:
+    """Exact odd counts at every t in [t0, t1] from one table of C23(m).
 
-    p1s and p2s are the primes up to N_end of the two thinnest sets and i3
-    the indicator of the third, of length N_end + 1.  The table is filled
-    by popcounts at the needed points m, or, when 64*|S2| is below their
-    number, by |S2| shifted adds over every m; both counts are exact.
+    a1s and a2s are the a of the two thinnest sets and i3 the indicator of
+    the third, of length at least t1 + 2.  The table is filled by popcounts
+    at the needed points m, or, when 64*|S2| is below their number, by
+    |S2| shifted adds over every m; both counts are exact.
     """
-    ms = _needed_points(p1s, N, N_end, len(i3))
-    if 64 * len(p2s) < len(ms):
-        c23 = _pair_counts_by_shifts(p2s, i3)
+    ms = _needed_points(a1s, t0, t1, len(i3))
+    if 64 * len(a2s) < len(ms):
+        c23 = _pair_counts_by_shifts(a2s, i3)
     else:
-        c23 = _pair_counts_by_popcount(p2s, i3, ms)
-    return _sum_over_first(p1s, c23, N, N_end)
+        c23 = _pair_counts_by_popcount(a2s, i3, ms)
+    return _sum_over_first(a1s, c23, t0, t1)
 
 
 def rep_counts(tps1: ThinPrimeSet, tps2: ThinPrimeSet, tps3: ThinPrimeSet,
                N: int, N_end: int) -> tuple[np.ndarray, np.ndarray]:
     """(direct, spectral) ordered-triple counts for every odd n in [N, N_end].
 
-    The direct count reads the two thinnest sets as prime lists and the
-    densest as an indicator.  The spectral count takes one rfft per
-    distinct set and one inverse FFT of size M = next_pow2(3*N_end - N + 1).
-    A target whose float value sits 0.25 or more from an integer is
-    recounted by the exact big-integer convolution.  The two counts must
-    agree at every target; the first that does not raises SpectralMismatch
-    naming it.
+    Each is the odd count at t = (n - 3)/2 plus the closed-form count of
+    (2, 2, n - 4) in its three orders.  The spectral odd counts are read at
+    t off one grid of M = next_pow2(3*A - t0 + 1) points, A = (N_end - 1)//2
+    and t0 = (N - 3)/2, and escalated as the module docstring says.  The
+    first target where the counts differ raises SpectralMismatch naming n.
     """
     check_targets(N, N_end)
     sets = (tps1, tps2, tps3)
     for t in sets:
         if t.limit < N_end:
             raise LimitMismatch(f"thin set enumerated to {t.limit} < N_end={N_end}")
-    targets = np.arange(N, N_end + 1, 2, dtype=np.int64)
-    ind = {id(t): t.indicator(N_end) for t in sets}   # one per distinct set
+    A, t0 = (N_end - 1) // 2, (N - 3) // 2     # the targets are t0..A-1
+    # [2a + 1 in S] for a in [0, A], one per distinct set
+    ind = {id(t): t.indicator(2 * A + 1)[1::2] for t in sets}
+    # n - 4 is the odd member at a = t - 1, and S.count(2) is [2 in S]
+    two, at = [t.count(2) for t in sets], [ind[id(t)][t0 - 1: A - 1] for t in sets]
+    twos = two[1] * two[2] * at[0] + two[0] * two[2] * at[1] + two[0] * two[1] * at[2]
     s1, s2, s3 = sorted(sets, key=lambda t: t.count(N_end))   # R is symmetric
-    direct = _direct_counts(s1.primes[: s1.count(N_end)],
-                            s2.primes[: s2.count(N_end)], ind[id(s3)], N, N_end)
-    # the product has degree <= 3*N_end, so a wrapped term lands below N
-    M = next_pow2(3 * N_end - N + 1)
+    direct = _direct_counts(np.flatnonzero(ind[id(s1)]), np.flatnonzero(ind[id(s2)]),
+                            ind[id(s3)], t0, A - 1) + twos
+    # the product has degree <= 3*A, so a wrapped term lands below t0
+    M = next_pow2(3 * A - t0 + 1)
     ffts = {k: np.fft.rfft(a, M) for k, a in ind.items()}
     spec = ffts[id(tps1)] * ffts[id(tps2)] * ffts[id(tps3)]
-    vals = np.fft.irfft(spec, M)[targets]
+    vals = np.fft.irfft(spec, M)[t0:A]
     spectral = np.rint(vals).astype(np.int64)
     for j in np.flatnonzero(np.abs(vals - spectral) >= 0.25):
-        n = int(targets[j])
-        spectral[j] = _exact_triple_coeff(
-            *(ind[id(t)][: n + 1] for t in sets), n)
+        t = t0 + int(j)
+        spectral[j] = _exact_triple_coeff(*(ind[id(s)][: t + 1] for s in sets), t)
+    spectral += twos
     bad = np.flatnonzero(direct != spectral)
     if bad.size:
         j = bad[0]
         raise SpectralMismatch(
-            f"N={targets[j]}: direct={direct[j]} spectral={spectral[j]} "
+            f"N={N + 2 * j}: direct={direct[j]} spectral={spectral[j]} "
             f"(fft value {vals[j]})")
     return direct, spectral
 
@@ -336,8 +331,7 @@ def parseval_check(source, N: int, weighted: bool = False) -> tuple[float, float
     weights = ws if weighted else np.ones(len(ps))
     M = next_pow2(2 * N + 1)
     vec = np.zeros(M, dtype=np.float64)
-    if len(ps):
-        np.add.at(vec, ps, weights)
+    vec[ps] = weights   # distinct primes: each bin is 0.0 + w = w
     spec = np.fft.rfft(vec)
     # |G|^2 averaged over the M grid points; rfft holds half the spectrum,
     # interior bins count twice by conjugate symmetry; M is a power of two,

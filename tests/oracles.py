@@ -238,7 +238,7 @@ def direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
                   targets: np.ndarray) -> np.ndarray:
     """Exact R(n) per target from one table of pair counts C23(m).
 
-    C23(m) sums over p2 <= m - 2 only (so m - p2 >= 2 indexes i3 directly),
+    C23(m) sums over p2 <= m only (so m - p2 >= 0 indexes i3 directly),
     and is evaluated at the points m = n - p1 that some target needs, one
     gather of i3 per point.
     """
@@ -247,7 +247,7 @@ def direct_counts(p1s: np.ndarray, p2s: np.ndarray, i3: np.ndarray,
     for n, k in zip(targets.tolist(), k1.tolist()):
         need[n - p1s[:k]] = True
     ms = np.flatnonzero(need)
-    k2 = np.searchsorted(p2s, ms - 2, side="right")
+    k2 = np.searchsorted(p2s, ms, side="right")
     c23 = np.zeros(len(i3), dtype=np.int64)
     for m, k in zip(ms.tolist(), k2.tolist()):
         c23[m] = np.count_nonzero(i3[m - p2s[:k]])

@@ -506,8 +506,8 @@ POOLS = {
     "B": ["0.3", "0.5", "0", "1.5"],
     "C": ["1.0", "0.2", "-1"],
     "m": ["1", "2", "0", "x"],
-    "Ch": ["1.0", "2.5", "0", "-1"],
-    "x0": ["3.0", "100.0", "-1", "nan"],
+    "Ch": ["1.0", "2.5", "0.01", "0", "-1"],
+    "x0": ["3.0", "100.0", "2460.0", "-1", "nan"],
     "W": ["0,1", "0,0,1", "0,1,1", "1", "0", "", "x"],
     "P": ["2", "10", "300", "0", "-1"],
     "P1": ["20", "500", "600", "5"],

@@ -25,7 +25,7 @@ from thinprimes.goldbach import (
     rep_counts,
     singular_series,
 )
-from thinprimes.sieve import enumerate_thin_primes
+from thinprimes.sieve import ThinPrimeSet, enumerate_thin_primes
 from thinprimes.thinfn import make_thin_function
 
 import oracles
@@ -268,6 +268,57 @@ def test_range_matches_per_target_loop(sets_by_gamma, gammas, half, width):
     assert list(zip(direct.tolist(), spectral.tolist())) == want
 
 
+@st.composite
+def subset_ranges(draw):
+    """(N, N_end, sets): a range that starts at N = 7 (so n - 4 = 3), one
+    whose odd grid bound V = 3A - t0 + 1 is 2^k or 2^k + 1, or a free one;
+    and per set whether 2 is in it, the least odd member and a density,
+    with a seed for the draw of its odd members."""
+    kind = draw(st.sampled_from(["seven", "edge", "free"]))
+    if kind == "seven":
+        N, N_end = 7, 7 + draw(st.integers(0, 60))
+    elif kind == "edge":
+        edge = draw(st.integers(0, 1))
+        V = (1 << draw(st.integers(4, 11))) + edge
+        # the targets t0..A-1 number V - 1 - 2A, of the parity of V - 1
+        K = 2 * draw(st.integers(0, min(15, ((V - 5) // 3 - 1 - edge) // 2))) \
+            + 1 + edge
+        A = (V - 1 - K) // 2
+        N, N_end = 2 * (A - K) + 3, 2 * A + 1 + draw(st.integers(0, 1))
+        assert 3 * ((N_end - 1) // 2) - (N - 3) // 2 + 1 == V
+    else:
+        N = 2 * draw(st.integers(2, 1499)) + 3
+        N_end = N + draw(st.integers(0, 80))
+    sets = [(draw(st.booleans()), draw(st.sampled_from([3, 5, 13])),
+             draw(st.sampled_from([0.3, 0.7, 1.0])),
+             draw(st.integers(0, 2 ** 32 - 1))) for _ in range(3)]
+    return N, N_end, sets
+
+
+@settings(max_examples=50, deadline=None)
+@given(subset_ranges())
+@example((7, 7, [(True, 3, 1.0, 0)] * 3))
+@example((7, 31, [(False, 3, 1.0, 0)] * 3))
+@example((7, 41, [(True, 3, 1.0, 0), (False, 5, 1.0, 1), (True, 13, 0.7, 2)]))
+@example((2045, 2047, [(True, 3, 1.0, 0), (True, 3, 0.3, 1), (False, 5, 0.7, 2)]))
+@example((2047, 2048, [(False, 3, 1.0, 0), (True, 13, 1.0, 1), (True, 3, 1.0, 2)]))
+def test_odd_reduction_matches_full_length_oracle(pt20, tf_identity, case):
+    # random prime subsets, not thin sets: 2 in all three sets, in none or
+    # in some, and a least odd member that may sit above 3
+    N, N_end, draws = case
+    ps = pt20.primes_in(2, N_end)
+    sets = []
+    for has2, least, density, seed in draws:
+        rng = np.random.default_rng(seed)
+        odd = ps[(ps >= least) & (rng.random(len(ps)) < density)]
+        members = np.concatenate([[2] if has2 else [], odd]).astype(np.int64)
+        sets.append(ThinPrimeSet(tf_identity, N_end, members,
+                                 np.ones(len(members))))
+    direct, spectral = rep_counts(*sets, N, N_end)
+    want = [per_target_rep_count(n, *sets) for n in range(N, N_end + 1, 2)]
+    assert list(zip(direct.tolist(), spectral.tolist())) == want
+
+
 def _record_transforms(monkeypatch):
     calls = []
     for name in ("rfft", "irfft"):
@@ -301,11 +352,13 @@ def test_one_transform_per_distinct_set(tps_identity, tps95, tps99, names,
     assert direct.tolist() == spectral.tolist()
 
 
-# 3*N_end - N + 1 is odd for odd N and N_end, so the grid is either one point
-# above it (2^k - 1) or nearly twice it (2^k + 1)
+# the grid holds the odd problem: M = next_pow2(3A - t0 + 1) with
+# A = (N_end - 1)//2 and t0 = (N - 3)/2, that is (3*N_end - N)/2 + 1 for odd
+# N and N_end, so the grid is either exactly that many points (2^k) or
+# nearly twice it (2^k + 1)
 @pytest.mark.parametrize("N,N_end,M", [
-    (4089, 4093, 1 << 13), (33, 2741, 1 << 13),
-    (4087, 4093, 1 << 14), (31, 2741, 1 << 14)])
+    (4089, 4093, 1 << 12), (33, 2741, 1 << 12),
+    (4087, 4093, 1 << 13), (31, 2741, 1 << 13)])
 def test_grid_at_power_of_two_edges(tps_identity, tps95, tps99, N, N_end, M,
                                     monkeypatch):
     sizes = []
@@ -318,7 +371,7 @@ def test_grid_at_power_of_two_edges(tps_identity, tps95, tps99, N, N_end, M,
     sets = (tps_identity, tps99, tps95)
     direct, spectral = rep_counts(*sets, N, N_end)
     assert sizes == [M]
-    assert 3 * N_end - N + 1 in (M - 1, M // 2 + 1)
+    assert 3 * ((N_end - 1) // 2) - (N - 3) // 2 + 1 in (M, M // 2 + 1)
     for j, n in ((0, N), (-1, N_end)):
         assert (direct[j], spectral[j]) == per_target_rep_count(n, *sets)
 
@@ -327,37 +380,39 @@ def test_grid_at_power_of_two_edges(tps_identity, tps95, tps99, N, N_end, M,
 
 @st.composite
 def pair_count_cases(draw):
-    """Sets in [2, L] with L + 1 = 0, 1 or 63 mod 64 (an empty S2 drawn on
-    purpose) and a range of targets that may be a single one."""
+    """Sets of halves a = (p - 1)/2 in [1, L] with L + 1 = 0, 1 or 63 mod
+    64 (an empty S2 drawn on purpose) and a range of consecutive targets
+    t0..t1 that may be a single one; rep_counts passes t1 = L - 1 and a1s
+    up to L."""
     L = 64 * draw(st.integers(1, 6)) + draw(st.sampled_from([-1, 0, 62]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     density = st.sampled_from([0.0, 0.02, 0.3, 1.0])
 
     def subset(p):
-        return 2 + np.flatnonzero(rng.random(L - 1) < p)
+        return 1 + np.flatnonzero(rng.random(L) < p)
     s1, s2 = subset(draw(density)), subset(draw(density))
     i3 = np.zeros(L + 1, dtype=bool)
     i3[subset(draw(density))] = True
-    N_end = draw(st.sampled_from([L, L - 1, L // 2]))
-    N = N_end - 2 * draw(st.integers(0, N_end // 2 - 1))
-    return s1[s1 <= N_end], s2, i3, N, N_end
+    t1 = draw(st.sampled_from([L - 1, L - 2, L // 2]))
+    t0 = t1 - draw(st.integers(0, t1 - 2))
+    return s1[s1 <= t1 + 1], s2, i3, t0, t1
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair_count_cases())
-@example((np.array([2, 3, 5]), np.array([], dtype=np.int64),
-          np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=bool), 7, 7))
+@example((np.array([1, 2]), np.array([], dtype=np.int64),
+          np.array([0, 1, 1, 1], dtype=bool), 2, 2))
 def test_pair_tables_match_per_point_gather(case):
-    p1s, p2s, i3, N, N_end = case
-    want = direct_counts(p1s, p2s, i3, np.arange(N, N_end + 1, 2))
-    ms = goldbach._needed_points(p1s, N, N_end, len(i3))
-    by_popcount = goldbach._pair_counts_by_popcount(p2s, i3, ms)
-    by_shifts = goldbach._pair_counts_by_shifts(p2s, i3)
+    a1s, a2s, i3, t0, t1 = case
+    want = direct_counts(a1s, a2s, i3, np.arange(t0, t1 + 1))
+    ms = goldbach._needed_points(a1s, t0, t1, len(i3))
+    by_popcount = goldbach._pair_counts_by_popcount(a2s, i3, ms)
+    by_shifts = goldbach._pair_counts_by_shifts(a2s, i3)
     assert by_popcount[ms].tolist() == by_shifts[ms].tolist()
     for table in (by_popcount, by_shifts):
-        got = goldbach._sum_over_first(p1s, table, N, N_end)
+        got = goldbach._sum_over_first(a1s, table, t0, t1)
         assert got.tolist() == want.tolist()
-    assert goldbach._direct_counts(p1s, p2s, i3, N, N_end).tolist() == \
+    assert goldbach._direct_counts(a1s, a2s, i3, t0, t1).tolist() == \
         want.tolist()
 
 
@@ -398,7 +453,7 @@ def test_thin_margin_escalates_only_its_target(tps_identity, tps95,
 
     def nudged(*args, **kwargs):
         vals = real_irfft(*args, **kwargs)
-        vals[bad] += 0.5
+        vals[(bad - 3) // 2] += 0.5     # the grid index of n is (n - 3)/2
         return vals
     escalated = []
 
@@ -408,7 +463,7 @@ def test_thin_margin_escalates_only_its_target(tps_identity, tps95,
     monkeypatch.setattr(np.fft, "irfft", nudged)
     monkeypatch.setattr(goldbach, "_exact_triple_coeff", spy)
     direct, spectral = rep_counts(tps_identity, tps95, tps95, N, N_end)
-    assert escalated == [bad]
+    assert escalated == [(bad - 3) // 2]
     assert direct.tolist() == spectral.tolist() == want
 
 
@@ -417,7 +472,7 @@ def test_mismatch_names_the_target(tps_identity, monkeypatch):
 
     def shifted(*args, **kwargs):
         vals = real_irfft(*args, **kwargs)
-        vals[1005] += 1.0
+        vals[(1005 - 3) // 2] += 1.0
         return vals
     monkeypatch.setattr(np.fft, "irfft", shifted)
     with pytest.raises(SpectralMismatch, match="N=1005"):

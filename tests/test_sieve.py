@@ -577,3 +577,27 @@ def test_sets_start_at_h_x0(pt20, gamma, Ch, x0, N):
             tps = enumerate_thin_primes(tf, pt20, N)
             assert tps.primes.tolist() == want, route
             assert np.all(np.isfinite(tps.weights) & (tps.weights > 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.sampled_from([0.75, 0.8, 0.9, 0.95, 0.99]),
+       Ch=st.floats(0.005, 0.2),
+       x0=st.floats(200.0, 5000.0),
+       offset=st.integers(-20, 300))
+@example(gamma=0.95, Ch=0.01, x0=2460.0, offset=3)
+@example(gamma=0.9, Ch=0.05, x0=1000.0, offset=-30)
+@example(gamma=0.75, Ch=0.2, x0=5000.0, offset=100)
+def test_least_member_above_the_first_primes(pt20, gamma, Ch, x0, offset):
+    # a small Ch and a large x0 put h(x0), and so the least member, above
+    # 2, 3 and 5; N near h(x0), on either side of it, leaves a few members
+    # or none.  Both routes against the membership oracle
+    tf = make_thin_function("power", gamma=gamma, Ch=Ch, x0=x0)
+    assume(tf.h_x0 > 5)
+    N = max(2, math.floor(tf.h_x0) + offset)
+    want = [p for p in pt20.primes_in(1, N).tolist()
+            if p >= tf.h_x0 * (1 - 1e-12) and thin_membership(tf, p, "direct")]
+    with pytest.MonkeyPatch.context() as mp:
+        for route in on_each_route(mp):
+            tps = enumerate_thin_primes(tf, pt20, N)
+            assert tps.primes.tolist() == want, route
+            assert np.all(np.isfinite(tps.weights) & (tps.weights > 0))
