@@ -1,14 +1,16 @@
-"""Low-level numeric helpers: exact mod-1 phase reduction and exact sums.
+"""Low-level numeric helpers: the polynomial W, exact mod-1 phases, exact sums.
 
-Phases of the form xi*W(k) with an exact integer W(k) are reduced mod 1
-either through binary-rational arithmetic (exact) or through a Dekker
-two-product (error ~2^-53), depending on the size of W(k).  Every float
-reduction mod 1 is mod1, x - floor(x): it gives the bits of x % 1.0 for
-every float64 at about a third of the cost.  Sums that feed
-residual checks go through exact_sum: numpy bins the terms' integer
-mantissas by binary exponent, exactly, the bins fold into one Python int
-and that rounds once.  The exactly rounded sum is unique, so the result
-is the float math.fsum gives, without a Python step per term.
+IntPolynomial is the integer polynomial W along whose images W(p) every
+average and sum runs; its eval_vec alone decides whether W(k) is held in
+int64 or as a Python int.  Phases xi*W(k) are reduced mod 1 either through
+binary-rational arithmetic (exact) or through a Dekker two-product (error
+~2^-53), depending on the size of W(k).  Every float reduction mod 1 is
+mod1, x - floor(x): it gives the bits of x % 1.0 for every float64 at about
+a third of the cost.  Sums that feed residual checks go through exact_sum:
+numpy bins the terms' integer mantissas by binary exponent, exactly, the
+bins fold into one Python int and that rounds once.  The exactly rounded
+sum is unique, so the result is the float math.fsum gives, without a
+Python step per term.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import LimitTooLarge
+from .errors import LimitTooLarge, ParameterOutOfRange
 
 # Dekker splitter for binary64 (2^27 + 1).
 _SPLIT = 134217729.0
@@ -86,17 +88,15 @@ def frac_mul_vec(xi: float, w: np.ndarray) -> np.ndarray:
     return mod1(p, out=p)
 
 
-def frac_mul_int_vec(xi: float, wvals) -> np.ndarray:
+def frac_mul_int_vec(xi: float, wvals: np.ndarray) -> np.ndarray:
     """Fractional parts of xi*W for integer phases W of any size.
 
-    The route is chosen per entry: the two-product where |W| < 2^52, the
-    exact big-integer path elsewhere, so each value is what that entry
-    alone would give, whatever else shares the call.  Lists of Python ints
-    (the overflow route of polynomial evaluation) are held as objects and
-    never pass through float64 on the big-integer side.
+    wvals is what IntPolynomial.eval_vec returns: an int64 array, or an
+    object array of Python ints, which never pass through float64 on the
+    big-integer side.  The route is chosen per entry: the two-product where
+    |W| < 2^52, the exact big-integer path elsewhere, so each value is what
+    that entry alone would give, whatever else shares the call.
     """
-    if not (isinstance(wvals, np.ndarray) and np.issubdtype(wvals.dtype, np.integer)):
-        wvals = np.array([int(w) for w in wvals], dtype=object)
     small = (wvals > -_EXACT_INT_LIMIT) & (wvals < _EXACT_INT_LIMIT)
     if small.all():
         return frac_mul_vec(xi, wvals.astype(np.float64))
@@ -104,6 +104,51 @@ def frac_mul_int_vec(xi: float, wvals) -> np.ndarray:
     out[small] = frac_mul_vec(xi, wvals[small].astype(np.float64))
     out[~small] = [frac_mul_exact(xi, int(w)) for w in wvals[~small]]
     return out
+
+
+class IntPolynomial:
+    """Integer-coefficient polynomial, constant coefficient first.
+
+    Values W(k) are computed in exact (arbitrary width) integer arithmetic;
+    the vector path uses int64 only when a bound check proves no overflow.
+    """
+
+    def __init__(self, coefficients):
+        coeffs = [int(c) for c in coefficients]
+        if len(coeffs) < 2 or coeffs[-1] == 0:
+            raise ParameterOutOfRange(
+                "polynomial needs degree >= 1 with nonzero leading coefficient")
+        self.coeffs = tuple(coeffs)
+        self.degree = len(coeffs) - 1
+
+    def __call__(self, k: int) -> int:
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * k + c
+        return acc
+
+    def eval_vec(self, k: np.ndarray) -> np.ndarray:
+        """Exact values by Horner: int64 where the bound sum |c_i| max|k|^i
+        < 2^62 proves that every value fits, else Python ints (dtype object)."""
+        k = np.asarray(k, dtype=np.int64)
+        kmax = int(np.abs(k).max(initial=0))
+        if sum(abs(c) * kmax ** i for i, c in enumerate(self.coeffs)) >= 2 ** 62:
+            k = k.astype(object)
+        acc = np.zeros_like(k)
+        for c in reversed(self.coeffs):
+            acc = acc * k + c
+        return acc
+
+    def mod_vec(self, k: np.ndarray, G: int) -> np.ndarray:
+        """Exact W(k) mod G as int64: Horner on k mod G, exact for G <= 2^31."""
+        k = np.asarray(k, dtype=np.int64) % G
+        acc = np.zeros_like(k)
+        for c in reversed(self.coeffs):
+            acc = (acc * k + c % G) % G
+        return acc
+
+    def __repr__(self):
+        return f"IntPolynomial({list(self.coeffs)})"
 
 
 # Every finite binary64 is M * 2^(e - 53) with frexp's exponent e in

@@ -21,9 +21,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._num import _check_hull, dyadic, exact_sum
+from ._num import IntPolynomial, _check_hull, dyadic, exact_sum
 from .errors import EmptySet, HypothesisViolated, LimitTooLarge, ParameterOutOfRange
-from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
 
 

@@ -24,10 +24,11 @@ it, a computational failure (diagnostic JSON written instead of the report).
 A command pays start-up only for the modules its subcommand runs: errors,
 _num, thinfn and sieve are imported here, and expsum, averages, ergodic and
 goldbach are registered lazily (_lazy), to be compiled and run on their
-first attribute access.  That first access must come from the main thread;
-the --threads workers run only sieve and thinfn code.  json, like
-fractions in thinfn and concurrent.futures in sieve, is imported where it
-is first used, and argparse, which pulls in gettext, not at all.
+first attribute access; none imports another, so a subcommand runs at most
+one.  That first access must come from the main thread; the --threads
+workers run only sieve and thinfn code.  json, like fractions in thinfn and
+concurrent.futures in sieve, is imported where it is first used, and
+argparse, which pulls in gettext, not at all.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import time
 import numpy as np
 
 from . import __version__
-from ._num import _check_hull, dyadic
+from ._num import IntPolynomial, _check_hull, dyadic
 from .errors import ParseError, ThinPrimesError, ValidationError
 from .sieve import (
     build_prime_table,
@@ -59,7 +60,7 @@ from .sieve import (
     density_profile,
     enumerate_thin_primes,
 )
-from .thinfn import admissible_params, make_thin_function
+from .thinfn import admissibility_check, admissible_params, make_thin_function
 
 
 def _lazy(name: str):
@@ -220,8 +221,8 @@ class RunConfig:
         self._tf = tf
         return tf
 
-    def polynomial(self) -> expsum.IntPolynomial:
-        return expsum.IntPolynomial(self.get_int_list("W"))
+    def polynomial(self) -> IntPolynomial:
+        return IntPolynomial(self.get_int_list("W"))
 
     def resolved(self) -> dict:
         out = dict(DEFAULTS)
@@ -512,7 +513,7 @@ def _steps(cfg: RunConfig):
     yield None, []
     footer = None
     if gammas:
-        ok, lhs = goldbach.admissibility_check(*gammas)
+        ok, lhs = admissibility_check(*gammas)
         footer = {"ternary_admissible": ok,
                   "ternary_lhs": ",".join(f"{v:.6g}" for v in lhs)}
     return (["q", "gamma", "chi_max", "c_q"],

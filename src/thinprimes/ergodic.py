@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import e2pi, exact_sum, frac_mul_int_vec, mod1
+from ._num import IntPolynomial, e2pi, exact_sum, frac_mul_int_vec, mod1
 from .errors import (
     EmptySet,
     InvalidBreaks,
     ParameterOutOfRange,
     RangeBeyondTable,
 )
-from .expsum import IntPolynomial
 from .sieve import PrimeTable, ThinPrimeSet
 
 MAX_CYCLE = 1 << 31
@@ -146,9 +145,10 @@ def zeps_grid(eps: float, upper: int) -> np.ndarray:
     sits next to its first occurrence.
     """
     check_eps(eps, upper)
-    # two spare powers cover the rounding of the logs
+    # two spare powers cover the rounding of the logs (cut below, may overflow)
     v = np.arange(1, math.ceil(_zeps_steps(eps, upper)) + 3, dtype=np.float64)
-    np.floor(np.power(1.0 + eps, v, out=v), out=v)
+    with np.errstate(over="ignore"):
+        np.floor(np.power(1.0 + eps, v, out=v), out=v)
     v = v[:np.searchsorted(v, upper, side="right")]
     keep = np.ones(v.size, dtype=bool)
     np.not_equal(v[1:], v[:-1], out=keep[1:])

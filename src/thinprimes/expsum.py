@@ -24,7 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# IntPolynomial is _num's, imported here too: the signatures below name it
 from ._num import (
+    IntPolynomial,
     _check_hull,
     dyadic,
     e2pi,
@@ -45,56 +47,6 @@ from .thinfn import ThinFunction
 
 # |m*phi(k)| above which the product is formed in extended precision
 EXTENDED_PHASE_LIMIT = float(2 ** 40)
-
-
-class IntPolynomial:
-    """Integer-coefficient polynomial, constant coefficient first.
-
-    Values W(k) are computed in exact (arbitrary width) integer arithmetic;
-    the vector path uses int64 only when a bound check proves no overflow.
-    """
-
-    def __init__(self, coefficients):
-        coeffs = [int(c) for c in coefficients]
-        if len(coeffs) < 2 or coeffs[-1] == 0:
-            raise ParameterOutOfRange(
-                "polynomial needs degree >= 1 with nonzero leading coefficient")
-        self.coeffs = tuple(coeffs)
-        self.degree = len(coeffs) - 1
-
-    def __call__(self, k: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
-
-    def abs_bound(self, kmax: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * kmax + abs(c)
-        return acc
-
-    def eval_vec(self, k: np.ndarray):
-        """Exact values; int64 array when safe, else list of Python ints."""
-        k = np.asarray(k, dtype=np.int64)
-        kmax = int(np.abs(k).max(initial=0))
-        if self.abs_bound(kmax) < 2 ** 62:
-            acc = np.zeros_like(k)
-            for c in reversed(self.coeffs):
-                acc = acc * k + c
-            return acc
-        return [self(int(v)) for v in k]
-
-    def mod_vec(self, k: np.ndarray, G: int) -> np.ndarray:
-        """Exact W(k) mod G as int64: Horner on k mod G, exact for G <= 2^31."""
-        k = np.asarray(k, dtype=np.int64) % G
-        acc = np.zeros_like(k)
-        for c in reversed(self.coeffs):
-            acc = (acc * k + c % G) % G
-        return acc
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
 
 
 @dataclass(frozen=True)

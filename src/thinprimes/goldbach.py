@@ -20,7 +20,7 @@ counted in one pass by two routes, which must agree at every target:
   so its wrapped terms land below t0, and one inverse transform holds every
   odd count as an integer read off by rounding.  A target whose float
   value lies 0.25 or more from an integer is recounted on its own by an
-  exact big-integer convolution (Kronecker substitution).
+  exact convolution in decimal (Kronecker substitution, _exact_triple_coeff).
 
 A single target is a range of one over the same code.  The report
 columns are vector passes over the same targets: the classical singular
@@ -32,6 +32,7 @@ constant +0.0 (its p=2 factor is 1 - 1/1).
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 
 import numpy as np
 
@@ -57,19 +58,23 @@ def _exact_triple_coeff(i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
                         n: int) -> int:
     """Coefficient of z^n in the product of three 0/1 polynomials, exactly.
 
-    Kronecker substitution: pack each indicator into one big integer with
-    48-bit limbs (coefficients stay far below 2^48) and multiply.
+    Kronecker substitution in base 10^k: each indicator, cut to degree n, is
+    written in one numpy pass as k decimal digits per coefficient and the
+    three are multiplied in exact decimal (libmpdec's number-theoretic
+    transform).  A coefficient counts at most |S1| * |S2| triples, so k is
+    that bound's digit count.
     """
-    bits = 48
-
-    def pack(ind):
-        acc = 0
-        for i in np.flatnonzero(ind):
-            acc |= 1 << (bits * int(i))
-        return acc
-
-    prod = pack(i1) * pack(i2) * pack(i3)
-    return (prod >> (bits * n)) & ((1 << bits) - 1)
+    ind = [np.asarray(a[: n + 1]) != 0 for a in (i1, i2, i3)]
+    k = len(str(int(np.count_nonzero(ind[0])) * int(np.count_nonzero(ind[1]))))
+    prod = Decimal(1)
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX)):
+        for a in ind:     # the digit rows, highest coefficient first
+            d = np.full((len(a), k), ord("0"), dtype=np.uint8)
+            d[:, -1] += a
+            prod *= Decimal(d[::-1].tobytes().decode("ascii"))
+    text = str(prod)
+    end = len(text) - k * n     # the k digits of z^n end here
+    return int(text[max(end - k, 0):end]) if end > 0 else 0
 
 
 def _needed_points(a1s: np.ndarray, t0: int, t1: int, size: int) -> np.ndarray:
@@ -306,16 +311,6 @@ def goldbach_reports(tfs, sets, N: int, N_end: int, pt: PrimeTable,
                     ratio.tolist(), [flag] * len(x)))
 
 
-def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:
-    """The three cyclic density inequalities 16(1-g_i)+14(1-g_j)+14(1-g_k)<1."""
-    lhs = (
-        16 * (1 - g1) + 14 * (1 - g2) + 14 * (1 - g3),
-        16 * (1 - g2) + 14 * (1 - g1) + 14 * (1 - g3),
-        16 * (1 - g3) + 14 * (1 - g1) + 14 * (1 - g2),
-    )
-    return all(v < 1.0 for v in lhs), lhs
-
-
 def parseval_check(source, N: int, weighted: bool = False) -> tuple[float, float]:
     """Discrete-quadrature check of int_0^1 |G_N|^2 = sum of squared weights.
 
@@ -337,7 +332,6 @@ def parseval_check(source, N: int, weighted: bool = False) -> tuple[float, float
     # interior bins count twice by conjugate symmetry; M is a power of two,
     # so the last bin is the unpaired Nyquist bin (or bin 0 when M = 1)
     mags = np.abs(spec) ** 2
-    full = np.concatenate([mags, mags[-2:0:-1]])
-    lhs = exact_sum((full,)).real / M
+    lhs = exact_sum((mags, mags[1:-1])).real / M
     rhs = exact_sum((weights * weights,)).real
     return lhs, rhs

@@ -375,11 +375,11 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     Either route is taken in units of SEGMENT values, mapped serially or
     over `threads` workers and each evaluated in blocks of THIN_BLOCK
     values; the units are merged in index order, so the set does not depend
-    on thread count.  The merged primes, nondecreasing already, are sorted
-    in place (a stable sort, linear on sorted input) and compared with their
-    predecessors: numpy 2.4's np.unique takes a hash route.  The weights are
-    computed THIN_BLOCK primes at a time, so their float temporaries stay
-    small.
+    on thread count.  The merged primes are nondecreasing already, since h
+    increases and the primes' side tests ascending primes, so each is
+    compared with its predecessor to drop repeats: numpy 2.4's np.unique
+    takes a hash route.  The weights are computed THIN_BLOCK primes at a
+    time, so their float temporaries stay small.
     """
     if N > pt.limit:
         raise LimitMismatch(f"N={N} beyond table limit {pt.limit}")
@@ -390,7 +390,6 @@ def enumerate_thin_primes(tf: ThinFunction, pt: PrimeTable, N: int,
     parts = route(tf, pt, N, n_lo, n_hi, threads)
     ps = np.concatenate(parts)
     del parts       # the per-unit copies, before the dedup and the weights
-    ps.sort(kind="stable")
     new = np.ones(len(ps), dtype=bool)
     np.not_equal(ps[1:], ps[:-1], out=new[1:])
     ps = ps[new]

@@ -625,3 +625,12 @@ def admissible_params(q: int, gamma: float) -> AdmissibleParams:
     from fractions import Fraction
     c_q = Fraction(a, a - 1)
     return AdmissibleParams(q, gamma, max(chi, 0.0), c_q)
+
+
+def admissibility_check(g1: float, g2: float, g3: float) -> tuple[bool, tuple]:
+    """Ternary Goldbach's three cyclic density inequalities
+    16(1-g_i)+14(1-g_j)+14(1-g_k)<1."""
+    d1, d2, d3 = 1 - g1, 1 - g2, 1 - g3
+    lhs = (16 * d1 + 14 * d2 + 14 * d3, 16 * d2 + 14 * d1 + 14 * d3,
+           16 * d3 + 14 * d1 + 14 * d2)
+    return all(v < 1.0 for v in lhs), lhs

@@ -408,6 +408,16 @@ def test_only_goldbach_builds_spf(tmp_path, monkeypatch, argv, factors):
     assert len(tables) == 1 and ("spf" in tables[0].__dict__) is factors
 
 
+def test_huge_eps_runs_clean(tmp_path, capsys):
+    """zeps_grid's spare powers overflow to inf at eps = 1e300 and are cut:
+    no RuntimeWarning (an error under this suite's filter) and no stderr."""
+    out = tmp_path / "r.csv"
+    assert main(["oscillation", "--N", "64", "--eps", "1e300",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[-1] == "1,1e+300,0.0,0.0"
+
+
 def test_position_overflow_exits_3(tmp_path, capsys):
     # W = k^7 at p near 1024 is about 2^70, past int64
     out = tmp_path / "err.json"
@@ -529,7 +539,7 @@ POOLS = {
     "freq": ["1", "3", "-2"],
     "x": ["0", "5", "0.25", "nan", "-1"],
     "weighted": ["true", "false", "yes", "maybe"],
-    "eps": ["0.5", "2", "0", "-1", "inf", "1e-20"],
+    "eps": ["0.5", "2", "0", "-1", "inf", "1e-20", "1e300"],
     "gammas": ["1,1,1", "1,0.99,0.95", "1,1", "0.5,1,1", "x"],
     "N-end": ["7", "121", "4095", "5", HUGE_N],
     "cutoff": ["100", "10000", "50", "1099511627776"],

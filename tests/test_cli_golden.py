@@ -189,8 +189,8 @@ with open(sys.argv[1], "w") as fh:
 sys.exit(rc)
 """
 
-# one CSV line at --threads 1 per subcommand, and the lazy modules it runs
-# besides the eager ones (averages and ergodic read expsum's IntPolynomial)
+# one CSV line at --threads 1 per subcommand, and the lazy module it runs
+# besides the eager ones, at most one
 EAGER = {"cli", "_num", "errors", "sieve", "thinfn"}
 FRESH = {
     ("sieve", "--N", "1000"): set(),
@@ -201,25 +201,42 @@ FRESH = {
     ("vdc", "--N", "1000"): {"expsum"},
     ("bilinear", "--gamma", "0.95", "--K", "16", "--L", "16"): {"expsum"},
     ("maximal", "--gamma", "0.95", "--N", "1024", "--support", "128",
-     "--trials", "2", "--seed", "11"): {"averages", "expsum"},
-    ("abel", "--N", "1000"): {"averages", "expsum"},
-    ("ergodic", "--gamma", "1", "--N", "4096"): {"ergodic", "expsum"},
-    ("oscillation", "--gamma", "1", "--N", "4096"): {"ergodic", "expsum"},
+     "--trials", "2", "--seed", "11"): {"averages"},
+    ("abel", "--N", "1000"): {"averages"},
+    ("ergodic", "--gamma", "1", "--N", "4096"): {"ergodic"},
+    ("oscillation", "--gamma", "1", "--N", "4096"): {"ergodic"},
     ("goldbach", "--gammas", "1,1,1", "--N", "9"): {"goldbach"},
     ("parseval", "--gamma", "0.95", "--N", "1000"): {"goldbach"},
     ("admissible", "--q", "2", "--gamma", "1", "--format", "csv"): set(),
 }
 
 
-@pytest.mark.parametrize("argv", FRESH, ids=" ".join)
-def test_fresh_interpreter_runs_only_its_modules(golden, argv, tmp_path):
+def fresh_run(golden, argv, tmp_path) -> tuple[set, list]:
+    """The golden line argv from a bare import: it must write its golden
+    record; returns the lazy modules it ran and the deferred ones it loaded."""
     report = tmp_path / "modules.txt"
     got = record_subprocess(list(argv), program=("-c", BARE_IMPORT, str(report)))
     assert got == golden[COMMANDS.index(list(argv))]
     ran, loaded = report.read_text().split("\n")
-    assert set(ran.split()) == {f"thinprimes.{m}" for m in EAGER | FRESH[argv]}
+    return {n.removeprefix("thinprimes.") for n in ran.split()} - EAGER, loaded.split()
+
+
+@pytest.mark.parametrize("argv", FRESH, ids=" ".join)
+def test_fresh_interpreter_runs_only_its_modules(golden, argv, tmp_path):
+    ran, loaded = fresh_run(golden, argv, tmp_path)
+    assert ran == FRESH[argv]
     # admissible_params returns c_q as a Fraction
-    assert loaded.split() == (["fractions"] if argv[0] == "admissible" else [])
+    assert loaded == (["fractions"] if argv[0] == "admissible" else [])
+
+
+def test_ternary_admissibility_runs_no_lazy_module(golden, tmp_path):
+    """admissible --gammas reads its second inequality from thinfn too."""
+    argv = ["admissible", "--q", "1", "--gamma", "1", "--gammas",
+            "0.999,0.999,0.999"]
+    ran, loaded = fresh_run(golden, argv, tmp_path)
+    assert ran == set()
+    # its default format is json
+    assert loaded == ["fractions", "json"]
 
 
 @pytest.mark.parametrize("argv", FRESH, ids=" ".join)

@@ -160,6 +160,7 @@ def test_zeps_grid_enumeration():
 @example(1e-5, 2 ** 16)
 @example(0.5, 2 ** 20)
 @example(1e-3, 0)
+@example(1e300, 64)     # the spare powers overflow to inf
 def test_zeps_grid_matches_the_power_loop(eps, upper):
     got = zeps_grid(eps, upper)
     assert got.dtype == np.int64

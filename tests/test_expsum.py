@@ -88,7 +88,7 @@ def test_frac_mul_int_vec_routes_each_entry_alone(xi, ws):
     alone = [frac_mul_vec(xi, np.array([float(w)]))[0] if abs(w) < 2 ** 52
              else frac_mul_exact(xi, w) for w in ws]
     assert frac_mul_int_vec(xi, np.array(ws, dtype=np.int64)).tolist() == alone
-    big = ws + [2 ** 70 + 3]
+    big = np.array(ws + [2 ** 70 + 3], dtype=object)
     assert frac_mul_int_vec(xi, big).tolist() == alone + [frac_mul_exact(xi, 2 ** 70 + 3)]
 
 

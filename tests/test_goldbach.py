@@ -18,7 +18,6 @@ from thinprimes.errors import (
 )
 from thinprimes.goldbach import (
     _exact_triple_coeff,
-    admissibility_check,
     check_cutoff,
     goldbach_reports,
     parseval_check,
@@ -26,7 +25,7 @@ from thinprimes.goldbach import (
     singular_series,
 )
 from thinprimes.sieve import ThinPrimeSet, enumerate_thin_primes
-from thinprimes.thinfn import make_thin_function
+from thinprimes.thinfn import admissibility_check, make_thin_function
 
 import oracles
 from oracles import direct_counts, goldbach_main_term
@@ -83,6 +82,22 @@ def test_permutation_symmetry(tps_identity, tps95, tps99, pt20):
 def test_exact_escalation_path(tps_identity):
     ind = tps_identity.indicator(101)
     assert _exact_triple_coeff(ind, ind, ind, 101) == 210
+
+
+INDICATOR = st.lists(st.booleans(), min_size=1, max_size=60).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INDICATOR, INDICATOR, INDICATOR, st.integers(0, 200))
+@example(np.ones(10, bool), np.ones(10, bool), np.ones(19, bool), 18)   # 100 = |S1||S2|
+@example(np.zeros(3, bool), np.ones(3, bool), np.ones(3, bool), 2)
+def test_exact_triple_coeff_is_the_triple_count(i1, i2, i3, n):
+    """The decimal route against a loop over the member pairs, whose count
+    |S1| * |S2| is the coefficient's bound, reached in the first example."""
+    s3 = set(np.flatnonzero(i3).tolist())
+    want = sum(n - x - y in s3 for x in np.flatnonzero(i1).tolist()
+               for y in np.flatnonzero(i2).tolist())
+    assert _exact_triple_coeff(i1, i2, i3, n) == want
 
 
 def test_singular_series_n3_degenerate():
@@ -465,6 +480,29 @@ def test_thin_margin_escalates_only_its_target(tps_identity, tps95,
     direct, spectral = rep_counts(tps_identity, tps95, tps95, N, N_end)
     assert escalated == [(bad - 3) // 2]
     assert direct.tolist() == spectral.tolist() == want
+
+
+def test_escalation_near_the_single_band_agrees(tps_identity, monkeypatch):
+    """A target near 200001 nudged off its integer is recounted exactly, in
+    decimal, to the direct route's count."""
+    N, N_end, bad = 199991, 200001, 199997
+    real_irfft = np.fft.irfft
+
+    def nudged(*args, **kwargs):
+        vals = real_irfft(*args, **kwargs)
+        vals[(bad - 3) // 2] += 0.5
+        return vals
+    escalated = []
+
+    def spy(i1, i2, i3, n):
+        escalated.append(n)
+        return _exact_triple_coeff(i1, i2, i3, n)
+    monkeypatch.setattr(np.fft, "irfft", nudged)
+    monkeypatch.setattr(goldbach, "_exact_triple_coeff", spy)
+    direct, spectral = rep_counts(tps_identity, tps_identity, tps_identity,
+                                  N, N_end)
+    assert escalated == [(bad - 3) // 2]
+    assert direct.tolist() == spectral.tolist()
 
 
 def test_mismatch_names_the_target(tps_identity, monkeypatch):

@@ -1,5 +1,6 @@
 """_num.exact_sum against the standard library's math.fsum, and _num.mod1
-against numpy's remainder, bit for bit."""
+against numpy's remainder, bit for bit; IntPolynomial.eval_vec's one return
+type."""
 
 import math
 
@@ -169,3 +170,23 @@ def test_frac_mul_vec_is_the_remainder_route_bit_for_bit(xi, ws):
     w = np.array(ws, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
         assert _bits(frac_mul_vec(xi, w)) == _bits(oracles.frac_mul_vec(xi, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=2, max_size=6)
+       .map(lambda cs: cs[:-1] + [cs[-1] or 1]),
+       st.lists(st.integers(-2 ** 31, 2 ** 31), max_size=20))
+@example([0, 0, 1], [2 ** 31 - 1])     # k^2 just below the 2^62 bound
+@example([0, 0, 1], [-(2 ** 31)])      # and at it
+def test_eval_vec_returns_one_type(coeffs, ks):
+    """An int64 array where the bound proves every value fits, else an
+    object array of the same exact values, as Python ints."""
+    W = _num.IntPolynomial(coeffs)
+    k = np.array(ks, dtype=np.int64)
+    got = W.eval_vec(k)
+    assert isinstance(got, np.ndarray) and got.shape == k.shape
+    kmax = max((abs(v) for v in ks), default=0)
+    fits = sum(abs(c) * kmax ** i for i, c in enumerate(coeffs)) < 2 ** 62
+    assert got.dtype == (np.int64 if fits else object)
+    assert all(type(v) is int for v in got.tolist())
+    assert got.tolist() == [W(v) for v in ks]

@@ -447,6 +447,24 @@ def test_largest_sieving_prime_below_2_32_fits_uint16():
     assert base[-1] == 65521 <= np.iinfo(np.uint16).max
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_merged_units_are_already_in_order(pt20, monkeypatch, threads):
+    # the units merge in index order, so the dedup by predecessor needs no
+    # sort: h increases, which makes the n side's merge nondecreasing (with
+    # repeats at Ch = 1/2), and the primes' side tests ascending primes
+    monkeypatch.setattr(sieve, "SEGMENT", 101)
+    tf = make_thin_function("power", gamma=0.99, Ch=0.5)
+    N = 10 ** 4
+    n_lo, n_hi = sieve._n_range(tf, N)
+    for route, least in ((sieve._n_route, 0), (sieve._primes_route, 1)):
+        units = route(tf, pt20, N, n_lo, n_hi, threads)
+        steps = np.diff(np.concatenate(units))
+        assert len(units) > 10 and steps.min() >= least, route.__name__
+    for route in on_each_route(monkeypatch):
+        ps = enumerate_thin_primes(tf, pt20, N, threads=threads).primes
+        assert np.all(np.diff(ps) > 0), route
+
+
 def test_threaded_escalations_keep_mpmath_precision(pt20, tf95, monkeypatch):
     # every floor decision escalates to 40 digits, in chunks of 97 values of
     # n, or of primes, spread over more workers than cores; mpmath's working
