@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# IntPolynomial is _num's, imported here too: the signatures below name it
+# IntPolynomial is _num's, re-exported: the README, the acceptance suite and
+# the tests import it from expsum
 from ._num import (
     IntPolynomial,
     _check_hull,
